@@ -34,6 +34,7 @@ from .harness import (
     e2_error,
     emit_lemma_report,
     emit_report,
+    exact_solution,
     lemma_diagnostics,
     run_single,
 )
@@ -165,7 +166,7 @@ def _cmd_solve(merged: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     case = get_case(merged["case"])
     cloud = build_cloud(case, int(merged["t"]), int(merged["seed"]))
-    exact = case.exact_u(cloud.points)
+    exact = exact_solution(merged["case"], options)(cloud.points)
     path = out / "solution.csv"
     with open(path, "w") as fh:
         fh.write("kind," + ",".join(f"x{i}" for i in range(cloud.d))

@@ -128,6 +128,29 @@ class ConvergenceReport:
     partial: bool
 
 
+def _g_case(case_name: str, options: HarnessOptions):
+    """(exact_u, forcing, flux) of options.g_case, checked against the case."""
+    try:
+        gcase, exact, f, g = G_CASES[options.g_case]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown g-case {options.g_case!r}; "
+            f"available: {sorted(G_CASES)}") from None
+    if gcase != case_name:
+        raise ConfigurationError(
+            f"g-case {options.g_case!r} is defined on {gcase}, "
+            f"not {case_name}")
+    return exact, f, g
+
+
+def exact_solution(case_name: str, options: HarnessOptions
+                   ) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact solution of the model run_single solves for these options."""
+    if options.variant == "nonhomogeneous":
+        return _g_case(case_name, options)[0]
+    return get_case(case_name).exact_u
+
+
 def run_single(case_name: str, t: int, seed: int,
                options: HarnessOptions | None = None,
                profile: KernelProfile | None = None
@@ -136,13 +159,13 @@ def run_single(case_name: str, t: int, seed: int,
     options = options or HarnessOptions()
     profile = profile or cosine_profile()
     case = get_case(case_name)
+    exact = exact_solution(case_name, options)
     start = time.perf_counter()
     cloud = build_cloud(case, t, seed)
 
     if options.variant == "none":
         system = assemble(cloud, profile=profile, mode=options.mode)
         result = solve_mean_zero(system, tol=options.tol)
-        exact = case.exact_u
     elif options.variant == "lambda":
         lam = options.lam
 
@@ -151,18 +174,8 @@ def run_single(case_name: str, t: int, seed: int,
 
         system = assemble_lambda(cloud, profile=profile, lam=lam, f=f_man)
         result = solve_spd(system, tol=options.tol)
-        exact = case.exact_u
     elif options.variant == "nonhomogeneous":
-        try:
-            gcase, exact, f_nh, g_nh = G_CASES[options.g_case]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown g-case {options.g_case!r}; "
-                f"available: {sorted(G_CASES)}") from None
-        if gcase != case_name:
-            raise ConfigurationError(
-                f"g-case {options.g_case!r} is defined on {gcase}, "
-                f"not {case_name}")
+        _, f_nh, g_nh = _g_case(case_name, options)
         system = assemble_nonhomogeneous(cloud, profile=profile, f=f_nh, g=g_nh)
         result = solve_mean_zero(system, tol=options.tol)
     elif options.variant == "nonlinear":
@@ -177,7 +190,6 @@ def run_single(case_name: str, t: int, seed: int,
                                picard_tol=options.picard_tol,
                                picard_max=options.picard_max)
         result = nonlinear_solve(cloud, profile=profile, config=config)
-        exact = case.exact_u
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     row = ReportRow(t=t, delta=cloud.delta, n0=cloud.n0, m0=cloud.m0,

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nlpoisson.cli import main
 from nlpoisson.geometry import build_cloud, get_case
 from nlpoisson.harness import (
+    G_CASES,
     ConfigurationError,
     HarnessOptions,
     convergence_study,
@@ -211,6 +212,24 @@ def test_cli_converge_and_solve(tmp_path):
     assert code == 0
     assert (tmp_path / "single" / "solution.csv").exists()
     assert (tmp_path / "single" / "S.txt.meta").exists()
+
+
+@pytest.mark.parametrize("variant", ["none", "nonhomogeneous"])
+def test_cli_solve_exact_column_is_the_variants(tmp_path, variant):
+    out = tmp_path / variant
+    code = main(["solve", "--case", "hemisphere2", "--t", "6", "--seed", "2",
+                 "--variant", variant, "--out", str(out)])
+    assert code == 0
+    rows = np.genfromtxt(out / "solution.csv", delimiter=",", names=True,
+                         dtype=None, encoding="utf-8")
+    points = np.column_stack([rows["x0"], rows["x1"], rows["x2"]])
+    if variant == "nonhomogeneous":
+        exact_u = G_CASES["hemisphere2_zsq"][1]
+    else:
+        exact_u = get_case("hemisphere2").exact_u
+    assert np.array_equal(rows["exact"], exact_u(points))
+    u, exact = rows["u"], rows["exact"]
+    assert np.linalg.norm(u - exact) < 0.5 * np.linalg.norm(exact)
 
 
 def test_cli_bad_t_list(tmp_path):

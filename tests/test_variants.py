@@ -6,9 +6,12 @@ import pytest
 from nlpoisson.assembly import assemble, boundary_trace, interior_laplacian
 from nlpoisson.geometry import build_cloud, get_case
 from nlpoisson.harness import e2_error
-from nlpoisson.solver import solve_mean_zero, solve_spd
+from nlpoisson.kernels import cosine_profile
+from nlpoisson.solver import cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import (
     VariantConfig,
+    _FrozenOperator,
+    _NonlinearWork,
     _absorption_matrix,
     assemble_lambda,
     assemble_nonhomogeneous,
@@ -238,6 +241,50 @@ def test_nonlinear_manufactured_residual():
     J = np.array(res.energy_history)
     assert np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1])))
     assert res.energy_monotone
+    assert res.iterations == 25
+    assert res.inner_misses == 0
+    assert res.inner_iterations > res.iterations
+
+
+@pytest.mark.parametrize("cloud_name", ["small_cloud", "medium_cloud"])
+@pytest.mark.parametrize("boundary", ["random", "zero"])
+def test_frozen_operator_matches_materialized(cloud_name, boundary, request,
+                                              rng):
+    """Matrix-free apply and diagonal equal base S plus the absorption block."""
+    cloud = request.getfixturevalue(cloud_name)
+    config = VariantConfig(kind="nonlinear", lam=1.0, p=1.5)
+    work = _NonlinearWork(cloud, cloud.delta, cosine_profile(), config)
+    w_int = rng.uniform(0.0, 2.0, cloud.n0)
+    w_bnd = (rng.uniform(0.0, 2.0, cloud.m0) if boundary == "random"
+             else np.zeros(cloud.m0))
+    dense = work.base.S + _absorption_matrix(work.base, work.Pbar,
+                                             work.omega2, w_int, w_bnd)
+    op = _FrozenOperator(work, w_int * work.interior_mass,
+                         w_bnd * work.boundary_mass)
+    x = rng.standard_normal(cloud.n0)
+    want = dense @ x
+    assert np.linalg.norm(op @ x - want) <= 1e-13 * np.linalg.norm(want)
+    d_want = dense.diagonal()
+    assert np.abs(op.diagonal() - d_want).max() <= 1e-13 * np.abs(d_want).max()
+
+
+def test_jacobi_cuts_frozen_system_iterations():
+    """On criterion 9's cloud, Jacobi PCG needs at least 3x fewer iterations
+    than plain CG on the first frozen Picard system."""
+    lam, p = 1.0, 1.5
+    cloud = build_cloud("hemisphere2", 20, 1)
+    config = VariantConfig(kind="nonlinear", lam=lam, p=p,
+                           f=manufactured_nonlinear_forcing(lam, p))
+    work = _NonlinearWork(cloud, cloud.delta, cosine_profile(), config)
+    U0 = solve_mean_zero(work.base, tol=1e-12, precondition=True).U
+    op = work.frozen(U0)
+    iters = {}
+    for jacobi in (False, True):
+        _, rel, iters[jacobi], ok = cg(op, work.rhs, tol=1e-12,
+                                       max_iter=20 * cloud.n0, x0=U0,
+                                       precondition=jacobi)
+        assert ok and rel <= 1e-12
+    assert 3 * iters[True] <= iters[False]
 
 
 def test_nonlinear_config_validation(small_cloud):
