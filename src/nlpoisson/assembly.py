@@ -66,6 +66,7 @@ class NonlocalSystem:
     profile: KernelProfile
     f_delta: np.ndarray          # smoothed source before mean removal
     mean_shift: float            # constant removed from f_delta
+    variant: str = "none"        # model variant this system discretizes
 
 
 def zeta_entry(p, q, n_q, delta: float, profile: KernelProfile,
@@ -316,4 +317,5 @@ def export_matrix(system: NonlocalSystem, path) -> None:
     cloud = system.cloud
     with open(f"{path}.meta", "w") as fh:
         fh.write(f"n0 = {cloud.n0}\nm0 = {cloud.m0}\ndelta = {system.delta!r}\n"
-                 f"mode = {system.mode}\nseed = {cloud.seed}\n")
+                 f"mode = {system.mode}\nvariant = {system.variant}\n"
+                 f"seed = {cloud.seed}\n")

@@ -2,57 +2,47 @@
 
 Subcommands::
 
-    converge --case {hemisphere2|hemisphere3} --t 5,10,20,40 --seeds 3
-             --mode {full|reduced}
-             --variant {none|lambda|nonhomogeneous|nonlinear}
-             [--lambda X --p X --g-case NAME] [--allow-partial]
-             [--config PATH] --out DIR
+    converge --case CASE --t 5,10,20,40 --seeds 3 --mode MODE
+             --variant VARIANT [--lambda X --p X --g-case NAME]
+             [--allow-partial] [--config PATH] --out DIR
     solve    --case ... --t N --seed N --mode ... [--variant ...]
              [--export-matrix PATH] --out DIR
     lemmas   --case hemisphere2 --deltas 0.4,0.2,0.1,0.05 --out DIR
 
-Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
+Cases, modes and variants are those of geometry.CASES, assembly.MODES
+and harness.VARIANTS; run options default to HarnessOptions'.  Exit
+codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 I/O error.  An optional config file holds flat ``key = value`` lines
-mirroring the long flags; explicit flags override file values.
+mirroring the long flags of the subcommand; explicit flags override file
+values.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .assembly import assemble, export_matrix
-from .geometry import build_cloud, get_case, save_cloud_csv
+from .assembly import MODES, export_matrix
+from .geometry import CASES, get_case, save_cloud_csv
 from .harness import (
+    VARIANTS,
     ConfigurationError,
-    G_CASES,
     HarnessOptions,
     convergence_study,
-    e2_error,
     emit_lemma_report,
     emit_report,
-    exact_solution,
     lemma_diagnostics,
-    run_single,
+    solve_single,
 )
 
-DEFAULTS = {
-    "seeds": 3,
-    "seed": 1,
-    "mode": "full",
-    "variant": "none",
-    "lam": 1.0,
-    "p": 1.5,
-    "theta": 1.0,
-    "g_case": "hemisphere2_zsq",
-    "out": ".",
-}
+OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(HarnessOptions))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name.  A HarnessOptions
+    flag left at None keeps HarnessOptions' default."""
     parser = argparse.ArgumentParser(
         prog="nlpoisson",
         description="Meshless nonlocal solver for the manifold Poisson "
@@ -60,44 +50,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--case", required=True,
-                       choices=["hemisphere2", "hemisphere3"])
-        p.add_argument("--mode", choices=["full", "reduced"], default=None)
-        p.add_argument("--variant", default=None,
-                       choices=["none", "lambda", "nonhomogeneous", "nonlinear"])
+        p.add_argument("--case", required=True, choices=sorted(CASES))
+        p.add_argument("--mode", choices=MODES, default=None)
+        p.add_argument("--variant", choices=tuple(VARIANTS), default=None)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--p", type=float, default=None)
         p.add_argument("--theta", type=float, default=None)
         p.add_argument("--g-case", dest="g_case", default=None)
         p.add_argument("--config", default=None,
                        help="flat key = value file mirroring the flags")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default=".", help="output directory")
 
     conv = sub.add_parser("converge", help="run a convergence sweep")
     common(conv)
     conv.add_argument("--t", required=True,
                       help="comma-separated resolution list, e.g. 5,10,20,40")
-    conv.add_argument("--seeds", type=int, default=None,
+    conv.add_argument("--seeds", type=int, default=3,
                       help="number of seeds per resolution (seeds 1..n)")
     conv.add_argument("--allow-partial", action="store_true", default=None)
 
     solve = sub.add_parser("solve", help="solve one configuration")
     common(solve)
     solve.add_argument("--t", type=int, required=True)
-    solve.add_argument("--seed", type=int, default=None)
+    solve.add_argument("--seed", type=int, default=1)
     solve.add_argument("--export-matrix", dest="export_matrix", default=None)
 
     lem = sub.add_parser("lemmas", help="kernel-order diagnostics")
-    lem.add_argument("--case", required=True, choices=["hemisphere2"])
+    lem.add_argument("--case", required=True, choices=sorted(CASES))
     lem.add_argument("--deltas", required=True,
                      help="comma-separated horizons, e.g. 0.4,0.2,0.1,0.05")
     lem.add_argument("--config", default=None)
-    lem.add_argument("--out", default=None)
+    lem.add_argument("--out", default=".")
 
-    return parser
+    return parser, {"converge": conv, "solve": solve, "lemmas": lem}
 
 
-def _read_config(path: str) -> dict:
+def _config_defaults(path: str, args: argparse.Namespace) -> dict:
+    """A config file's values by flag destination, for args' subcommand."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -106,29 +95,26 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value")
         key, val = (s.strip() for s in line.split("=", 1))
-        values[key.replace("-", "_")] = val
+        dest = "lam" if key == "lambda" else key.replace("-", "_")
+        if dest not in vars(args) or dest in ("command", "config"):
+            raise ConfigurationError(
+                f"{path}:{lineno}: unknown key {key!r} for {args.command}")
+        if dest == "allow_partial":
+            val = val.lower() in ("1", "true", "yes")
+        values[dest] = val
     return values
 
 
-_CONFIG_TYPES = {
-    "seeds": int, "seed": int, "t": str, "lam": float, "p": float,
-    "theta": float, "allow_partial": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
-def _merge(args: argparse.Namespace) -> dict:
-    """Layer defaults, then config file, then explicit flags."""
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        raw = _read_config(args.config)
-        if "lambda" in raw:
-            raw["lam"] = raw.pop("lambda")
-        for key, val in raw.items():
-            merged[key] = _CONFIG_TYPES.get(key, str)(val)
-    for key, val in vars(args).items():
-        if key not in ("command", "config") and val is not None:
-            merged[key] = val
-    return merged
+def _parse(argv) -> dict:
+    """Flags over config file values over defaults.  File values become
+    the subcommand's defaults, which argparse converts like the flags."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        commands[args.command].set_defaults(
+            **_config_defaults(args.config, args))
+        args = parser.parse_args(argv)
+    return vars(args)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -139,9 +125,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _options(merged: dict) -> HarnessOptions:
-    return HarnessOptions(mode=merged["mode"], variant=merged["variant"],
-                          lam=merged["lam"], p=merged["p"],
-                          theta=merged["theta"], g_case=merged["g_case"])
+    return HarnessOptions(**{key: merged[key] for key in OPTION_FIELDS
+                             if merged.get(key) is not None})
 
 
 def _cmd_converge(merged: dict) -> int:
@@ -160,13 +145,16 @@ def _cmd_converge(merged: dict) -> int:
 
 def _cmd_solve(merged: dict) -> int:
     options = _options(merged)
-    row, result = run_single(merged["case"], int(merged["t"]),
-                             int(merged["seed"]), options)
+    if merged.get("export_matrix") and not VARIANTS[options.variant].linear:
+        raise ConfigurationError(
+            f"--export-matrix: the {options.variant} model solves no single "
+            f"linear system")
+    row, result, cloud, system = solve_single(
+        merged["case"], int(merged["t"]), int(merged["seed"]), options)
     out = Path(merged["out"])
     out.mkdir(parents=True, exist_ok=True)
-    case = get_case(merged["case"])
-    cloud = build_cloud(case, int(merged["t"]), int(merged["seed"]))
-    exact = exact_solution(merged["case"], options)(cloud.points)
+    exact = VARIANTS[options.variant].exact(get_case(merged["case"]),
+                                            options)(cloud.points)
     path = out / "solution.csv"
     with open(path, "w") as fh:
         fh.write("kind," + ",".join(f"x{i}" for i in range(cloud.d))
@@ -178,7 +166,6 @@ def _cmd_solve(merged: dict) -> int:
             fh.write(f"{kind},{xs},{float(result.U[i])!r},{float(exact[i])!r}\n")
     save_cloud_csv(cloud, out / "cloud.csv")
     if merged.get("export_matrix"):
-        system = assemble(cloud, mode=options.mode)
         export_matrix(system, merged["export_matrix"])
     print(f"t={row.t} seed={row.seed} n0={row.n0} m0={row.m0} "
           f"e2={row.e2:.6f} iters={row.iters} converged={row.converged}")
@@ -198,17 +185,15 @@ def _cmd_lemmas(merged: dict) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        merged = _merge(args)
-        if args.command == "converge":
+        merged = _parse(argv)
+        if merged["command"] == "converge":
             return _cmd_converge(merged)
-        if args.command == "solve":
+        if merged["command"] == "solve":
             return _cmd_solve(merged)
-        if args.command == "lemmas":
+        if merged["command"] == "lemmas":
             return _cmd_lemmas(merged)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        raise ConfigurationError(f"unknown command {merged['command']!r}")
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -18,12 +18,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .assembly import assemble
-from .geometry import PointCloud, build_cloud, get_case
+from .assembly import MODES, NonlocalSystem, assemble
+from .geometry import ManifoldCase, PointCloud, build_cloud, get_case
 from .kernels import KernelProfile, compute_CR, cosine_profile, normalization
 from .solver import SolveResult, solve_mean_zero, solve_spd
 from .variants import (
@@ -32,8 +32,6 @@ from .variants import (
     assemble_nonhomogeneous,
     nonlinear_solve,
 )
-
-VARIANTS = ("none", "lambda", "nonhomogeneous", "nonlinear")
 
 
 class ConfigurationError(ValueError):
@@ -96,8 +94,9 @@ class HarnessOptions:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(
-                f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.mode not in ("full", "reduced"):
+                f"unknown variant {self.variant!r}; "
+                f"expected one of {tuple(VARIANTS)}")
+        if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.variant != "none" and self.mode != "full":
             raise ConfigurationError(
@@ -143,12 +142,88 @@ def _g_case(case_name: str, options: HarnessOptions):
     return exact, f, g
 
 
-def exact_solution(case_name: str, options: HarnessOptions
-                   ) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact solution of the model run_single solves for these options."""
-    if options.variant == "nonhomogeneous":
-        return _g_case(case_name, options)[0]
-    return get_case(case_name).exact_u
+def _absorbing_forcing(case: ManifoldCase, lam: float, p: float):
+    """Forcing that makes the case's exact solution solve the model with
+    absorption lam u |u|^(2p-2); p = 1 gives the linear lam u."""
+    def f_man(x):
+        u = case.exact_u(x)
+        return case.forcing(x) + lam * u * np.abs(u) ** (2.0 * p - 2.0)
+    return f_man
+
+
+# Variant solves: (cloud, profile, options, forcing) -> (system, result).
+# solve_mean_zero is looked up at call time so that tests can replace it.
+def _solve_base(cloud, profile, options, f):
+    system = assemble(cloud, profile=profile, mode=options.mode, f=f)
+    return system, solve_mean_zero(system, tol=options.tol)
+
+
+def _solve_lambda(cloud, profile, options, f):
+    system = assemble_lambda(cloud, profile=profile, lam=options.lam, f=f)
+    return system, solve_spd(system, tol=options.tol)
+
+
+def _solve_nonhomogeneous(cloud, profile, options, f):
+    g = _g_case(cloud.case_name, options)[2]
+    system = assemble_nonhomogeneous(cloud, profile=profile, f=f, g=g)
+    return system, solve_mean_zero(system, tol=options.tol)
+
+
+def _solve_nonlinear(cloud, profile, options, f):
+    config = VariantConfig(kind="nonlinear", lam=options.lam, p=options.p,
+                           theta=options.theta, f=f,
+                           picard_tol=options.picard_tol,
+                           picard_max=options.picard_max)
+    return None, nonlinear_solve(cloud, profile=profile, config=config)
+
+
+class Variant(NamedTuple):
+    """A model variant: its solve, and the manufactured forcing and exact
+    solution it is scored against, each a function of (case, options).
+    ``linear`` is false for a solve that returns no single linear system."""
+
+    solve: Callable[..., tuple[NonlocalSystem | None, SolveResult]]
+    forcing: Callable[[ManifoldCase, HarnessOptions], Callable]
+    exact: Callable[[ManifoldCase, HarnessOptions], Callable] = \
+        lambda case, options: case.exact_u
+    linear: bool = True
+
+
+VARIANTS: dict[str, Variant] = {
+    "none": Variant(_solve_base, lambda case, o: case.forcing),
+    "lambda": Variant(_solve_lambda,
+                      lambda case, o: _absorbing_forcing(case, o.lam, 1.0)),
+    "nonhomogeneous": Variant(_solve_nonhomogeneous,
+                              lambda case, o: _g_case(case.name, o)[1],
+                              lambda case, o: _g_case(case.name, o)[0]),
+    "nonlinear": Variant(_solve_nonlinear,
+                         lambda case, o: _absorbing_forcing(case, o.lam, o.p),
+                         linear=False),
+}
+
+
+def solve_single(case_name: str, t: int, seed: int,
+                 options: HarnessOptions | None = None,
+                 profile: KernelProfile | None = None
+                 ) -> tuple[ReportRow, SolveResult, PointCloud,
+                            NonlocalSystem | None]:
+    """run_single, also returning the cloud and the system it solved
+    (None for a variant that solves no single linear system)."""
+    options = options or HarnessOptions()
+    profile = profile or cosine_profile()
+    case = get_case(case_name)
+    variant = VARIANTS[options.variant]
+    exact = variant.exact(case, options)
+    f = variant.forcing(case, options)
+    start = time.perf_counter()
+    cloud = build_cloud(case, t, seed)
+    system, result = variant.solve(cloud, profile, options, f)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    row = ReportRow(t=t, delta=cloud.delta, n0=cloud.n0, m0=cloud.m0,
+                    seed=seed, e2=e2_error(result.U, cloud, exact),
+                    iters=result.iterations, wall_ms=wall_ms,
+                    converged=result.converged)
+    return row, result, cloud, system
 
 
 def run_single(case_name: str, t: int, seed: int,
@@ -156,46 +231,7 @@ def run_single(case_name: str, t: int, seed: int,
                profile: KernelProfile | None = None
                ) -> tuple[ReportRow, SolveResult]:
     """Sample, weight, assemble, solve, and score one configuration."""
-    options = options or HarnessOptions()
-    profile = profile or cosine_profile()
-    case = get_case(case_name)
-    exact = exact_solution(case_name, options)
-    start = time.perf_counter()
-    cloud = build_cloud(case, t, seed)
-
-    if options.variant == "none":
-        system = assemble(cloud, profile=profile, mode=options.mode)
-        result = solve_mean_zero(system, tol=options.tol)
-    elif options.variant == "lambda":
-        lam = options.lam
-
-        def f_man(x):
-            return case.forcing(x) + lam * case.exact_u(x)
-
-        system = assemble_lambda(cloud, profile=profile, lam=lam, f=f_man)
-        result = solve_spd(system, tol=options.tol)
-    elif options.variant == "nonhomogeneous":
-        _, f_nh, g_nh = _g_case(case_name, options)
-        system = assemble_nonhomogeneous(cloud, profile=profile, f=f_nh, g=g_nh)
-        result = solve_mean_zero(system, tol=options.tol)
-    elif options.variant == "nonlinear":
-        lam, p = options.lam, options.p
-
-        def f_man(x):
-            u = case.exact_u(x)
-            return case.forcing(x) + lam * u * np.abs(u) ** (2.0 * p - 2.0)
-
-        config = VariantConfig(kind="nonlinear", lam=lam, p=p,
-                               theta=options.theta, f=f_man,
-                               picard_tol=options.picard_tol,
-                               picard_max=options.picard_max)
-        result = nonlinear_solve(cloud, profile=profile, config=config)
-
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    row = ReportRow(t=t, delta=cloud.delta, n0=cloud.n0, m0=cloud.m0,
-                    seed=seed, e2=e2_error(result.U, cloud, exact),
-                    iters=result.iterations, wall_ms=wall_ms,
-                    converged=result.converged)
+    row, result, _, _ = solve_single(case_name, t, seed, options, profile)
     return row, result
 
 

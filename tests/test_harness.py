@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlpoisson.cli as cli
+import nlpoisson.harness as harness
+import nlpoisson.variants as variants
 from nlpoisson.cli import main
 from nlpoisson.geometry import build_cloud, get_case
 from nlpoisson.harness import (
     G_CASES,
+    VARIANTS,
     ConfigurationError,
     HarnessOptions,
     convergence_study,
@@ -268,3 +272,86 @@ def test_cli_variant_flags(tmp_path):
     assert code == 0
     text = (tmp_path / "lam" / "converge.csv").read_text()
     assert ",lambda," in text
+
+
+def test_variant_table_keys_are_the_variant_kinds():
+    assert tuple(VARIANTS) == ("none",) + variants.VARIANT_KINDS
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to ``name`` through every module that imports it."""
+    calls = []
+    for module in (cli, harness, variants):
+        if hasattr(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, **kwargs):
+                calls.append(name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _read_coo(path, n):
+    rows, cols, vals = np.loadtxt(path, unpack=True)
+    out = np.zeros((n, n))
+    out[rows.astype(int), cols.astype(int)] = vals
+    return out
+
+
+@pytest.mark.parametrize("variant", ["none", "lambda"])
+def test_cli_solve_builds_once_and_exports_the_solved_system(
+        tmp_path, monkeypatch, variant):
+    clouds = _count_calls(monkeypatch, "build_cloud")
+    assemblies = _count_calls(monkeypatch, "assemble")
+    matrix = tmp_path / "S.txt"
+    code = main(["solve", "--case", "hemisphere2", "--t", "6", "--seed", "2",
+                 "--variant", variant, "--lambda", "2.0", "--out",
+                 str(tmp_path / "out"), "--export-matrix", str(matrix)])
+    assert code == 0
+    assert len(clouds) == 1 and len(assemblies) == 1
+    monkeypatch.undo()
+    cloud = build_cloud("hemisphere2", 6, 2)
+    if variant == "lambda":
+        case = get_case("hemisphere2")
+        S = variants.assemble_lambda(
+            cloud, lam=2.0,
+            f=lambda x: case.forcing(x) + 2.0 * case.exact_u(x)).S
+    else:
+        S = harness.assemble(cloud).S
+    assert np.array_equal(_read_coo(matrix, cloud.n0), S.toarray())
+    meta = (tmp_path / "S.txt.meta").read_text().splitlines()
+    assert f"variant = {variant}" in meta
+
+
+def test_cli_solve_nonlinear_rejects_export_matrix(tmp_path, monkeypatch):
+    clouds = _count_calls(monkeypatch, "build_cloud")
+    out, matrix = tmp_path / "out", tmp_path / "S.txt"
+    code = main(["solve", "--case", "hemisphere2", "--t", "5",
+                 "--variant", "nonlinear", "--out", str(out),
+                 "--export-matrix", str(matrix)])
+    assert code == 2
+    assert clouds == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_config_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lamda = 7\n")
+    code = main(["solve", "--case", "hemisphere2", "--t", "5", "--variant",
+                 "lambda", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "'lamda'" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
+def test_cli_config_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--case", "hemisphere2", "--t", "5", "--variant",
+              "lambda", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--lambda" in err and "'abc'" in err
+    assert not (tmp_path / "solution.csv").exists()
