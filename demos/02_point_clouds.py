@@ -30,5 +30,5 @@ b = build_cloud("hemisphere2", 10, seed=7)
 print("same (case, t, seed) twice -> identical clouds:",
       np.array_equal(a.points, b.points) and np.array_equal(a.A, b.A))
 
-save_cloud_csv(a, "/tmp/nlpoisson_demo_cloud.csv")
-print("wrote /tmp/nlpoisson_demo_cloud.csv (round-trips exactly)")
+save_cloud_csv(a, "nlpoisson_demo_cloud.csv")
+print("wrote nlpoisson_demo_cloud.csv (round-trips exactly)")

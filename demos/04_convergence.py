@@ -26,5 +26,5 @@ print(f"\nfitted slopes: full {full.slope:.3f}, reduced {reduced.slope:.3f}")
 print(f"error ratio at the finest resolution: "
       f"{sorted(r.e2 for r in full.rows if r.t == T_LIST[-1])[1] / sorted(r.e2 for r in reduced.rows if r.t == T_LIST[-1])[1]:.3f}")
 
-paths = emit_report(full, "/tmp/nlpoisson_demo_converge")
+paths = emit_report(full, "nlpoisson_demo_converge")
 print(f"\nwrote {paths[0]} and {paths[1]}")

@@ -23,5 +23,5 @@ for row in report.rows:
 print(f"\nfitted deviation orders: rim sum {report.boundary_order:.3f} "
       f"(expect ~2), normalization {report.omega_order:.3f} (expect ~3)")
 
-paths = emit_lemma_report(report, "/tmp/nlpoisson_demo_lemmas")
+paths = emit_lemma_report(report, "nlpoisson_demo_lemmas")
 print(f"wrote {paths[0]} and {paths[1]}")

@@ -32,7 +32,7 @@ class SolveResult:
     energy_history: list[float] | None = None
     energy_monotone: bool | None = None
     # CG iterations summed over the driver's linear solves (the start and
-    # one per Picard step), and how many of them missed their tolerance
+    # one per Newton step), and how many of them missed their tolerance
     inner_iterations: int | None = None
     inner_misses: int | None = None
 

@@ -9,10 +9,18 @@ blocks:
   dropped;
 * a prescribed non-homogeneous boundary flux g, which only changes the
   right side;
-* a nonlinear absorption lambda u |u|^(2p-2), solved by damped Picard
-  iteration on frozen coefficients with energy monitoring.  Each step
-  applies its frozen system matrix-free, from blocks built once per
-  solve, and solves it by Jacobi-preconditioned CG.
+* a nonlinear absorption lambda u |u|^(2p-2), whose discrete energy J
+  is strictly convex and is minimized by damped Newton iteration with
+  energy backtracking.  With the weights w = lambda |ubar|^(2p-2) omega2 A
+  and wb = lambda |uhat|^(2p-2) omega_hat L frozen at the iterate U, each
+  step solves the Newton system
+
+      H U* = A f_delta + (2p-2) (Pbar^T (w ubar) + AZ (wb uhat)),
+      H = S + Pbar^T diag((2p-1) w) Pbar + AZ diag((2p-1) wb) AZ^T,
+
+  where H is the Hessian of J at U.  H is applied matrix-free, from
+  blocks built once per solve, and the system is solved by
+  Jacobi-preconditioned CG.
 """
 
 from __future__ import annotations
@@ -48,7 +56,11 @@ class VariantConfig:
     """Parameters of the generalized models.
 
     lam is a positive constant or scalar field; p > 1 the nonlinear
-    exponent; theta the initial Picard damping factor.
+    exponent.  theta, picard_tol and picard_max bound the damped Newton
+    steps of the nonlinear solve (the names date from the damped Picard
+    iteration it replaced): at most picard_max steps, each line search
+    starting at theta, stopping once a step moves no entry by more than
+    picard_tol.
     """
 
     kind: str = "lambda"
@@ -162,10 +174,16 @@ def source_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
     """
     delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
-    case = get_case(cloud.case_name)
-    f = f or case.forcing
     fd = smoothed_forcing(cloud, delta, profile, f, mode="full")
+    return _flux_source(cloud, delta, profile, f, g, fd)
+
+
+def _flux_source(cloud: PointCloud, delta: float, profile: KernelProfile,
+                 f: Callable | None, g: Callable | None,
+                 fd: np.ndarray) -> tuple[np.ndarray, float]:
+    """source_nonhomogeneous from fd, the smoothed forcing of f."""
     if g is not None:
+        f = f or get_case(cloud.case_name).forcing
         gq = np.asarray(g(cloud.boundary), dtype=float)
         fp = np.asarray(f(cloud.points), dtype=float)
         comp = float(fp @ cloud.A + gq @ cloud.L)
@@ -196,7 +214,7 @@ def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
     delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
     base = assemble(cloud, delta, profile, mode="full", f=f)
-    F, shift = source_nonhomogeneous(cloud, delta, profile, f, g)
+    F, shift = _flux_source(cloud, delta, profile, f, g, base.f_delta)
     return NonlocalSystem(S=base.S, rhs=cloud.A * F, coupling=base.coupling,
                           A=cloud.A, delta=delta, mode="full", cloud=cloud,
                           profile=profile, f_delta=F + shift, mean_shift=shift,
@@ -204,7 +222,7 @@ def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
 
 
 class _FrozenOperator:
-    """Frozen Picard system S + Pbar^T diag(w) Pbar + AZ diag(wb) AZ^T.
+    """Frozen absorption system S + Pbar^T diag(w) Pbar + AZ diag(wb) AZ^T.
 
     Applied matrix-free from the fixed blocks of a _NonlinearWork; only
     the weights w (interior) and wb (boundary) change between steps.
@@ -262,18 +280,43 @@ class _NonlinearWork:
         uhat = boundary_trace(self.base.coupling, self.cloud.A, U)
         return ubar, uhat
 
-    def frozen(self, U: np.ndarray) -> _FrozenOperator:
-        """The Picard system with lambda |u|^(2p-2) frozen at U."""
+    def _weights(self, U: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Averages of U and the absorption weights frozen at U."""
         lam, p = float(self.config.lam), self.config.p
         ubar, uhat = self.averages(U)
         w = lam * np.abs(ubar) ** (2.0 * p - 2.0) * self.interior_mass
         wb = lam * np.abs(uhat) ** (2.0 * p - 2.0) * self.boundary_mass
+        return ubar, uhat, w, wb
+
+    def frozen(self, U: np.ndarray) -> _FrozenOperator:
+        """The system with lambda |u|^(2p-2) frozen at U.
+
+        frozen(U) @ U - rhs is the gradient of the energy at U.
+        """
+        _, _, w, wb = self._weights(U)
         return _FrozenOperator(self, w, wb)
 
+    def newton(self, U: np.ndarray) -> tuple[_FrozenOperator, np.ndarray]:
+        """Hessian H of the energy at U and the Newton right side.
+
+        H is the frozen system with both weights scaled by 2p - 1; the
+        right side is rhs + (2p-2) (Pbar^T (w ubar) + AZ (wb uhat)), so
+        H U* = rhs' puts the Newton step at U* - U.  At p = 1 both are
+        the frozen system and rhs themselves.
+        """
+        p = self.config.p
+        ubar, uhat, w, wb = self._weights(U)
+        hessian = _FrozenOperator(self, (2.0 * p - 1.0) * w,
+                                  (2.0 * p - 1.0) * wb)
+        rhs = self.rhs + (2.0 * p - 2.0) * (self.PbarT @ (w * ubar)
+                                            + self.AZ @ (wb * uhat))
+        return hessian, rhs
+
     def frozen_solve(self, U: np.ndarray, tol: float) -> SolveResult:
-        """Jacobi PCG on the system frozen at U, started from U."""
-        system = replace(self.base, S=self.frozen(U), rhs=self.rhs,
-                         mean_shift=0.0)
+        """Jacobi PCG on the Newton system at U, started from U."""
+        hessian, rhs = self.newton(U)
+        system = replace(self.base, S=hessian, rhs=rhs, mean_shift=0.0)
         return solve_spd(system, tol=tol, max_iter=20 * self.cloud.n0, x0=U,
                          precondition=True)
 
@@ -315,16 +358,25 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
                     profile: KernelProfile | None = None,
                     config: VariantConfig | None = None,
                     inner_tol: float = 1e-12) -> SolveResult:
-    """Damped Picard iteration on frozen absorption coefficients.
+    """Damped Newton iteration on the discrete energy J.
 
-    Each step freezes lambda |ubar|^(2p-2) and lambda |uhat|^(2p-2),
-    solves the resulting strictly PD linear system by Jacobi PCG without
-    forming it, and blends with damping theta.  Steps that would raise
-    the recorded energy retry with theta halved (not below 1/16, after
-    which the step is accepted and the result flagged).  The returned
-    residual is the relative residual of the discrete nonlinear system at
-    the final iterate; inner_iterations and inner_misses report the inner
-    CG solves and leave converged unaffected.
+    With w = lambda |ubar|^(2p-2) omega2 A and wb = lambda |uhat|^(2p-2)
+    omega_hat L frozen at the iterate U, each step solves the Newton
+    system
+
+        H U* = A f_delta + (2p-2) (Pbar^T (w ubar) + AZ (wb uhat)),
+        H = S + Pbar^T diag((2p-1) w) Pbar + AZ diag((2p-1) wb) AZ^T,
+
+    by Jacobi PCG started from U, without forming H, and moves to
+    U + theta (U* - U).  theta starts at config.theta every step and is
+    halved while the energy would rise (not below 1/16, after which the
+    step is accepted and the result flagged).  At most config.picard_max
+    steps are taken.  The returned residual is the relative residual
+    |frozen(U) U - A f_delta| / |A f_delta| of the discrete nonlinear
+    system, the relative gradient of J, at the final iterate; converged
+    requires both the last step size and that residual to be at most
+    config.picard_tol.  inner_iterations and inner_misses report the
+    inner CG solves and leave converged unaffected.
     """
     delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
@@ -347,18 +399,16 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
     U = U - float(U @ cloud.A / cloud.A.sum())
     inner_misses = int(not ok)
     energies = [work.energy(U)]
-    theta = config.theta
     monotone = True
-    converged = False
+    step_size = np.inf
     steps = 0
-    streak = 0
     slack = 1e-12
     for steps in range(1, config.picard_max + 1):
         inner = work.frozen_solve(U, inner_tol)
         inner_iterations += inner.iterations
         inner_misses += int(not inner.converged)
         Ustar = inner.U
-        halved = False
+        theta = config.theta
         while True:
             trial = (1.0 - theta) * U + theta * Ustar
             J_trial = work.energy(trial)
@@ -368,22 +418,14 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
                 monotone = False
                 break
             theta = 0.5 * theta
-            halved = True
-        # recover damping after a few clean steps so contraction stays fast;
-        # cap below the undamped map, which can cycle for this nonlinearity
-        streak = 0 if halved else streak + 1
-        cap = min(config.theta, 0.5)
-        if streak >= 3 and theta < cap:
-            theta = min(2.0 * theta, cap)
-            streak = 0
         step_size = float(np.max(np.abs(trial - U)))
         U = trial
         energies.append(J_trial)
         if step_size <= config.picard_tol:
-            converged = True
             break
 
     residual = float(np.linalg.norm(work.frozen(U) @ U - rhs)) / rnorm
+    converged = step_size <= config.picard_tol and residual <= config.picard_tol
     V = boundary_trace(work.base.coupling, cloud.A, U)
     return SolveResult(U=U, V=V, residual=residual, iterations=steps,
                        converged=converged, energy_history=energies,

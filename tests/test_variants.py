@@ -1,13 +1,16 @@
 """Generalized models: absorption, boundary flux, nonlinear iteration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from nlpoisson import assembly, variants
 from nlpoisson.assembly import assemble, boundary_trace, interior_laplacian
 from nlpoisson.geometry import build_cloud, get_case
 from nlpoisson.harness import e2_error
 from nlpoisson.kernels import cosine_profile
-from nlpoisson.solver import cg, solve_mean_zero, solve_spd
+from nlpoisson.solver import SolveResult, cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import (
     VariantConfig,
     _FrozenOperator,
@@ -170,6 +173,36 @@ def test_nonhomogeneous_zero_flux_is_bitwise_base(small_cloud):
     assert np.array_equal(a.U, b.U)
 
 
+def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
+    """assemble_nonhomogeneous reuses the base system's smoothed forcing:
+    one smoothed_forcing call, three interior and three point-boundary pair
+    searches, and the right side source_nonhomogeneous gives."""
+    calls = {"smoothed_forcing": 0, "_sym_pairs": 0, "_cross_pairs": 0}
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    smoothed = counted(assembly.smoothed_forcing, "smoothed_forcing")
+    monkeypatch.setattr(assembly, "smoothed_forcing", smoothed)
+    monkeypatch.setattr(variants, "smoothed_forcing", smoothed)
+    for name in ("_sym_pairs", "_cross_pairs"):
+        monkeypatch.setattr(assembly, name,
+                            counted(getattr(assembly, name), name))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = assemble_nonhomogeneous(small_cloud, f=_nh_f, g=_nh_g)
+    assert calls == {"smoothed_forcing": 1, "_sym_pairs": 3, "_cross_pairs": 3}
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        F, shift = source_nonhomogeneous(small_cloud, f=_nh_f, g=_nh_g)
+    assert np.array_equal(system.rhs, small_cloud.A * F)
+    assert system.mean_shift == shift
+
+
 def test_nonhomogeneous_compatibility_warning(small_cloud):
     with pytest.warns(UserWarning, match="compatibility"):
         source_nonhomogeneous(small_cloud, f=lambda x: np.ones(x.shape[0]),
@@ -241,9 +274,59 @@ def test_nonlinear_manufactured_residual():
     J = np.array(res.energy_history)
     assert np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1])))
     assert res.energy_monotone
-    assert res.iterations == 25
+    assert res.iterations == 6
     assert res.inner_misses == 0
     assert res.inner_iterations > res.iterations
+
+
+def test_newton_hessian_matches_finite_differences(small_cloud, rng):
+    """The Newton operator is the derivative of the gradient U -> frozen(U) U,
+    and the Newton right side puts the step at -H^-1 grad J."""
+    config = VariantConfig(kind="nonlinear", lam=1.0, p=1.5)
+    work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
+                          config)
+    U = rng.standard_normal(small_cloud.n0)
+    v = rng.standard_normal(small_cloud.n0)
+    hessian, rhs = work.newton(U)
+    h = 1e-6
+    fd = (work.frozen(U + h * v) @ (U + h * v)
+          - work.frozen(U - h * v) @ (U - h * v)) / (2 * h)
+    want = hessian @ v
+    assert np.linalg.norm(fd - want) <= 1e-6 * np.linalg.norm(want)
+    grad = work.frozen(U) @ U - work.rhs
+    assert np.linalg.norm(hessian @ U - rhs - grad) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_nonlinear_newton_converges_where_picard_stalled():
+    """hemisphere2 t=40 cloud 15: damped Picard stopped at 50 steps with
+    residual 1.2e-3; damped Newton converges with a monotone energy."""
+    lam, p = 1.0, 1.5
+    cloud = build_cloud("hemisphere2", 40, 15)
+    config = VariantConfig(kind="nonlinear", lam=lam, p=p,
+                           f=manufactured_nonlinear_forcing(lam, p))
+    res = nonlinear_solve(cloud, config=config)
+    assert res.converged
+    assert res.residual <= 1e-10
+    J = np.array(res.energy_history)
+    assert np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1])))
+    assert res.energy_monotone
+    assert res.inner_misses == 0
+
+
+def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
+    """A step of size zero is not convergence while the residual is large."""
+    def no_step(self, U, tol):
+        return SolveResult(U=U.copy(), V=np.zeros(small_cloud.m0),
+                           residual=0.0, iterations=0, converged=True)
+
+    monkeypatch.setattr(_NonlinearWork, "frozen_solve", no_step)
+    lam, p = 1.0, 1.5
+    config = VariantConfig(kind="nonlinear", lam=lam, p=p,
+                           f=manufactured_nonlinear_forcing(lam, p))
+    res = nonlinear_solve(small_cloud, config=config)
+    assert res.iterations == 1
+    assert res.residual > config.picard_tol
+    assert res.converged is False
 
 
 @pytest.mark.parametrize("cloud_name", ["small_cloud", "medium_cloud"])
