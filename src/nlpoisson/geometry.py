@@ -8,6 +8,12 @@ volume weights by local tangent-plane Delaunay cells, and computes
 boundary weights (arc segments on the circle, triangle cells on the
 boundary 2-sphere).
 
+A cell is 1/(m+1) of the Delaunay star of a point in its projected k-NN
+window.  On 2-D tangent planes the stars come from a batched fan walk
+(gift wrapping around the point, a block of windows in lockstep); Qhull
+triangulates the 3-D windows, and the 2-D windows whose star the walk
+cannot settle (coincident or cocircular neighbours), one at a time.
+
 Boundary points are stored as the tail of the point array: the k-th
 boundary point aliases point ``n0 - m0 + k``.
 """
@@ -313,14 +319,87 @@ def _cell_weight(local: np.ndarray, spacing: float, seed: int) -> float:
     return float(total / (m + 1))
 
 
+# A neighbour closer to the centre than this fraction of the window's
+# radius counts as coincident with it, and two circumcentre parameters
+# closer than this (relative) count as a tie between cocircular points;
+# either sends the window to Qhull.
+_COINCIDENT_RTOL = 1e-10
+_TIE_RTOL = 1e-10
+# Windows projected and walked together: keeps the walk's arrays to a few
+# hundred KB whatever the size of the cloud.
+_WINDOW_BATCH = 256
+
+
+def _fan_areas(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Areas of the Delaunay stars of row 0 in a batch of planar windows.
+
+    local has shape (n, k+1, 2), row 0 of each window at the origin.  The
+    star is gift-wrapped from the nearest neighbour, which is always a
+    Delaunay neighbour.  From a star edge (0, a), the next triangle
+    (0, a, c) is the one whose circumcentre a/2 + s/2 perp(a) lies lowest
+    along the bisector of 0a, s = (|c|^2 - a.c) / cross(a, c), over the c
+    on the swept side (cross > 0; both signs flip for the clockwise
+    sweep).  All fans advance together, counter-clockwise until they close
+    on the nearest neighbour or run out of candidates (row 0 on its
+    window's hull), then clockwise from the nearest neighbour for the fans
+    left open.
+
+    Returns (area, degenerate).  degenerate marks the windows whose star
+    the walk cannot settle: a neighbour coincident with row 0, a near-tie
+    in s, an empty star, or a fan still open after k+1 steps.  Their
+    areas are meaningless.
+    """
+    n, kp1, _ = local.shape
+    c = local[:, 1:, :]
+    r2 = (c * c).sum(axis=2)                      # (n, k)
+    first = r2.argmin(axis=1)
+    degenerate = r2.min(axis=1) <= _COINCIDENT_RTOL**2 * r2.max(axis=1)
+    twice_area = np.zeros(n)
+    steps = np.zeros(n, dtype=int)
+    closed = np.zeros(n, dtype=bool)
+    for sense in (1.0, -1.0):
+        live = np.flatnonzero(~(closed | degenerate))
+        cur = first[live]
+        while live.size:
+            j = np.arange(live.size)
+            cl = c[live]                          # (nl, k, 2)
+            a = cl[j, cur]                        # (nl, 2)
+            cross = sense * (a[:, :1] * cl[:, :, 1] - a[:, 1:] * cl[:, :, 0])
+            lift = r2[live] - (a[:, None, :] * cl).sum(axis=2)
+            s = np.full(cross.shape, np.inf)
+            np.divide(lift, cross, out=s, where=cross > 0.0)
+            nxt = s.argmin(axis=1)
+            s1 = s[j, nxt]
+            step = np.isfinite(s1)                # False: fan open this side
+            s[j, nxt] = np.inf
+            s2 = s.min(axis=1)
+            tie = step & np.isfinite(s2)
+            tie[tie] = (s2[tie] - s1[tie]
+                        <= _TIE_RTOL * np.maximum(1.0, np.abs(s1[tie])))
+            taken = live[step]
+            twice_area[taken] += cross[j, nxt][step]
+            steps[taken] += 1
+            closes = step & (nxt == first[live])
+            stuck = tie | (step & ~closes & (steps[live] >= kp1))
+            closed[live[closes]] = True
+            degenerate[live[stuck]] = True
+            go = step & ~closes & ~stuck
+            live, cur = live[go], nxt[go]
+    degenerate |= steps == 0
+    return 0.5 * twice_area, degenerate
+
+
 def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
                           seed: int) -> np.ndarray:
     """Per-point simplex-cell weights on a curved patch.
 
     For each point: gather the k nearest neighbors, project the k+1 points
-    onto the tangent space (frames[i] rows are the basis), Delaunay the
-    projected coordinates, and keep 1/(m+1) of the incident simplex
-    measure.
+    onto the tangent space (frames[i] rows are the basis) and keep 1/(m+1)
+    of the measure of the Delaunay simplices incident to the point.  On
+    2-D tangent planes the stars come from a batched fan walk
+    (:func:`_fan_areas`) over blocks of windows; 3-D windows, and 2-D
+    windows the walk marks degenerate, are triangulated one by one by
+    Qhull (:func:`_cell_weight`).
     """
     n = points.shape[0]
     if n < k + 1:
@@ -328,11 +407,18 @@ def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
     tree = cKDTree(points)
     dists, idx = tree.query(points, k=k + 1)
     weights = np.empty(n)
-    for i in range(n):
-        neigh = idx[i]
-        rel = points[neigh] - points[i]           # row 0 is the point itself
-        local = rel @ frames[i].T                 # (k+1, m)
-        weights[i] = _cell_weight(local, float(dists[i, 1]), seed + i)
+    for lo in range(0, n, _WINDOW_BATCH):
+        block = slice(lo, lo + _WINDOW_BATCH)
+        rel = points[idx[block]] - points[block, None, :]  # row 0: the point
+        local = rel @ frames[block].transpose(0, 2, 1)     # (batch, k+1, m)
+        if frames.shape[1] == 2:
+            area, redo = _fan_areas(local)
+            weights[block] = area / 3.0
+        else:
+            redo = np.ones(len(local), dtype=bool)
+        for j in np.flatnonzero(redo):
+            i = lo + int(j)
+            weights[i] = _cell_weight(local[j], float(dists[i, 1]), seed + i)
     return weights
 
 
@@ -374,24 +460,19 @@ def _segment_weights(q: np.ndarray) -> np.ndarray:
     tree = cKDTree(q)
     kq = min(m0, 16)
     dists, idx = tree.query(q, k=kq)
-    L = np.empty(m0)
-    for k in range(m0):
-        d1 = dists[k, 1]
-        u = q[idx[k, 1]] - q[k]
-        d2 = None
-        for jj in range(2, kq):
-            if (q[idx[k, jj]] - q[k]) @ u < 0.0:
-                d2 = dists[k, jj]
-                break
-        if d2 is None:
-            rel = q - q[k]
-            opposite = np.nonzero(rel @ u < 0.0)[0]
-            if opposite.size:
-                d2 = np.sqrt(((rel[opposite]) ** 2).sum(axis=1)).min()
-            else:
-                d2 = dists[k, 2]  # degenerate cluster: fall back to 2nd nearest
-        L[k] = 0.5 * (d1 + d2)
-    return L
+    u = q[idx[:, 1]] - q                           # toward the nearest
+    rel = q[idx[:, 2:]] - q[:, None, :]            # (m0, kq-2, d)
+    opposite = (rel * u[:, None, :]).sum(axis=2) < 0.0
+    first = opposite.argmax(axis=1)
+    d2 = dists[np.arange(m0), first + 2]
+    for k in np.flatnonzero(~opposite.any(axis=1)):   # scan the whole curve
+        rel_k = q - q[k]
+        behind = np.nonzero(rel_k @ u[k] < 0.0)[0]
+        if behind.size:
+            d2[k] = np.sqrt((rel_k[behind] ** 2).sum(axis=1)).min()
+        else:
+            d2[k] = dists[k, 2]  # degenerate cluster: fall back to 2nd nearest
+    return 0.5 * (dists[:, 1] + d2)
 
 
 def build_cloud(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:

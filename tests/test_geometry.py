@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from nlpoisson.geometry import (
     PointCloud,
     _cell_weight,
+    _fan_areas,
     _segment_weights,
     _simplex_cell_weights,
     boundary_weights,
@@ -150,6 +152,100 @@ def test_degenerate_collinear_perturbation():
     assert np.isfinite(w) and w >= 0.0
 
 
+def _qhull_windows(points, frames, k, seed):
+    """Per-point projected windows and their Qhull cell weights."""
+    dists, idx = cKDTree(points).query(points, k=k + 1)
+    local = np.stack([(points[idx[i]] - points[i]) @ frames[i].T
+                      for i in range(len(points))])
+    ref = np.array([_cell_weight(local[i], float(dists[i, 1]), seed + i)
+                    for i in range(len(points))])
+    return local, ref
+
+
+def _on_window_hull(local):
+    """Windows whose row 0 lies on their convex hull: an angular gap >= pi."""
+    c = local[:, 1:]
+    ang = np.sort(np.arctan2(c[:, :, 1], c[:, :, 0]), axis=1)
+    gaps = np.diff(ang, axis=1, append=ang[:, :1] + 2.0 * np.pi)
+    return gaps.max(axis=1) >= np.pi
+
+
+def _planar(xy):
+    pts = np.column_stack([xy, np.zeros(len(xy))])
+    return pts, np.tile(np.eye(3)[:2], (len(pts), 1, 1))
+
+
+@pytest.mark.parametrize("name,t,seed", [
+    ("hemisphere2", 10, 1), ("hemisphere2", 10, 2), ("hemisphere2", 10, 3),
+    ("hemisphere2", 40, 1), ("hemisphere2", 40, 2), ("hemisphere2", 40, 3),
+    ("hemisphere3", 8, 1),
+])
+def test_fan_walk_matches_qhull_stars(name, t, seed):
+    """The batched fan walk reproduces every per-point Qhull star.
+
+    hemisphere2 volume windows include points on their window's hull
+    (open fans near the cap's rim); hemisphere3 boundary windows lie on
+    a closed 2-sphere, so every fan closes.  No window of these clouds
+    needs the Qhull fallback.
+    """
+    case = get_case(name)
+    cloud = sample_case(name, t, seed)
+    if name == "hemisphere2":
+        points, k = cloud.points, case.k_volume
+        frames = case.surface_frames(points)
+    else:
+        points, k = cloud.boundary, case.k_boundary
+        frames = case.boundary_frames(points)
+    local, ref = _qhull_windows(points, frames, k, seed)
+    area, degenerate = _fan_areas(local)
+    assert not degenerate.any()
+    assert _on_window_hull(local).any() == (name == "hemisphere2")
+    assert np.all(np.abs(area / 3.0 - ref) <= 1e-13 * ref)
+    w = _simplex_cell_weights(points, frames, k, seed)
+    assert np.all(np.abs(w - ref) <= 1e-13 * ref)
+
+
+def _square_lattice():
+    x, y = np.meshgrid(0.1 * np.arange(8), 0.1 * np.arange(8))
+    return np.column_stack([x.ravel(), y.ravel()])
+
+
+def _duplicated_neighbour():
+    xy = np.random.default_rng(3).random((60, 2))
+    return np.vstack([xy, xy[17], xy[40] + 1e-13])
+
+
+def _collinear():
+    return np.column_stack([np.linspace(0.0, 1.0, 30), np.zeros(30)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [_square_lattice, _duplicated_neighbour,
+                                  _collinear])
+def test_fan_walk_degenerate_windows_take_qhull(make):
+    """Cocircular, coincident and collinear windows go to Qhull unchanged.
+
+    Every window of the square lattice has four cocircular points in its
+    star, a duplicated point has a neighbour at distance 0 (or 1e-13), and
+    a collinear window has no triangle at all; each must be flagged and
+    get exactly the Qhull weight, with no floating-point warning on the
+    way.
+    """
+    points, frames = _planar(make())
+    local, ref = _qhull_windows(points, frames, 12, 5)
+    _, degenerate = _fan_areas(local)
+    if make is _duplicated_neighbour:
+        dists = cKDTree(points).query(points, k=2)[0][:, 1]
+        must = dists <= 1e-12
+        assert must.sum() == 4
+    else:
+        must = np.ones(len(points), dtype=bool)
+    assert np.all(degenerate[must])
+    w = _simplex_cell_weights(points, frames, 12, 5)
+    assert np.array_equal(w[degenerate], ref[degenerate])
+    assert np.all(np.abs(w - ref) <= 1e-13 * ref)
+
+
 def test_volume_weights_cap_area():
     cloud = build_cloud("hemisphere2", 40, 1)
     assert np.all(cloud.A > 0)
@@ -175,6 +271,56 @@ def test_boundary_weights_equispaced_circle():
     arc = 2.0 * np.pi * rho / m0
     assert np.abs(L - arc).max() < 2e-3 * arc
     assert np.abs(L - L[0]).max() < 1e-12
+
+
+def _segment_weights_loop(q):
+    """Per-point reference for _segment_weights."""
+    m0 = len(q)
+    kq = min(m0, 16)
+    dists, idx = cKDTree(q).query(q, k=kq)
+    L = np.empty(m0)
+    for k in range(m0):
+        u = q[idx[k, 1]] - q[k]
+        d2 = None
+        for jj in range(2, kq):
+            if (q[idx[k, jj]] - q[k]) @ u < 0.0:
+                d2 = dists[k, jj]
+                break
+        if d2 is None:
+            rel = q - q[k]
+            opposite = np.nonzero(rel @ u < 0.0)[0]
+            if opposite.size:
+                d2 = np.sqrt((rel[opposite] ** 2).sum(axis=1)).min()
+            else:
+                d2 = dists[k, 2]
+        L[k] = 0.5 * (dists[k, 1] + d2)
+    return L
+
+
+def _cluster_on_circle():
+    # 20 points bunched on a short arc: the arc's ends see no opposite
+    # point among their 15 nearest, so the full scan finds one
+    phi = np.concatenate([np.linspace(0.0, 0.05, 20),
+                          np.linspace(1.0, 5.0, 6)])
+    rho = SQ3 / 2.0
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi),
+                            np.full(phi.size, 0.5)])
+
+
+def _ray():
+    # either end of a straight run of points has no point behind it
+    return np.column_stack([np.linspace(0.0, 1.0, 20) ** 2,
+                            np.zeros(20), np.zeros(20)])
+
+
+@pytest.mark.parametrize("q", [
+    sample_case("hemisphere2", 8, 1).boundary,
+    sample_case("hemisphere2", 40, 2).boundary,
+    _cluster_on_circle(),
+    _ray(),
+], ids=["cap8", "cap40", "cluster", "ray"])
+def test_segment_weights_match_loop(q):
+    assert np.array_equal(_segment_weights(q), _segment_weights_loop(q))
 
 
 def test_boundary_weights_modes():

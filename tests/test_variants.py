@@ -353,17 +353,17 @@ def test_frozen_operator_matches_materialized(cloud_name, boundary, request,
 
 def test_jacobi_cuts_frozen_system_iterations():
     """On criterion 9's cloud, Jacobi PCG needs at least 3x fewer iterations
-    than plain CG on the first frozen Picard system."""
+    than plain CG on the first Newton system."""
     lam, p = 1.0, 1.5
     cloud = build_cloud("hemisphere2", 20, 1)
     config = VariantConfig(kind="nonlinear", lam=lam, p=p,
                            f=manufactured_nonlinear_forcing(lam, p))
     work = _NonlinearWork(cloud, cloud.delta, cosine_profile(), config)
     U0 = solve_mean_zero(work.base, tol=1e-12, precondition=True).U
-    op = work.frozen(U0)
+    hessian, rhs = work.newton(U0)
     iters = {}
     for jacobi in (False, True):
-        _, rel, iters[jacobi], ok = cg(op, work.rhs, tol=1e-12,
+        _, rel, iters[jacobi], ok = cg(hessian, rhs, tol=1e-12,
                                        max_iter=20 * cloud.n0, x0=U0,
                                        precondition=jacobi)
         assert ok and rel <= 1e-12
