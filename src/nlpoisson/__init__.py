@@ -17,8 +17,6 @@ from .assembly import (
     boundary_trace,
     export_matrix,
     interior_laplacian,
-    omega_vector,
-    source_vector,
     zeta_entry,
 )
 from .geometry import (
@@ -62,7 +60,6 @@ from .variants import (
     VariantConfig,
     assemble_lambda,
     assemble_nonhomogeneous,
-    energy_J_delta,
     nonlinear_solve,
     source_nonhomogeneous,
 )
@@ -96,7 +93,6 @@ __all__ = [
     "e2_error",
     "emit_lemma_report",
     "emit_report",
-    "energy_J_delta",
     "exact_fields",
     "export_matrix",
     "fit_loglog",
@@ -106,7 +102,6 @@ __all__ = [
     "load_cloud_csv",
     "load_profile_table",
     "nonlinear_solve",
-    "omega_vector",
     "profile_eval",
     "run_single",
     "sample_case",
@@ -115,7 +110,6 @@ __all__ = [
     "solve_mean_zero",
     "solve_spd",
     "source_nonhomogeneous",
-    "source_vector",
     "volume_weights",
     "zeta_entry",
 ]

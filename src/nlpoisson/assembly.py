@@ -17,8 +17,15 @@ whose null space is the constants; F carries the kernel-smoothed forcing
 with its A-weighted mean removed so the right side stays orthogonal to
 the null space.  The reduced model keeps only the diffusion block.
 
-All pair enumeration is done in sorted index order so that assembly is
-bit-reproducible.
+Every block and the smoothed forcing are sums over pairs inside the
+2 delta interaction horizon.  pair_graph searches them once per
+(cloud, delta): its PairGraph holds the interior pairs with their Kbar
+values and the point-boundary pairs with their Kbar and zeta values.
+assemble builds R_A, the coupling and the forcing from it and keeps it
+as NonlocalSystem.pairs, from which the model variants take their
+kernel smoother and flux term; the boundary pairs are searched once
+more, on the boundary points, for Rb.  All pair enumeration is done in
+sorted index order so that assembly is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -55,6 +62,29 @@ class BoundaryCoupling:
 
 
 @dataclass
+class PairGraph:
+    """Neighbour pairs of one (cloud, delta) inside the 2 delta horizon.
+
+    i < j are the interior pairs in lexicographic order and bar their
+    Kbar(p_i, p_j); bar0 is Kbar at distance zero.  rows, cols are the
+    point-boundary pairs (p_r, q_k), sorted by point and then boundary
+    index, with cross_bar = Kbar(p_r, q_k) and zeta = zeta(p_r, q_k)
+    before normalization.  A reduced-mode graph has no point-boundary
+    pairs.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    bar: np.ndarray
+    bar0: float
+    rows: np.ndarray
+    cols: np.ndarray
+    cross_bar: np.ndarray
+    zeta: np.ndarray
+    mode: str
+
+
+@dataclass
 class NonlocalSystem:
     S: sparse.csr_matrix
     rhs: np.ndarray
@@ -66,6 +96,7 @@ class NonlocalSystem:
     profile: KernelProfile
     f_delta: np.ndarray          # smoothed source before mean removal
     mean_shift: float            # constant removed from f_delta
+    pairs: PairGraph             # the neighbour pairs it was built from
     variant: str = "none"        # model variant this system discretizes
 
 
@@ -82,12 +113,8 @@ def zeta_entry(p, q, n_q, delta: float, profile: KernelProfile,
 
 def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i < j, lexicographically sorted) within ``radius``."""
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    if pairs.size == 0:
-        return pairs.reshape(0, 2).T[0], pairs.reshape(0, 2).T[0]
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int32)
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -96,24 +123,54 @@ def _cross_pairs(points: np.ndarray, targets: np.ndarray,
     """All (point, target) index pairs within ``radius``, sorted."""
     tree = cKDTree(targets)
     hits = tree.query_ball_point(points, r=radius)
-    rows = np.repeat(np.arange(len(points)), [len(h) for h in hits])
-    cols = np.concatenate([sorted(h) for h in hits]) if len(rows) else np.empty(0, int)
-    return rows, cols.astype(int)
+    rows = np.repeat(np.arange(len(points), dtype=np.int32),
+                     [len(h) for h in hits])
+    cols = np.concatenate([sorted(h) for h in hits]) if len(rows) else np.empty(0)
+    return rows, cols.astype(np.int32)
 
 
-def _graph_laplacian(points: np.ndarray, weights: np.ndarray, level: str,
-                     delta: float, profile: KernelProfile,
-                     m: int) -> sparse.csr_matrix:
-    """Graph Laplacian with pair weights K_level(x_i, x_j) w_i w_j."""
-    n = points.shape[0]
+def pair_graph(cloud: PointCloud, delta: float | None = None,
+               profile: KernelProfile | None = None,
+               mode: str = "full") -> tuple[PairGraph, np.ndarray]:
+    """Search the cloud's pairs within 2 delta and evaluate their kernels.
+
+    Returns the PairGraph and the base kernel K(p_i, p_j) on its
+    interior pairs, which only R_A reads.  In reduced mode only the
+    interior pairs are searched.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    delta = cloud.delta if delta is None else delta
+    profile = profile or cosine_profile()
+    points, m = cloud.points, cloud.m
     i, j = _sym_pairs(points, 2.0 * delta)
-    if len(i):
-        sq = ((points[i] - points[j]) ** 2).sum(axis=1)
-        w = pair_eval(profile, level, sq, delta, m) * weights[i] * weights[j]
-        keep = w != 0.0
-        i, j, w = i[keep], j[keep], w[keep]
-    else:
-        w = np.empty(0)
+    sq = ((points[i] - points[j]) ** 2).sum(axis=1)
+    base = pair_eval(profile, "base", sq, delta, m)
+    rows = cols = np.empty(0, dtype=np.int32)
+    cross_bar = zeta = np.empty(0)
+    if mode == "full":
+        rows, cols = _cross_pairs(points, cloud.boundary, 2.0 * delta)
+        disp = points[rows] - cloud.boundary[cols]
+        cross_bar = pair_eval(profile, "bar", (disp**2).sum(axis=1), delta, m)
+        zeta = -(disp * cloud.normals[cols]).sum(axis=1) * cross_bar
+    graph = PairGraph(i=i, j=j, bar=pair_eval(profile, "bar", sq, delta, m),
+                      bar0=float(pair_eval(profile, "bar", 0.0, delta, m)),
+                      rows=rows, cols=cols, cross_bar=cross_bar, zeta=zeta,
+                      mode=mode)
+    return graph, base
+
+
+def _pair_weights(i: np.ndarray, j: np.ndarray, kernel: np.ndarray,
+                  weights: np.ndarray):
+    """The pairs with nonzero weight kernel * w_i * w_j, and those weights."""
+    w = kernel * weights[i] * weights[j]
+    keep = w != 0.0
+    return i[keep], j[keep], w[keep]
+
+
+def _laplacian(n: int, i: np.ndarray, j: np.ndarray,
+               w: np.ndarray) -> sparse.csr_matrix:
+    """Graph Laplacian of the weighted pairs (i, j, w) on n nodes."""
     diag = np.bincount(i, weights=w, minlength=n) + \
         np.bincount(j, weights=w, minlength=n)
     off = sparse.coo_matrix(
@@ -122,12 +179,20 @@ def _graph_laplacian(points: np.ndarray, weights: np.ndarray, level: str,
     return (off + sparse.diags(diag)).tocsr()
 
 
+def _boundary_edges(cloud: PointCloud, delta: float, profile: KernelProfile):
+    """Boundary pairs within 2 delta with their weights Kbar L_k L_l."""
+    q = cloud.boundary
+    i, j = _sym_pairs(q, 2.0 * delta)
+    bar = pair_eval(profile, "bar", ((q[i] - q[j]) ** 2).sum(axis=1), delta,
+                    cloud.m)
+    return _pair_weights(i, j, bar, cloud.L)
+
+
 def interior_laplacian(cloud: PointCloud, delta: float | None = None,
                        profile: KernelProfile | None = None) -> sparse.csr_matrix:
     """Diffusion graph Laplacian R_A over all cloud points."""
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
-    return _graph_laplacian(cloud.points, cloud.A, "base", delta, profile, cloud.m)
+    pairs, base = pair_graph(cloud, delta, profile, mode="reduced")
+    return _laplacian(cloud.n0, *_pair_weights(pairs.i, pairs.j, base, cloud.A))
 
 
 def boundary_laplacian(cloud: PointCloud, delta: float | None = None,
@@ -135,44 +200,43 @@ def boundary_laplacian(cloud: PointCloud, delta: float | None = None,
     """Boundary graph Laplacian with Kbar L L weights (C_R cancelled form)."""
     delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
-    return _graph_laplacian(cloud.boundary, cloud.L, "bar", delta, profile, cloud.m)
+    return _laplacian(cloud.m0, *_boundary_edges(cloud, delta, profile))
 
 
-def _zeta_data(cloud: PointCloud, delta: float, profile: KernelProfile):
-    """Sparse triplets of the un-normalized coupling zeta(p_r, q_k)."""
-    rows, cols = _cross_pairs(cloud.points, cloud.boundary, 2.0 * delta)
-    if len(rows) == 0:
-        return rows, cols, np.empty(0)
-    disp = cloud.points[rows] - cloud.boundary[cols]
-    sq = (disp**2).sum(axis=1)
-    bar = pair_eval(profile, "bar", sq, delta, cloud.m)
-    vals = -(disp * cloud.normals[cols]).sum(axis=1) * bar
-    keep = vals != 0.0
-    return rows[keep], cols[keep], vals[keep]
+def _incidence_factor(n: int, i: np.ndarray, j: np.ndarray,
+                      w: np.ndarray) -> sparse.csr_matrix:
+    """Edge incidence factor G with G^T G the Laplacian of the pairs (i, j, w).
+
+    Kbar loses its sign to cancellation near r = 1: negative values of
+    order -1e-16 were measured on 3 interior pairs at hemisphere2 t=80
+    seed 1, and on 1 interior and 1 point-boundary pair at hemisphere3
+    t=8.  Boundary pairs share that formula, so a negative weight is
+    clamped to 0 to keep its square root real.
+    """
+    root = np.sqrt(np.maximum(w, 0.0))
+    ne = len(root)
+    cols = np.empty(2 * ne, dtype=int)
+    cols[0::2] = i
+    cols[1::2] = j
+    data = np.empty(2 * ne)
+    data[0::2] = root
+    data[1::2] = -root
+    return sparse.csr_matrix((data, (np.repeat(np.arange(ne), 2), cols)),
+                             shape=(ne, n))
 
 
-def omega_vector(cloud: PointCloud, delta: float | None = None,
-                 profile: KernelProfile | None = None) -> np.ndarray:
-    """Boundary normalization omega(q_k) = sum_r zeta(p_r, q_k) A_r."""
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
-    rows, cols, vals = _zeta_data(cloud, delta, profile)
-    return np.bincount(cols, weights=vals * cloud.A[rows], minlength=cloud.m0)
-
-
-def build_coupling(cloud: PointCloud, delta: float | None = None,
-                   profile: KernelProfile | None = None,
-                   reduced: bool = False) -> BoundaryCoupling:
-    """Assemble the normalized coupling and the boundary Laplacian."""
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
+def _coupling(cloud: PointCloud, pairs: PairGraph, delta: float,
+              profile: KernelProfile
+              ) -> tuple[BoundaryCoupling, sparse.csr_matrix | None]:
+    """The normalized coupling, the boundary Laplacian and its factor G."""
     n0, m0 = cloud.n0, cloud.m0
-    if reduced:
-        zero_nm = sparse.csr_matrix((n0, m0))
-        zero_mm = sparse.csr_matrix((m0, m0))
-        return BoundaryCoupling(zeta=zero_nm, omega_hat=np.zeros(m0),
-                                RbarL=zero_mm, L=np.zeros(m0))
-    rows, cols, vals = _zeta_data(cloud, delta, profile)
+    if pairs.mode == "reduced":
+        return BoundaryCoupling(zeta=sparse.csr_matrix((n0, m0)),
+                                omega_hat=np.zeros(m0),
+                                RbarL=sparse.csr_matrix((m0, m0)),
+                                L=np.zeros(m0)), None
+    keep = pairs.zeta != 0.0
+    rows, cols, vals = pairs.rows[keep], pairs.cols[keep], pairs.zeta[keep]
     omega = np.bincount(cols, weights=vals * cloud.A[rows], minlength=m0)
     bad = np.nonzero(omega <= 0.0)[0]
     if bad.size:
@@ -181,90 +245,42 @@ def build_coupling(cloud: PointCloud, delta: float | None = None,
             f"omega(q_{k}) = {omega[k]:.3e} <= 0 at boundary point "
             f"{cloud.boundary[k]}; delta may be too large or the cloud too sparse")
     zeta = sparse.csr_matrix((vals / omega[cols], (rows, cols)), shape=(n0, m0))
-    RbarL = boundary_laplacian(cloud, delta, profile)
-    return BoundaryCoupling(zeta=zeta, omega_hat=omega, RbarL=RbarL, L=cloud.L)
+    edges = _boundary_edges(cloud, delta, profile)
+    coupling = BoundaryCoupling(zeta=zeta, omega_hat=omega,
+                                RbarL=_laplacian(m0, *edges), L=cloud.L)
+    return coupling, _incidence_factor(m0, *edges)
 
 
-def _incidence_factor(RbarL: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Edge incidence factor G with RbarL = G^T G, built from off-diagonals."""
-    coo = sparse.triu(RbarL, k=1).tocoo()
-    w = -coo.data
-    w[w < 0] = 0.0
-    root = np.sqrt(w)
-    ne = len(root)
-    rows = np.repeat(np.arange(ne), 2)
-    cols = np.empty(2 * ne, dtype=int)
-    cols[0::2] = coo.row
-    cols[1::2] = coo.col
-    data = np.empty(2 * ne)
-    data[0::2] = root
-    data[1::2] = -root
-    return sparse.csr_matrix((data, (rows, cols)), shape=(ne, RbarL.shape[1]))
-
-
-def bar_matrix(cloud: PointCloud, delta: float | None = None,
-               profile: KernelProfile | None = None) -> sparse.csr_matrix:
-    """Symmetric matrix of Kbar(p_i, p_j) pair values, diagonal included."""
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
-    n = cloud.n0
-    i, j = _sym_pairs(cloud.points, 2.0 * delta)
-    sq = ((cloud.points[i] - cloud.points[j]) ** 2).sum(axis=1)
-    bar = pair_eval(profile, "bar", sq, delta, cloud.m)
-    keep = bar != 0.0
-    i, j, bar = i[keep], j[keep], bar[keep]
-    diag = np.full(n, pair_eval(profile, "bar", 0.0, delta, cloud.m))
+def bar_matrix(pairs: PairGraph, n: int) -> sparse.csr_matrix:
+    """Symmetric matrix of the graph's interior Kbar values, diagonal included."""
+    keep = pairs.bar != 0.0
+    i, j, bar = pairs.i[keep], pairs.j[keep], pairs.bar[keep]
     mat = sparse.coo_matrix(
         (np.concatenate([bar, bar]),
          (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
-    return (mat + sparse.diags(diag)).tocsr()
+    return (mat + sparse.diags(np.full(n, pairs.bar0))).tocsr()
 
 
-def smoothed_forcing(cloud: PointCloud, delta: float | None = None,
-                     profile: KernelProfile | None = None,
-                     f: Callable[[np.ndarray], np.ndarray] | None = None,
-                     mode: str = "full") -> np.ndarray:
+def smoothed_forcing(cloud: PointCloud, pairs: PairGraph,
+                     f: Callable[[np.ndarray], np.ndarray] | None = None
+                     ) -> np.ndarray:
     """Kernel-smoothed forcing before any mean removal.
 
     fd_i = sum_j f(p_j) Kbar(p_i, p_j) A_j, plus the boundary coupling
-    term sum_k f(q_k) zeta(p_i, q_k) L_k in full mode.
+    term sum_k f(q_k) zeta(p_i, q_k) L_k for a full-mode graph.
     """
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
-    case = get_case(cloud.case_name)
-    f = f or case.forcing
+    f = f or get_case(cloud.case_name).forcing
     fp = np.asarray(f(cloud.points), dtype=float)
-
-    i, j = _sym_pairs(cloud.points, 2.0 * delta)
-    sq = ((cloud.points[i] - cloud.points[j]) ** 2).sum(axis=1)
-    bar = pair_eval(profile, "bar", sq, delta, cloud.m)
+    i, j, bar = pairs.i, pairs.j, pairs.bar
     fd = np.bincount(i, weights=bar * fp[j] * cloud.A[j], minlength=cloud.n0)
     fd += np.bincount(j, weights=bar * fp[i] * cloud.A[i], minlength=cloud.n0)
-    fd += pair_eval(profile, "bar", 0.0, delta, cloud.m) * fp * cloud.A
-
-    if mode == "full":
-        rows, cols, vals = _zeta_data(cloud, delta, profile)
+    fd += pairs.bar0 * fp * cloud.A
+    if pairs.mode == "full":
         fq = np.asarray(f(cloud.boundary), dtype=float)
-        fd += np.bincount(rows, weights=vals * fq[cols] * cloud.L[cols],
+        cols = pairs.cols
+        fd += np.bincount(pairs.rows, weights=pairs.zeta * fq[cols] * cloud.L[cols],
                           minlength=cloud.n0)
-    elif mode != "reduced":
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     return fd
-
-
-def source_vector(cloud: PointCloud, delta: float | None = None,
-                  profile: KernelProfile | None = None,
-                  f: Callable[[np.ndarray], np.ndarray] | None = None,
-                  mode: str = "full") -> tuple[np.ndarray, float]:
-    """Kernel-smoothed source with its A-weighted mean removed.
-
-    Returns (F, shift): F_i is the smoothed forcing minus the constant
-    ``shift`` chosen so sum_i F_i A_i = 0.  In reduced mode the boundary
-    contribution is dropped but the mean is still removed.
-    """
-    fd = smoothed_forcing(cloud, delta, profile, f, mode)
-    shift = float(fd @ cloud.A / cloud.A.sum())
-    return fd - shift, shift
 
 
 def assemble(cloud: PointCloud, delta: float | None = None,
@@ -275,30 +291,29 @@ def assemble(cloud: PointCloud, delta: float | None = None,
     mode "full" includes the boundary coupling; "reduced" keeps only the
     diffusion block (all boundary weights treated as zero).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
     if cloud.A is None:
         raise ValueError("cloud has no volume weights; run volume_weights first")
 
-    RA = interior_laplacian(cloud, delta, profile)
+    pairs, base = pair_graph(cloud, delta, profile, mode)
+    RA = _laplacian(cloud.n0, *_pair_weights(pairs.i, pairs.j, base, cloud.A))
+    del base
     S = RA.multiply(1.0 / (delta * delta)).tocsr()
-    coupling = build_coupling(cloud, delta, profile, reduced=(mode == "reduced"))
+    coupling, G = _coupling(cloud, pairs, delta, profile)
     if mode == "full":
-        G = _incidence_factor(coupling.RbarL)
         K = (sparse.diags(cloud.A) @ coupling.zeta @ G.T).tocsr()
         # sorted rows make K K^T accumulate (i,j) and (j,i) in the same
         # order, so S comes out exactly symmetric
         K.sort_indices()
         S = (S + 2.0 * (K @ K.T)).tocsr()
 
-    fd = smoothed_forcing(cloud, delta, profile, f, mode)
+    fd = smoothed_forcing(cloud, pairs, f)
     shift = float(fd @ cloud.A / cloud.A.sum())
     rhs = cloud.A * (fd - shift)
     return NonlocalSystem(S=S, rhs=rhs, coupling=coupling, A=cloud.A,
                           delta=delta, mode=mode, cloud=cloud, profile=profile,
-                          f_delta=fd, mean_shift=shift)
+                          f_delta=fd, mean_shift=shift, pairs=pairs)
 
 
 def boundary_trace(coupling: BoundaryCoupling, A: np.ndarray,

@@ -400,12 +400,23 @@ def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
     (:func:`_fan_areas`) over blocks of windows; 3-D windows, and 2-D
     windows the walk marks degenerate, are triangulated one by one by
     Qhull (:func:`_cell_weight`).
+
+    Exact copies of a point share its one star, so that they add nothing
+    to the total weight, and take no slot in any window.
     """
     n = points.shape[0]
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} points for {k}-neighbor cells")
     tree = cKDTree(points)
     dists, idx = tree.query(points, k=k + 1)
+    if dists[:, 1].min() == 0.0:
+        _, first, inverse, counts = np.unique(
+            points, axis=0, return_index=True, return_inverse=True,
+            return_counts=True)
+        if len(first) < n:
+            keep = np.sort(first)
+            weights = _simplex_cell_weights(points[keep], frames[keep], k, seed)
+            return weights[np.searchsorted(keep, first)[inverse]] / counts[inverse]
     weights = np.empty(n)
     for lo in range(0, n, _WINDOW_BATCH):
         block = slice(lo, lo + _WINDOW_BATCH)

@@ -34,10 +34,12 @@ from scipy import sparse
 
 from .assembly import (
     NonlocalSystem,
+    PairGraph,
     assemble,
     bar_matrix,
     boundary_trace,
     interior_laplacian,  # noqa: F401
+    pair_graph,
     smoothed_forcing,
 )
 from .geometry import PointCloud, get_case
@@ -87,36 +89,15 @@ def _lambda_values(lam, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def smoothing_weights(cloud: PointCloud, delta: float | None = None,
-                      profile: KernelProfile | None = None) -> np.ndarray:
-    """Interior smoothing mass w2_j = sum_i Kbar(p_j, p_i) A_i."""
-    return bar_matrix(cloud, delta, profile) @ cloud.A
-
-
-def averaging_matrix(cloud: PointCloud, delta: float | None = None,
-                     profile: KernelProfile | None = None,
-                     omega2: np.ndarray | None = None) -> sparse.csr_matrix:
-    """Row-stochastic smoother P with P_ji = Kbar(p_j, p_i) A_i / w2_j."""
-    bar = bar_matrix(cloud, delta, profile)
-    if omega2 is None:
-        omega2 = bar @ cloud.A
-    return _normalized_average(bar, cloud.A, omega2)
-
-
-def _normalized_average(bar: sparse.csr_matrix, A: np.ndarray,
-                        omega2: np.ndarray) -> sparse.csr_matrix:
+def _smoother(base: NonlocalSystem) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """Interior smoothing mass w2_j = sum_i Kbar(p_j, p_i) A_i and the
+    row-stochastic smoother P with P_ji = Kbar(p_j, p_i) A_i / w2_j."""
+    bar = bar_matrix(base.pairs, len(base.A))
+    omega2 = bar @ base.A
     if np.any(omega2 <= 0.0):
         j = int(np.argmin(omega2))
         raise ValueError(f"smoothing mass w2({j}) = {omega2[j]:.3e} <= 0")
-    return (sparse.diags(1.0 / omega2) @ bar @ sparse.diags(A)).tocsr()
-
-
-def _smoothing(cloud: PointCloud, delta: float, profile: KernelProfile
-               ) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """smoothing_weights and averaging_matrix from one Kbar build."""
-    bar = bar_matrix(cloud, delta, profile)
-    omega2 = bar @ cloud.A
-    return omega2, _normalized_average(bar, cloud.A, omega2)
+    return omega2, (sparse.diags(1.0 / omega2) @ bar @ sparse.diags(base.A)).tocsr()
 
 
 def _absorption_matrix(base: NonlocalSystem, Pbar: sparse.csr_matrix,
@@ -149,17 +130,13 @@ def assemble_lambda(cloud: PointCloud, delta: float | None = None,
     The right side keeps the smoothed forcing without mean removal: the
     mean-zero constraint no longer applies.
     """
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
     base = assemble(cloud, delta, profile, mode="full", f=f)
     lam_p = _lambda_values(lam, cloud.points)
     lam_q = _lambda_values(lam, cloud.boundary)
-    omega2, Pbar = _smoothing(cloud, delta, profile)
+    omega2, Pbar = _smoother(base)
     S = (base.S + _absorption_matrix(base, Pbar, omega2, lam_p, lam_q)).tocsr()
-    return NonlocalSystem(S=S, rhs=cloud.A * base.f_delta, coupling=base.coupling,
-                          A=cloud.A, delta=delta, mode="full", cloud=cloud,
-                          profile=profile, f_delta=base.f_delta, mean_shift=0.0,
-                          variant="lambda")
+    return replace(base, S=S, rhs=cloud.A * base.f_delta, mean_shift=0.0,
+                   variant="lambda")
 
 
 def source_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
@@ -172,16 +149,13 @@ def source_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
     minus the constant that zeroes sum_i F_i A_i.  Warns when the discrete
     compatibility sum(f A) + sum(g L) exceeds 1e-3 in relative size.
     """
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
-    fd = smoothed_forcing(cloud, delta, profile, f, mode="full")
-    return _flux_source(cloud, delta, profile, f, g, fd)
+    pairs, _ = pair_graph(cloud, delta, profile)
+    return _flux_source(cloud, pairs, f, g, smoothed_forcing(cloud, pairs, f))
 
 
-def _flux_source(cloud: PointCloud, delta: float, profile: KernelProfile,
-                 f: Callable | None, g: Callable | None,
-                 fd: np.ndarray) -> tuple[np.ndarray, float]:
-    """source_nonhomogeneous from fd, the smoothed forcing of f."""
+def _flux_source(cloud: PointCloud, pairs: PairGraph, f: Callable | None,
+                 g: Callable | None, fd: np.ndarray) -> tuple[np.ndarray, float]:
+    """source_nonhomogeneous from the pairs and fd, the smoothed forcing of f."""
     if g is not None:
         f = f or get_case(cloud.case_name).forcing
         gq = np.asarray(g(cloud.boundary), dtype=float)
@@ -192,16 +166,9 @@ def _flux_source(cloud: PointCloud, delta: float, profile: KernelProfile,
             warnings.warn(
                 f"discrete compatibility violated: sum(f A) + sum(g L) = "
                 f"{comp:.3e} ({abs(comp) / scale:.2e} relative)")
-        from .assembly import _cross_pairs
-        from .kernels import pair_eval
-        rows, cols = _cross_pairs(cloud.points, cloud.boundary, 2.0 * delta)
-        if len(rows):
-            disp = cloud.points[rows] - cloud.boundary[cols]
-            sq = (disp**2).sum(axis=1)
-            bar = pair_eval(profile, "bar", sq, delta, cloud.m)
-            zeta = -(disp * cloud.normals[cols]).sum(axis=1) * bar
-            contrib = (2.0 * bar + zeta) * gq[cols] * cloud.L[cols]
-            fd = fd + np.bincount(rows, weights=contrib, minlength=cloud.n0)
+        cols = pairs.cols
+        contrib = (2.0 * pairs.cross_bar + pairs.zeta) * gq[cols] * cloud.L[cols]
+        fd = fd + np.bincount(pairs.rows, weights=contrib, minlength=cloud.n0)
     shift = float(fd @ cloud.A / cloud.A.sum())
     return fd - shift, shift
 
@@ -211,14 +178,10 @@ def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
                             f: Callable | None = None,
                             g: Callable | None = None) -> NonlocalSystem:
     """Base full-model system with the non-homogeneous right side."""
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
     base = assemble(cloud, delta, profile, mode="full", f=f)
-    F, shift = _flux_source(cloud, delta, profile, f, g, base.f_delta)
-    return NonlocalSystem(S=base.S, rhs=cloud.A * F, coupling=base.coupling,
-                          A=cloud.A, delta=delta, mode="full", cloud=cloud,
-                          profile=profile, f_delta=F + shift, mean_shift=shift,
-                          variant="nonhomogeneous")
+    F, shift = _flux_source(cloud, base.pairs, f, g, base.f_delta)
+    return replace(base, rhs=cloud.A * F, f_delta=F + shift, mean_shift=shift,
+                   variant="nonhomogeneous")
 
 
 class _FrozenOperator:
@@ -261,7 +224,7 @@ class _NonlinearWork:
         self.cloud = cloud
         self.config = config
         self.base = assemble(cloud, delta, profile, mode="full", f=config.f)
-        self.omega2, self.Pbar = _smoothing(cloud, delta, profile)
+        self.omega2, self.Pbar = _smoother(self.base)
         self.rhs = cloud.A * self.base.f_delta
         # fixed blocks of every frozen system, and their squared entries
         # for its exact diagonal
@@ -341,17 +304,6 @@ class _NonlinearWork:
             (base.coupling.omega_hat * np.abs(uhat) ** (2 * p)) @ base.coupling.L)
         t4 = -float((U * base.f_delta) @ cloud.A)
         return quad + t2 + t3 + t4
-
-
-def energy_J_delta(cloud: PointCloud, delta: float | None,
-                   profile: KernelProfile | None, config: VariantConfig,
-                   U: np.ndarray) -> float:
-    """Discrete nonlinear energy: diffusion, two absorption terms, the
-    boundary-gradient term in its cancelled-constant form, minus the
-    source pairing."""
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
-    return _NonlinearWork(cloud, delta, profile, config).energy(U)
 
 
 def nonlinear_solve(cloud: PointCloud, delta: float | None = None,

@@ -13,13 +13,13 @@ from nlpoisson.assembly import (
     AssemblyError,
     assemble,
     boundary_laplacian,
+    _incidence_factor,
+    _laplacian,
     boundary_trace,
-    build_coupling,
     export_matrix,
     interior_laplacian,
-    omega_vector,
+    pair_graph,
     smoothed_forcing,
-    source_vector,
     zeta_entry,
 )
 from nlpoisson.geometry import PointCloud, build_cloud, get_case
@@ -137,13 +137,15 @@ def test_boundary_laplacian_three_points(profile):
 
 
 def test_source_vector_basics(medium_cloud, profile):
-    zero, shift0 = source_vector(medium_cloud, profile=profile,
-                                 f=lambda x: np.zeros(x.shape[0]))
+    def source(f=None):
+        system = assemble(medium_cloud, profile=profile, f=f)
+        return system.f_delta - system.mean_shift, system.mean_shift
+
+    zero, shift0 = source(lambda x: np.zeros(x.shape[0]))
     assert np.all(zero == 0.0) and shift0 == 0.0
-    Fc, _ = source_vector(medium_cloud, profile=profile,
-                          f=lambda x: np.full(x.shape[0], 3.7))
+    Fc, _ = source(lambda x: np.full(x.shape[0], 3.7))
     assert abs(float(Fc @ medium_cloud.A)) <= 1e-14 * np.abs(Fc).max()
-    F, _ = source_vector(medium_cloud, profile=profile)
+    F, _ = source()
     assert abs(float(F @ medium_cloud.A)) <= 1e-12 * float(np.abs(F) @ medium_cloud.A)
 
 
@@ -177,7 +179,7 @@ def test_reduced_mode_is_pure_diffusion(small_cloud, profile):
 
 
 def test_omega_positive_and_scaled(medium_cloud, profile):
-    omega = omega_vector(medium_cloud, profile=profile)
+    omega = assemble(medium_cloud, profile=profile).coupling.omega_hat
     assert np.all(omega > 0)
     CR = compute_CR(profile, 2)
     ratio = omega / (medium_cloud.delta * CR)
@@ -193,7 +195,7 @@ def test_omega_degenerate_raises(profile):
                        A=np.array([1.0, 1.0]), L=np.array([0.1]),
                        normals=np.array([[0.5, 0.0, -np.sqrt(3) / 2]]))
     with pytest.raises(AssemblyError, match="q_0"):
-        build_coupling(cloud, profile=profile)
+        assemble(cloud, profile=profile)
 
 
 @pytest.mark.parametrize("t", [5, 10])
@@ -279,8 +281,21 @@ def test_export_matrix(tmp_path, small_system):
 
 
 def test_smoothed_forcing_modes(medium_cloud, profile):
-    full = smoothed_forcing(medium_cloud, profile=profile, mode="full")
-    red = smoothed_forcing(medium_cloud, profile=profile, mode="reduced")
-    assert not np.array_equal(full, red)
+    def forcing(mode):
+        pairs, _ = pair_graph(medium_cloud, profile=profile, mode=mode)
+        return smoothed_forcing(medium_cloud, pairs)
+
+    assert not np.array_equal(forcing("full"), forcing("reduced"))
     with pytest.raises(ValueError):
-        smoothed_forcing(medium_cloud, profile=profile, mode="both")
+        forcing("both")
+
+
+def test_incidence_factor_clamps_negative_weights():
+    """G^T G is the Laplacian of the pair weights; a negative weight, as
+    Kbar's cancellation near r = 1 gives, counts as 0 and makes no NaN."""
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    w = np.array([0.5, -3e-16, 2.0])
+    G = _incidence_factor(3, i, j, w)
+    want = _laplacian(3, i, j, np.maximum(w, 0.0)).toarray()
+    assert np.all(np.isfinite(G.data))
+    assert np.allclose((G.T @ G).toarray(), want, rtol=0.0, atol=1e-15)

@@ -229,7 +229,8 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
     star, a duplicated point has a neighbour at distance 0 (or 1e-13), and
     a collinear window has no triangle at all; each must be flagged and
     get exactly the Qhull weight, with no floating-point warning on the
-    way.
+    way.  The exact copy and its original share the star the original
+    has in the cloud without the copy.
     """
     points, frames = _planar(make())
     local, ref = _qhull_windows(points, frames, 12, 5)
@@ -242,8 +243,31 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
         must = np.ones(len(points), dtype=bool)
     assert np.all(degenerate[must])
     w = _simplex_cell_weights(points, frames, 12, 5)
+    if make is _duplicated_neighbour:
+        kept = np.delete(np.arange(len(points)), 60)   # row 60 copies row 17
+        local, ref_kept = _qhull_windows(points[kept], frames[kept], 12, 5)
+        ref[kept] = ref_kept
+        ref[[17, 60]] = ref_kept[17] / 2
+        degenerate[kept] = _fan_areas(local)[1]
+        degenerate[60] = degenerate[17]
     assert np.array_equal(w[degenerate], ref[degenerate])
     assert np.all(np.abs(w - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("name,t", [("hemisphere2", 10), ("hemisphere3", 4)])
+@pytest.mark.parametrize("copies", [1, 2])
+def test_duplicated_points_share_one_star(name, t, copies):
+    """Exact copies of point 37 split its star: the total weight and every
+    other point's weight are those of the cloud without the copies."""
+    cloud = sample_case(name, t, 1)
+    plain = volume_weights(cloud)
+    cloud.points = np.insert(cloud.points, [38] * copies, cloud.points[37],
+                             axis=0)
+    w = volume_weights(cloud)
+    shared = slice(37, 38 + copies)
+    assert np.array_equal(np.delete(w, shared), np.delete(plain, 37))
+    assert np.all(w[shared] == plain[37] / (copies + 1))
+    assert abs(w.sum() - plain.sum()) <= 1e-12 * plain.sum()
 
 
 def test_volume_weights_cap_area():

@@ -8,7 +8,7 @@ import pytest
 from nlpoisson import assembly, variants
 from nlpoisson.assembly import assemble, boundary_trace, interior_laplacian
 from nlpoisson.geometry import build_cloud, get_case
-from nlpoisson.harness import e2_error
+from nlpoisson.harness import HarnessOptions, e2_error, run_single
 from nlpoisson.kernels import cosine_profile
 from nlpoisson.solver import SolveResult, cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import (
@@ -16,12 +16,10 @@ from nlpoisson.variants import (
     _FrozenOperator,
     _NonlinearWork,
     _absorption_matrix,
+    _smoother,
     assemble_lambda,
     assemble_nonhomogeneous,
-    averaging_matrix,
-    energy_J_delta,
     nonlinear_solve,
-    smoothing_weights,
     source_nonhomogeneous,
 )
 
@@ -68,7 +66,7 @@ def test_lambda_rejects_negative(small_cloud):
 def test_lambda_constant_energy(small_cloud):
     lam = 1.7
     system = assemble_lambda(small_cloud, lam=lam)
-    omega2 = smoothing_weights(small_cloud)
+    omega2, _ = _smoother(system)
     omega_hat = system.coupling.omega_hat
     ones = np.ones(small_cloud.n0)
     got = float(ones @ (system.S @ ones))
@@ -129,23 +127,20 @@ def test_energy_gradient_matches_finite_differences(small_cloud, rng):
     lam = 0.9
     config = VariantConfig(kind="nonlinear", lam=lam, p=1.0,
                            f=lambda x: np.zeros(x.shape[0]))
-    base = assemble(small_cloud, mode="full",
-                    f=lambda x: np.zeros(x.shape[0]))
-    omega2 = smoothing_weights(small_cloud)
-    Pbar = averaging_matrix(small_cloud, omega2=omega2)
+    work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
+                          config)
     lam_vec = np.full(small_cloud.n0, lam)
     lam_bnd = np.full(small_cloud.m0, lam)
-    M = _absorption_matrix(base, Pbar, omega2, lam_vec, lam_bnd)
+    M = _absorption_matrix(work.base, work.Pbar, work.omega2, lam_vec, lam_bnd)
     U = rng.standard_normal(small_cloud.n0)
-    grad = (base.S + M) @ U
+    grad = (work.base.S + M) @ U
     h = 1e-6
     fd = np.empty_like(U)
     for i in range(len(U)):
         up, dn = U.copy(), U.copy()
         up[i] += h
         dn[i] -= h
-        fd[i] = (energy_J_delta(small_cloud, None, None, config, up)
-                 - energy_J_delta(small_cloud, None, None, config, dn)) / (2 * h)
+        fd[i] = (work.energy(up) - work.energy(dn)) / (2 * h)
     scale = np.abs(grad).max()
     assert np.abs(fd - grad).max() <= 1e-6 * scale
 
@@ -175,9 +170,9 @@ def test_nonhomogeneous_zero_flux_is_bitwise_base(small_cloud):
 
 def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
     """assemble_nonhomogeneous reuses the base system's smoothed forcing:
-    one smoothed_forcing call, three interior and three point-boundary pair
-    searches, and the right side source_nonhomogeneous gives."""
-    calls = {"smoothed_forcing": 0, "_sym_pairs": 0, "_cross_pairs": 0}
+    one smoothed_forcing call, and the right side source_nonhomogeneous
+    gives."""
+    calls = {"smoothed_forcing": 0}
 
     def counted(fn, name):
         def call(*args, **kwargs):
@@ -188,19 +183,43 @@ def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
     smoothed = counted(assembly.smoothed_forcing, "smoothed_forcing")
     monkeypatch.setattr(assembly, "smoothed_forcing", smoothed)
     monkeypatch.setattr(variants, "smoothed_forcing", smoothed)
-    for name in ("_sym_pairs", "_cross_pairs"):
-        monkeypatch.setattr(assembly, name,
-                            counted(getattr(assembly, name), name))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         system = assemble_nonhomogeneous(small_cloud, f=_nh_f, g=_nh_g)
-    assert calls == {"smoothed_forcing": 1, "_sym_pairs": 3, "_cross_pairs": 3}
+    assert calls == {"smoothed_forcing": 1}
     monkeypatch.undo()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         F, shift = source_nonhomogeneous(small_cloud, f=_nh_f, g=_nh_g)
     assert np.array_equal(system.rhs, small_cloud.A * F)
     assert system.mean_shift == shift
+
+
+@pytest.mark.parametrize("variant,mode", [
+    ("none", "full"), ("none", "reduced"), ("lambda", "full"),
+    ("nonhomogeneous", "full"), ("nonlinear", "full"),
+])
+def test_one_pair_search_per_point_set(variant, mode, monkeypatch):
+    """A solve searches the interior pairs once and, in full mode, the
+    boundary pairs and the point-boundary pairs once each."""
+    searches = []
+
+    def counted(fn):
+        def call(points, *args):
+            searches.append((fn.__name__, len(points)))
+            return fn(points, *args)
+        return call
+
+    for name in ("_sym_pairs", "_cross_pairs"):
+        monkeypatch.setattr(assembly, name, counted(getattr(assembly, name)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        row, _ = run_single("hemisphere2", 5, 1,
+                            HarnessOptions(variant=variant, mode=mode))
+    want = [("_sym_pairs", row.n0)]
+    if mode == "full":
+        want += [("_cross_pairs", row.n0), ("_sym_pairs", row.m0)]
+    assert sorted(searches) == sorted(want)
 
 
 def test_nonhomogeneous_compatibility_warning(small_cloud):
@@ -401,10 +420,11 @@ def test_energy_constant_field(small_cloud):
     config = VariantConfig(kind="nonlinear", lam=lam, p=p,
                            f=lambda x: np.zeros(x.shape[0]))
     U = np.full(small_cloud.n0, c)
-    got = energy_J_delta(small_cloud, None, None, config, U)
-    omega2 = smoothing_weights(small_cloud)
-    system = assemble(small_cloud, mode="full")
+    work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
+                          config)
+    got = work.energy(U)
+    omega2, _ = _smoother(assemble(small_cloud, mode="full"))
     want = lam / (2 * p) * c ** (2 * p) * (
         float(omega2 @ small_cloud.A)
-        + float(system.coupling.omega_hat @ small_cloud.L))
+        + float(work.base.coupling.omega_hat @ small_cloud.L))
     assert got == pytest.approx(want, rel=1e-12)
