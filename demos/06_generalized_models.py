@@ -1,7 +1,7 @@
 """The three generalized models, each on a manufactured cap problem.
 
 * absorption: -Lap u + lambda u = f becomes strictly positive definite,
-  so the mean-zero constraint is dropped and plain CG applies;
+  so the mean-zero constraint is dropped and CG runs unprojected;
 * non-homogeneous flux: du/dn = g only changes the right side;
 * nonlinear absorption lambda u |u|^(2p-2): damped Newton on the
   discrete energy J, whose Hessian H = S + Pbar^T diag((2p-1) w) Pbar
@@ -34,7 +34,7 @@ system = assemble_lambda(cloud, lam=lam,
                          f=lambda x: case.forcing(x) + lam * case.exact_u(x))
 res = solve_spd(system)
 print("absorption model (lambda = 1):")
-print(f"  plain CG converged in {res.iterations} iterations, "
+print(f"  CG converged in {res.iterations} iterations, "
       f"e2 = {e2_error(res.U, cloud):.4f}")
 print(f"  note: no mean constraint; sum(rhs) = {system.rhs.sum():.3e}")
 

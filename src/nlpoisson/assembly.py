@@ -111,22 +111,25 @@ def zeta_entry(p, q, n_q, delta: float, profile: KernelProfile,
     return float(-(p - q) @ n_q * bar)
 
 
+def _sorted_pairs(rows: np.ndarray, cols: np.ndarray,
+                  ncols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unique index pairs, lexicographically sorted by one int64 key, as int32."""
+    order = np.argsort(rows.astype(np.int64) * ncols + cols)
+    return rows[order].astype(np.int32), cols[order].astype(np.int32)
+
+
 def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i < j, lexicographically sorted) within ``radius``."""
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int32)
-    return pairs[:, 0], pairs[:, 1]
+    return _sorted_pairs(pairs[:, 0], pairs[:, 1], len(points))
 
 
 def _cross_pairs(points: np.ndarray, targets: np.ndarray,
                  radius: float) -> tuple[np.ndarray, np.ndarray]:
     """All (point, target) index pairs within ``radius``, sorted."""
-    tree = cKDTree(targets)
-    hits = tree.query_ball_point(points, r=radius)
-    rows = np.repeat(np.arange(len(points), dtype=np.int32),
-                     [len(h) for h in hits])
-    cols = np.concatenate([sorted(h) for h in hits]) if len(rows) else np.empty(0)
-    return rows, cols.astype(np.int32)
+    hits = cKDTree(points).sparse_distance_matrix(
+        cKDTree(targets), radius, output_type="ndarray")
+    return _sorted_pairs(hits["i"], hits["j"], len(targets))
 
 
 def pair_graph(cloud: PointCloud, delta: float | None = None,

@@ -21,7 +21,7 @@ boundary point aliases point ``n0 - m0 + k``.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree

@@ -16,7 +16,7 @@ Reports are written as CSV plus a dependency-free SVG log-log plot.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 

@@ -2,18 +2,19 @@
 
 The base model's matrix is symmetric positive-semidefinite with the
 constants as null space, and its right side is orthogonal to that null
-space by construction.  solve_mean_zero runs CG with the constant mode
-projected out of every iterate and fixes the additive constant at the end
-so the volume-weighted mean of the solution vanishes.  solve_spd is plain
-CG for the strictly positive-definite variant systems.
+space by construction.  Both solvers run CG scaled by the system's exact
+diagonal (Jacobi); solve_mean_zero also projects the constant mode out of
+every iterate and fixes the additive constant at the end so the
+volume-weighted mean of the solution vanishes.  The loop is our own:
+scipy.sparse.linalg.cg has no p^T S p <= 0 breakdown test and returns no
+iteration count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .assembly import NonlocalSystem, boundary_trace
 
@@ -43,13 +44,14 @@ def _project_mean(x: np.ndarray) -> np.ndarray:
 
 
 def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
-       x0: np.ndarray | None = None, project: bool = False,
-       precondition: bool = False, callback=None):
-    """Conjugate gradients on S x = b; returns (x, rel_residual, iters, ok).
+       x0: np.ndarray | None = None, project: bool = False, callback=None):
+    """Jacobi PCG on S x = b; returns (x, rel_residual, iters, ok).
 
-    With ``project`` the plain mean is removed from the iterate and the
-    residual after every update, which keeps the iteration on the
-    complement of the constant null space of the singular base system.
+    The scaling is 1 / S.diagonal(), with 1 for non-positive entries.
+    With ``project`` the plain mean is removed from the iterate, the
+    residual and the scaled residual after every update, which keeps the
+    iteration on the complement of the constant null space of the
+    singular base system.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -58,13 +60,8 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0, True
 
-    if precondition:
-        dinv = S.diagonal().copy()
-        good = dinv > 0
-        dinv[good] = 1.0 / dinv[good]
-        dinv[~good] = 1.0
-    else:
-        dinv = None
+    d = S.diagonal()
+    dinv = 1.0 / np.where(d > 0, d, 1.0)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if project:
@@ -72,10 +69,10 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     r = b - S @ x
     if project:
         _project_mean(r)
-    z = dinv * r if precondition else r
-    if project and precondition:
+    z = dinv * r
+    if project:
         _project_mean(z)
-    p = z.copy()
+    p = z
     rz = float(r @ z)
     it = 0
     while it < max_iter:
@@ -92,8 +89,8 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         if project:
             _project_mean(x)
             _project_mean(r)
-        z = dinv * r if precondition else r
-        if project and precondition:
+        z = dinv * r
+        if project:
             _project_mean(z)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
@@ -107,7 +104,7 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
 
 def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
                     max_iter: int | None = None, x0: np.ndarray | None = None,
-                    precondition: bool = False, callback=None) -> SolveResult:
+                    callback=None) -> SolveResult:
     """Solve the singular base system subject to sum_i U_i A_i = 0."""
     b = system.rhs
     bsum = abs(float(b.sum()))
@@ -115,8 +112,7 @@ def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
         raise ValueError(
             f"right side is not orthogonal to the constants (sum {bsum:.3e})")
     U, rel, it, ok = cg(system.S, b, tol=tol, max_iter=max_iter, x0=x0,
-                        project=True, precondition=precondition,
-                        callback=callback)
+                        project=True, callback=callback)
     shift = float(U @ system.A / system.A.sum())
     U = U - shift
     V = boundary_trace(system.coupling, system.A, U)
@@ -126,10 +122,9 @@ def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
 
 def solve_spd(system: NonlocalSystem, tol: float = DEFAULT_TOL,
               max_iter: int | None = None, x0: np.ndarray | None = None,
-              precondition: bool = False, callback=None) -> SolveResult:
-    """Solve a strictly positive-definite variant system by plain CG."""
+              callback=None) -> SolveResult:
+    """Solve a strictly positive-definite variant system by CG."""
     U, rel, it, ok = cg(system.S, system.rhs, tol=tol, max_iter=max_iter,
-                        x0=x0, project=False, precondition=precondition,
-                        callback=callback)
+                        x0=x0, callback=callback)
     V = boundary_trace(system.coupling, system.A, U)
     return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok)

@@ -19,8 +19,7 @@ blocks:
       H = S + Pbar^T diag((2p-1) w) Pbar + AZ diag((2p-1) wb) AZ^T,
 
   where H is the Hessian of J at U.  H is applied matrix-free, from
-  blocks built once per solve, and the system is solved by
-  Jacobi-preconditioned CG.
+  blocks built once per solve, and the system is solved by Jacobi PCG.
 """
 
 from __future__ import annotations
@@ -280,8 +279,7 @@ class _NonlinearWork:
         """Jacobi PCG on the Newton system at U, started from U."""
         hessian, rhs = self.newton(U)
         system = replace(self.base, S=hessian, rhs=rhs, mean_shift=0.0)
-        return solve_spd(system, tol=tol, max_iter=20 * self.cloud.n0, x0=U,
-                         precondition=True)
+        return solve_spd(system, tol=tol, max_iter=20 * self.cloud.n0, x0=U)
 
     def energy(self, U: np.ndarray) -> float:
         """Discrete energy whose critical points solve the discrete model.
@@ -347,7 +345,7 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
     # start from the base model's mean-zero solution (solve_mean_zero's
     # projected CG and shift, without the boundary trace it would add)
     U, _, inner_iterations, ok = cg(work.base.S, work.base.rhs, tol=inner_tol,
-                                    project=True, precondition=True)
+                                    project=True)
     U = U - float(U @ cloud.A / cloud.A.sum())
     inner_misses = int(not ok)
     energies = [work.energy(U)]

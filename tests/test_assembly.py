@@ -11,6 +11,8 @@ import pytest
 
 from nlpoisson.assembly import (
     AssemblyError,
+    _cross_pairs,
+    _sym_pairs,
     assemble,
     boundary_laplacian,
     _incidence_factor,
@@ -22,7 +24,7 @@ from nlpoisson.assembly import (
     smoothed_forcing,
     zeta_entry,
 )
-from nlpoisson.geometry import PointCloud, build_cloud, get_case
+from nlpoisson.geometry import PointCloud, build_cloud, get_case, sample_case
 from nlpoisson.kernels import compute_CR, cosine_profile, normalization
 
 
@@ -299,3 +301,40 @@ def test_incidence_factor_clamps_negative_weights():
     want = _laplacian(3, i, j, np.maximum(w, 0.0)).toarray()
     assert np.all(np.isfinite(G.data))
     assert np.allclose((G.T @ G).toarray(), want, rtol=0.0, atol=1e-15)
+
+
+def _search_clouds():
+    """hemisphere2 t=5, whose 15 boundary points are also cloud points, and
+    hemisphere3 t=4 with point 7 duplicated, with the number of distance-0
+    pairs each search must find."""
+    a = sample_case("hemisphere2", 5, 1)
+    b = sample_case("hemisphere3", 4, 1)
+    return [(a.points, a.boundary, 2.0 * a.delta, {"interior": 0, "cross": 15}),
+            (np.vstack([b.points, b.points[7]]), b.boundary, 2.0 * b.delta,
+             {"interior": 1, "cross": 64})]
+
+
+@pytest.mark.parametrize("points,targets,radius,zeros", _search_clouds(),
+                         ids=["aliased_boundary", "duplicated_point"])
+@pytest.mark.parametrize("search", ["interior", "cross"])
+def test_pair_search_matches_brute_force(points, targets, radius, zeros,
+                                         search):
+    """Both searches return every pair within the radius (i < j for the
+    interior search) in lexicographic order as int32; pairs within 1e-12
+    relative of the radius are left out of the comparison."""
+    if search == "interior":
+        targets = points
+        got = _sym_pairs(points, radius)
+    else:
+        got = _cross_pairs(points, targets, radius)
+    dist = np.sqrt(((points[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2))
+    clear = np.abs(dist - radius) > 1e-12 * radius
+    inside = dist <= radius
+    if search == "interior":
+        inside = np.triu(inside, k=1)
+    assert np.count_nonzero(inside & (dist == 0.0)) == zeros[search]
+    want = np.nonzero(inside & clear)
+    keep = clear[got[0], got[1]]
+    for g, w in zip(got, want):
+        assert g.dtype == np.int32
+        assert np.array_equal(g[keep], w)

@@ -1,4 +1,4 @@
-"""Projected and plain CG against dense factorization oracles."""
+"""Projected and unprojected Jacobi CG against dense factorization oracles."""
 
 import numpy as np
 import pytest
@@ -71,11 +71,21 @@ def test_error_energy_norm_monotone(small_system):
     assert np.all(np.diff(energies) <= 1e-12 * np.maximum(energies[:-1], 1e-30))
 
 
-def test_preconditioned_agrees(small_system):
-    plain = solve_mean_zero(small_system, tol=1e-12)
-    pre = solve_mean_zero(small_system, tol=1e-12, precondition=True)
-    assert pre.converged
-    assert np.abs(plain.U - pre.U).max() <= 1e-8 * max(1.0, np.abs(plain.U).max())
+def test_reduced_mode_matches_dense_oracle(small_cloud):
+    system = assemble(small_cloud, mode="reduced")
+    res = solve_mean_zero(system, tol=1e-12)
+    assert res.converged
+    want = dense_mean_zero_solution(system)
+    assert np.abs(res.U - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
+
+
+def test_jacobi_iterations_on_fine_cloud():
+    """Jacobi scaling keeps the t=40 base solve short: unscaled CG takes 226
+    iterations on this system."""
+    system = assemble(build_cloud("hemisphere2", 40, 1), mode="full")
+    res = solve_mean_zero(system)
+    assert res.converged
+    assert res.iterations <= 60
 
 
 def test_determinism_repeat_solve(small_system):
@@ -113,7 +123,7 @@ def test_spd_zero_rhs():
 def test_spd_large_lambda_fast():
     """Strong absorption dominates the diagonal; Jacobi CG needs few sweeps."""
     system = _lambda_system(lam=50.0)
-    res = solve_spd(system, tol=1e-10, precondition=True)
+    res = solve_spd(system, tol=1e-10)
     assert res.converged
     assert res.iterations < 50
     want = np.linalg.solve(system.S.toarray(), system.rhs)
