@@ -18,14 +18,15 @@ with its A-weighted mean removed so the right side stays orthogonal to
 the null space.  The reduced model keeps only the diffusion block.
 
 Every block and the smoothed forcing are sums over pairs inside the
-2 delta interaction horizon.  pair_graph searches them once per
-(cloud, delta): its PairGraph holds the interior pairs with their Kbar
-values and the point-boundary pairs with their Kbar and zeta values.
-assemble builds R_A, the coupling and the forcing from it and keeps it
-as NonlocalSystem.pairs, from which the model variants take their
-kernel smoother and flux term; the boundary pairs are searched once
-more, on the boundary points, for Rb.  All pair enumeration is done in
-sorted index order so that assembly is bit-reproducible.
+2 delta interaction horizon.  pair_graph makes the one neighbour search
+per (cloud, delta) and evaluates Kbar once on its pairs.  Boundary point
+k is cloud point n0 - m0 + k (geometry's tail invariant), so every
+point-boundary and boundary-boundary pair is a searched pair or a
+boundary point with itself.  assemble builds R_A, the coupling, Rb and
+the forcing from the PairGraph and keeps it as NonlocalSystem.pairs,
+from which the model variants take their kernel smoother and flux term.
+All pair enumeration is done in sorted index order so that assembly is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ class BoundaryCoupling:
 class PairGraph:
     """Neighbour pairs of one (cloud, delta) inside the 2 delta horizon.
 
-    i < j are the interior pairs in lexicographic order and bar their
-    Kbar(p_i, p_j); bar0 is Kbar at distance zero.  rows, cols are the
-    point-boundary pairs (p_r, q_k), sorted by point and then boundary
-    index, with cross_bar = Kbar(p_r, q_k) and zeta = zeta(p_r, q_k)
-    before normalization.  A reduced-mode graph has no point-boundary
-    pairs.
+    i < j are the pairs of the one search, over all cloud points, in
+    lexicographic order and bar their Kbar(p_i, p_j); bar0 is Kbar at
+    distance zero.  rows, cols are the point-boundary pairs (p_r, q_k),
+    sorted by point and then boundary index, with cross_bar =
+    Kbar(p_r, q_k) and zeta = zeta(p_r, q_k) before normalization; as
+    q_k is point n0 - m0 + k, they are taken from i, j.  A reduced-mode
+    graph has none.
     """
 
     i: np.ndarray
@@ -111,25 +113,17 @@ def zeta_entry(p, q, n_q, delta: float, profile: KernelProfile,
     return float(-(p - q) @ n_q * bar)
 
 
-def _sorted_pairs(rows: np.ndarray, cols: np.ndarray,
-                  ncols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unique index pairs, lexicographically sorted by one int64 key, as int32."""
-    order = np.argsort(rows.astype(np.int64) * ncols + cols)
-    return rows[order].astype(np.int32), cols[order].astype(np.int32)
+def _pair_order(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
+    """Argsort into lexicographic order of unique index pairs, by one int64 key."""
+    return np.argsort(rows.astype(np.int64) * ncols + cols)
 
 
 def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i < j, lexicographically sorted) within ``radius``."""
+    """Index pairs (i < j, lexicographically sorted) within ``radius``, as int32."""
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    return _sorted_pairs(pairs[:, 0], pairs[:, 1], len(points))
-
-
-def _cross_pairs(points: np.ndarray, targets: np.ndarray,
-                 radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """All (point, target) index pairs within ``radius``, sorted."""
-    hits = cKDTree(points).sparse_distance_matrix(
-        cKDTree(targets), radius, output_type="ndarray")
-    return _sorted_pairs(hits["i"], hits["j"], len(targets))
+    i, j = pairs[:, 0], pairs[:, 1]
+    order = _pair_order(i, j, len(points))
+    return i[order].astype(np.int32), j[order].astype(np.int32)
 
 
 def pair_graph(cloud: PointCloud, delta: float | None = None,
@@ -138,28 +132,36 @@ def pair_graph(cloud: PointCloud, delta: float | None = None,
     """Search the cloud's pairs within 2 delta and evaluate their kernels.
 
     Returns the PairGraph and the base kernel K(p_i, p_j) on its
-    interior pairs, which only R_A reads.  In reduced mode only the
-    interior pairs are searched.
+    interior pairs, which only R_A reads.  A full-mode graph takes its
+    point-boundary pairs from the same search.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
-    points, m = cloud.points, cloud.m
+    points, m, n0, m0 = cloud.points, cloud.m, cloud.n0, cloud.m0
     i, j = _sym_pairs(points, 2.0 * delta)
     sq = ((points[i] - points[j]) ** 2).sum(axis=1)
     base = pair_eval(profile, "base", sq, delta, m)
+    bar = pair_eval(profile, "bar", sq, delta, m)
+    bar0 = float(pair_eval(profile, "bar", 0.0, delta, m))
     rows = cols = np.empty(0, dtype=np.int32)
     cross_bar = zeta = np.empty(0)
     if mode == "full":
-        rows, cols = _cross_pairs(points, cloud.boundary, 2.0 * delta)
+        # (i, j) with j in the tail gives (i, j - nb), with i in the tail
+        # also (j, i - nb); each boundary point pairs with itself
+        nb = n0 - m0
+        hit, tail = j >= nb, i >= nb
+        own = np.arange(nb, n0, dtype=np.int32)
+        rows = np.concatenate([i[hit], j[tail], own])
+        cols = np.concatenate([j[hit], i[tail], own]) - nb
+        order = _pair_order(rows, cols, m0)
+        rows, cols = rows[order], cols[order]
+        cross_bar = np.concatenate([bar[hit], bar[tail], np.full(m0, bar0)])[order]
         disp = points[rows] - cloud.boundary[cols]
-        cross_bar = pair_eval(profile, "bar", (disp**2).sum(axis=1), delta, m)
         zeta = -(disp * cloud.normals[cols]).sum(axis=1) * cross_bar
-    graph = PairGraph(i=i, j=j, bar=pair_eval(profile, "bar", sq, delta, m),
-                      bar0=float(pair_eval(profile, "bar", 0.0, delta, m)),
-                      rows=rows, cols=cols, cross_bar=cross_bar, zeta=zeta,
-                      mode=mode)
+    graph = PairGraph(i=i, j=j, bar=bar, bar0=bar0, rows=rows, cols=cols,
+                      cross_bar=cross_bar, zeta=zeta, mode=mode)
     return graph, base
 
 
@@ -182,13 +184,13 @@ def _laplacian(n: int, i: np.ndarray, j: np.ndarray,
     return (off + sparse.diags(diag)).tocsr()
 
 
-def _boundary_edges(cloud: PointCloud, delta: float, profile: KernelProfile):
-    """Boundary pairs within 2 delta with their weights Kbar L_k L_l."""
-    q = cloud.boundary
-    i, j = _sym_pairs(q, 2.0 * delta)
-    bar = pair_eval(profile, "bar", ((q[i] - q[j]) ** 2).sum(axis=1), delta,
-                    cloud.m)
-    return _pair_weights(i, j, bar, cloud.L)
+def _boundary_edges(cloud: PointCloud, pairs: PairGraph):
+    """Boundary pairs within 2 delta with their weights Kbar L_k L_l: the
+    graph's pairs whose first, and so both, indices lie in the tail."""
+    nb = cloud.n0 - cloud.m0
+    first = int(np.searchsorted(pairs.i, nb))
+    return _pair_weights(pairs.i[first:] - nb, pairs.j[first:] - nb,
+                         pairs.bar[first:], cloud.L)
 
 
 def interior_laplacian(cloud: PointCloud, delta: float | None = None,
@@ -201,9 +203,8 @@ def interior_laplacian(cloud: PointCloud, delta: float | None = None,
 def boundary_laplacian(cloud: PointCloud, delta: float | None = None,
                        profile: KernelProfile | None = None) -> sparse.csr_matrix:
     """Boundary graph Laplacian with Kbar L L weights (C_R cancelled form)."""
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
-    return _laplacian(cloud.m0, *_boundary_edges(cloud, delta, profile))
+    pairs, _ = pair_graph(cloud, delta, profile, mode="reduced")
+    return _laplacian(cloud.m0, *_boundary_edges(cloud, pairs))
 
 
 def _incidence_factor(n: int, i: np.ndarray, j: np.ndarray,
@@ -228,8 +229,7 @@ def _incidence_factor(n: int, i: np.ndarray, j: np.ndarray,
                              shape=(ne, n))
 
 
-def _coupling(cloud: PointCloud, pairs: PairGraph, delta: float,
-              profile: KernelProfile
+def _coupling(cloud: PointCloud, pairs: PairGraph
               ) -> tuple[BoundaryCoupling, sparse.csr_matrix | None]:
     """The normalized coupling, the boundary Laplacian and its factor G."""
     n0, m0 = cloud.n0, cloud.m0
@@ -248,7 +248,7 @@ def _coupling(cloud: PointCloud, pairs: PairGraph, delta: float,
             f"omega(q_{k}) = {omega[k]:.3e} <= 0 at boundary point "
             f"{cloud.boundary[k]}; delta may be too large or the cloud too sparse")
     zeta = sparse.csr_matrix((vals / omega[cols], (rows, cols)), shape=(n0, m0))
-    edges = _boundary_edges(cloud, delta, profile)
+    edges = _boundary_edges(cloud, pairs)
     coupling = BoundaryCoupling(zeta=zeta, omega_hat=omega,
                                 RbarL=_laplacian(m0, *edges), L=cloud.L)
     return coupling, _incidence_factor(m0, *edges)
@@ -303,7 +303,7 @@ def assemble(cloud: PointCloud, delta: float | None = None,
     RA = _laplacian(cloud.n0, *_pair_weights(pairs.i, pairs.j, base, cloud.A))
     del base
     S = RA.multiply(1.0 / (delta * delta)).tocsr()
-    coupling, G = _coupling(cloud, pairs, delta, profile)
+    coupling, G = _coupling(cloud, pairs)
     if mode == "full":
         K = (sparse.diags(cloud.A) @ coupling.zeta @ G.T).tocsr()
         # sorted rows make K K^T accumulate (i,j) and (j,i) in the same

@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .assembly import MODES, export_matrix
-from .geometry import CASES, get_case, save_cloud_csv
+from .geometry import CASES, T_MIN, get_case, save_cloud_csv
 from .harness import (
     VARIANTS,
     ConfigurationError,
@@ -117,11 +117,20 @@ def _parse(argv) -> dict:
     return vars(args)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _number_list(text, kind) -> list:
+    """The comma-separated entries of a flag value, each converted by kind."""
     try:
-        return [int(v) for v in str(text).split(",") if v.strip()]
+        return [kind(v) for v in str(text).split(",") if v.strip()]
     except ValueError:
-        raise ConfigurationError(f"bad integer list {text!r}") from None
+        raise ConfigurationError(f"bad {kind.__name__} list {text!r}") from None
+
+
+def _parse_t(text) -> list[int]:
+    """The resolutions of a --t value, each at least T_MIN."""
+    t_list = _number_list(text, int)
+    if any(t < T_MIN for t in t_list):
+        raise ConfigurationError(f"--t {text}: resolutions must be >= {T_MIN}")
+    return t_list
 
 
 def _options(merged: dict) -> HarnessOptions:
@@ -131,7 +140,7 @@ def _options(merged: dict) -> HarnessOptions:
 
 def _cmd_converge(merged: dict) -> int:
     options = _options(merged)
-    t_list = _parse_int_list(merged["t"])
+    t_list = _parse_t(merged["t"])
     report = convergence_study(merged["case"], t_list, int(merged["seeds"]),
                                options)
     csv_path, svg_path = emit_report(report, merged["out"])
@@ -149,8 +158,9 @@ def _cmd_solve(merged: dict) -> int:
         raise ConfigurationError(
             f"--export-matrix: the {options.variant} model solves no single "
             f"linear system")
+    [t] = _parse_t(merged["t"])
     row, result, cloud, system = solve_single(
-        merged["case"], int(merged["t"]), int(merged["seed"]), options)
+        merged["case"], t, int(merged["seed"]), options)
     out = Path(merged["out"])
     out.mkdir(parents=True, exist_ok=True)
     exact = VARIANTS[options.variant].exact(get_case(merged["case"]),
@@ -174,7 +184,7 @@ def _cmd_solve(merged: dict) -> int:
 
 
 def _cmd_lemmas(merged: dict) -> int:
-    deltas = [float(v) for v in str(merged["deltas"]).split(",") if v.strip()]
+    deltas = _number_list(merged["deltas"], float)
     report = lemma_diagnostics(merged["case"], deltas)
     csv_path, svg_path = emit_lemma_report(report, merged["out"])
     print(f"C_R = {report.CR:.12g}")

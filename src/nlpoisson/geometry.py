@@ -269,6 +269,9 @@ def get_case(name: str) -> ManifoldCase:
             f"unknown case {name!r}; available: {sorted(CASES)}") from None
 
 
+T_MIN = 4  # smallest resolution parameter a cloud is sampled at
+
+
 def sample_case(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:
     """Draw the seeded point cloud for one resolution.
 
@@ -279,8 +282,8 @@ def sample_case(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:
     """
     if isinstance(case, str):
         case = get_case(case)
-    if t < 4:
-        raise ValueError("resolution parameter t must be >= 4")
+    if t < T_MIN:
+        raise ValueError(f"resolution parameter t must be >= {T_MIN}")
     n0, m0 = case.counts(t)
     rng = np.random.default_rng(seed)
     ncols = 2 if case.m == 2 else 3
@@ -433,24 +436,17 @@ def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
     return weights
 
 
-def volume_weights(cloud: PointCloud, k: int | None = None) -> np.ndarray:
+def volume_weights(cloud: PointCloud) -> np.ndarray:
     """Volume weights by tangent-plane Delaunay cells around each point."""
     case = get_case(cloud.case_name)
-    if k is None:
-        k = case.k_volume
     frames = case.surface_frames(cloud.points)
-    return _simplex_cell_weights(cloud.points, frames, k, cloud.seed)
+    return _simplex_cell_weights(cloud.points, frames, case.k_volume, cloud.seed)
 
 
-def boundary_weights(cloud: PointCloud, reduced: bool = False) -> np.ndarray:
-    """Boundary weights: arc segments (m=2) or triangle cells (m=3).
-
-    In the reduced model every boundary weight is zero.
-    """
+def boundary_weights(cloud: PointCloud) -> np.ndarray:
+    """Boundary weights: arc segments (m=2) or triangle cells (m=3)."""
     if cloud.m0 < 3:
         raise ValueError("need at least 3 boundary points")
-    if reduced:
-        return np.zeros(cloud.m0)
     case = get_case(cloud.case_name)
     q = cloud.boundary
     if cloud.m == 2:

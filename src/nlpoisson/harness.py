@@ -101,6 +101,19 @@ class HarnessOptions:
         if self.variant != "none" and self.mode != "full":
             raise ConfigurationError(
                 "variants are defined for the full model only")
+        try:
+            self.variant_config()
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
+
+    def variant_config(self, f: Callable | None = None) -> VariantConfig | None:
+        """The variant's VariantConfig with forcing f; None for the base
+        model.  VariantConfig checks the parameter ranges."""
+        if self.variant == "none":
+            return None
+        return VariantConfig(kind=self.variant, lam=self.lam, p=self.p,
+                             theta=self.theta, f=f, picard_tol=self.picard_tol,
+                             picard_max=self.picard_max)
 
 
 @dataclass
@@ -170,11 +183,8 @@ def _solve_nonhomogeneous(cloud, profile, options, f):
 
 
 def _solve_nonlinear(cloud, profile, options, f):
-    config = VariantConfig(kind="nonlinear", lam=options.lam, p=options.p,
-                           theta=options.theta, f=f,
-                           picard_tol=options.picard_tol,
-                           picard_max=options.picard_max)
-    return None, nonlinear_solve(cloud, profile=profile, config=config)
+    return None, nonlinear_solve(cloud, profile=profile,
+                                 config=options.variant_config(f))
 
 
 class Variant(NamedTuple):

@@ -44,7 +44,6 @@ class KernelProfile:
 
     kind: str
     levels: Mapping[str, Callable[[np.ndarray], np.ndarray]]
-    support_radius: float = 1.0
     nondegeneracy_floor: float = 0.0
 
     def __call__(self, level: str, r):

@@ -50,18 +50,19 @@ from .solver import SolveResult, cg, solve_mean_zero, solve_spd  # noqa: F401
 
 VARIANT_KINDS = ("lambda", "nonhomogeneous", "nonlinear")
 THETA_MIN = 1.0 / 16.0
+INNER_TOL = 1e-12  # relative residual target of every inner CG solve
 
 
 @dataclass
 class VariantConfig:
     """Parameters of the generalized models.
 
-    lam is a positive constant or scalar field; p > 1 the nonlinear
-    exponent.  theta, picard_tol and picard_max bound the damped Newton
-    steps of the nonlinear solve (the names date from the damped Picard
-    iteration it replaced): at most picard_max steps, each line search
-    starting at theta, stopping once a step moves no entry by more than
-    picard_tol.
+    lam is a nonnegative constant or scalar field, a positive constant
+    for the nonlinear model; p >= 1 the nonlinear exponent.  theta,
+    picard_tol and picard_max bound the damped Newton steps of the
+    nonlinear solve (the names date from the damped Picard iteration it
+    replaced): at most picard_max steps, each line search starting at
+    theta, stopping once a step moves no entry by more than picard_tol.
     """
 
     kind: str = "lambda"
@@ -78,6 +79,16 @@ class VariantConfig:
                 f"unknown variant kind {self.kind!r}; expected {VARIANT_KINDS}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping theta must lie in (0, 1]")
+        if self.kind == "nonlinear":
+            if self.p < 1.0:
+                raise ValueError("nonlinear exponent p must be >= 1")
+            if callable(self.lam):
+                raise ValueError("nonlinear model takes a constant lambda")
+            if float(self.lam) <= 0.0:
+                raise ValueError("nonlinear model requires lambda > 0")
+        elif (self.kind == "lambda" and not callable(self.lam)
+              and float(self.lam) < 0.0):
+            raise ValueError("lambda must be nonnegative")
 
 
 def _lambda_values(lam, points: np.ndarray) -> np.ndarray:
@@ -210,12 +221,6 @@ class _NonlinearWork:
 
     def __init__(self, cloud: PointCloud, delta: float, profile: KernelProfile,
                  config: VariantConfig):
-        if config.p < 1.0:
-            raise ValueError("nonlinear exponent p must be >= 1")
-        if callable(config.lam):
-            raise ValueError("nonlinear model takes a constant lambda")
-        if float(config.lam) <= 0.0:
-            raise ValueError("nonlinear model requires lambda > 0")
         if cloud.m > 2 and config.p >= cloud.m / (cloud.m - 2):
             warnings.warn(
                 f"exponent p = {config.p} is not subcritical for m = {cloud.m}"
@@ -306,8 +311,7 @@ class _NonlinearWork:
 
 def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
                     profile: KernelProfile | None = None,
-                    config: VariantConfig | None = None,
-                    inner_tol: float = 1e-12) -> SolveResult:
+                    config: VariantConfig | None = None) -> SolveResult:
     """Damped Newton iteration on the discrete energy J.
 
     With w = lambda |ubar|^(2p-2) omega2 A and wb = lambda |uhat|^(2p-2)
@@ -344,7 +348,7 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
 
     # start from the base model's mean-zero solution (solve_mean_zero's
     # projected CG and shift, without the boundary trace it would add)
-    U, _, inner_iterations, ok = cg(work.base.S, work.base.rhs, tol=inner_tol,
+    U, _, inner_iterations, ok = cg(work.base.S, work.base.rhs, tol=INNER_TOL,
                                     project=True)
     U = U - float(U @ cloud.A / cloud.A.sum())
     inner_misses = int(not ok)
@@ -354,7 +358,7 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
     steps = 0
     slack = 1e-12
     for steps in range(1, config.picard_max + 1):
-        inner = work.frozen_solve(U, inner_tol)
+        inner = work.frozen_solve(U, INNER_TOL)
         inner_iterations += inner.iterations
         inner_misses += int(not inner.converged)
         Ustar = inner.U

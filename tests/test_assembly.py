@@ -6,13 +6,14 @@ trace eliminated, the kernel constant C_R appearing and cancelling
 explicitly), independent of the sparse assembly path.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nlpoisson.assembly import (
     AssemblyError,
-    _cross_pairs,
-    _sym_pairs,
+    _boundary_edges,
     assemble,
     boundary_laplacian,
     _incidence_factor,
@@ -25,7 +26,7 @@ from nlpoisson.assembly import (
     zeta_entry,
 )
 from nlpoisson.geometry import PointCloud, build_cloud, get_case, sample_case
-from nlpoisson.kernels import compute_CR, cosine_profile, normalization
+from nlpoisson.kernels import compute_CR, cosine_profile, normalization, pair_eval
 
 
 def _cos(level, r):
@@ -305,32 +306,43 @@ def test_incidence_factor_clamps_negative_weights():
 
 def _search_clouds():
     """hemisphere2 t=5, whose 15 boundary points are also cloud points, and
-    hemisphere3 t=4 with point 7 duplicated, with the number of distance-0
-    pairs each search must find."""
+    hemisphere3 t=4 with interior point 7 duplicated before the boundary
+    tail, with the number of distance-0 pairs each pair set must hold."""
     a = sample_case("hemisphere2", 5, 1)
     b = sample_case("hemisphere3", 4, 1)
-    return [(a.points, a.boundary, 2.0 * a.delta, {"interior": 0, "cross": 15}),
-            (np.vstack([b.points, b.points[7]]), b.boundary, 2.0 * b.delta,
-             {"interior": 1, "cross": 64})]
+    nb = b.n0 - b.m0
+    b.points = np.vstack([b.points[:nb], b.points[7], b.points[nb:]])
+    for cloud in (a, b):
+        cloud.normals = get_case(cloud.case_name).conormal(cloud.boundary)
+    return [(a, {"interior": 0, "cross": 15, "boundary": 0}),
+            (b, {"interior": 1, "cross": 64, "boundary": 0})]
 
 
-@pytest.mark.parametrize("points,targets,radius,zeros", _search_clouds(),
+@pytest.mark.parametrize("cloud,zeros", _search_clouds(),
                          ids=["aliased_boundary", "duplicated_point"])
-@pytest.mark.parametrize("search", ["interior", "cross"])
-def test_pair_search_matches_brute_force(points, targets, radius, zeros,
-                                         search):
-    """Both searches return every pair within the radius (i < j for the
-    interior search) in lexicographic order as int32; pairs within 1e-12
-    relative of the radius are left out of the comparison."""
+@pytest.mark.parametrize("search", ["interior", "cross", "boundary"])
+def test_pair_search_matches_brute_force(cloud, zeros, search, profile):
+    """pair_graph's one search gives every pair within 2 delta in
+    lexicographic order as int32: the interior pairs i < j over all
+    points, the point-boundary pairs, and the boundary pairs k < l that
+    _boundary_edges takes from it.  Their Kbar values, and the zeta
+    values, equal a direct pair_eval on each pair's coordinates.  Pairs
+    within 1e-12 relative of the radius are left out of the comparison."""
+    graph, _ = pair_graph(cloud, profile=profile)
+    radius = 2.0 * cloud.delta
+    points, targets = cloud.points, cloud.boundary
     if search == "interior":
         targets = points
-        got = _sym_pairs(points, radius)
+        got, values = (graph.i, graph.j), graph.bar
+    elif search == "cross":
+        got, values = (graph.rows, graph.cols), graph.cross_bar
     else:
-        got = _cross_pairs(points, targets, radius)
+        points = targets
+        *got, values = _boundary_edges(replace(cloud, L=np.ones(cloud.m0)), graph)
     dist = np.sqrt(((points[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2))
     clear = np.abs(dist - radius) > 1e-12 * radius
     inside = dist <= radius
-    if search == "interior":
+    if search != "cross":
         inside = np.triu(inside, k=1)
     assert np.count_nonzero(inside & (dist == 0.0)) == zeros[search]
     want = np.nonzero(inside & clear)
@@ -338,3 +350,9 @@ def test_pair_search_matches_brute_force(points, targets, radius, zeros,
     for g, w in zip(got, want):
         assert g.dtype == np.int32
         assert np.array_equal(g[keep], w)
+    disp = points[got[0]] - targets[got[1]]
+    bar = pair_eval(profile, "bar", (disp**2).sum(axis=1), cloud.delta, cloud.m)
+    assert np.array_equal(values, bar)
+    if search == "cross":
+        zeta = -(disp * cloud.normals[graph.cols]).sum(axis=1) * bar
+        assert np.array_equal(graph.zeta, zeta)

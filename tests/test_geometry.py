@@ -351,7 +351,6 @@ def test_boundary_weights_modes():
     cloud = sample_case("hemisphere2", 8, 1)
     L = boundary_weights(cloud)
     assert np.all(L >= 0)
-    assert np.all(boundary_weights(cloud, reduced=True) == 0.0)
     tiny = sample_case("hemisphere2", 8, 1)
     tiny.m0 = 2
     with pytest.raises(ValueError):

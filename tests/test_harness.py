@@ -242,6 +242,25 @@ def test_cli_bad_t_list(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--t", "3"],
+    ["converge", "--t", "3,5,6,7"],
+    ["lemmas", "--deltas", "0.4,abc"],
+    ["solve", "--t", "5", "--variant", "nonlinear", "--p", "0.5"],
+    ["solve", "--t", "5", "--variant", "nonlinear", "--theta", "0"],
+    ["solve", "--t", "5", "--variant", "lambda", "--lambda", "-1"],
+    ["solve", "--t", "5", "--variant", "nonlinear", "--lambda", "0"],
+], ids=["solve_t", "converge_t", "lemmas_deltas", "nonlinear_p",
+        "nonlinear_theta", "lambda_negative", "nonlinear_lambda_zero"])
+def test_cli_out_of_range_is_a_configuration_error(argv, tmp_path, capsys):
+    """Values outside a parameter's range exit 2 before anything is written."""
+    out = tmp_path / "out"
+    code = main([argv[0], "--case", "hemisphere2", *argv[1:], "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_unwritable_out(tmp_path):
     blocker = tmp_path / "file.txt"
     blocker.write_text("x")

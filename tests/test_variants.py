@@ -200,26 +200,25 @@ def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
     ("nonhomogeneous", "full"), ("nonlinear", "full"),
 ])
 def test_one_pair_search_per_point_set(variant, mode, monkeypatch):
-    """A solve searches the interior pairs once and, in full mode, the
-    boundary pairs and the point-boundary pairs once each."""
-    searches = []
+    """A solve makes one neighbour search, on one kd-tree over all n0
+    cloud points; the boundary and point-boundary pairs are taken from it."""
+    calls = {"_sym_pairs": [], "cKDTree": []}
 
-    def counted(fn):
+    def counted(name):
+        fn = getattr(assembly, name)
+
         def call(points, *args):
-            searches.append((fn.__name__, len(points)))
+            calls[name].append(len(points))
             return fn(points, *args)
         return call
 
-    for name in ("_sym_pairs", "_cross_pairs"):
-        monkeypatch.setattr(assembly, name, counted(getattr(assembly, name)))
+    for name in calls:
+        monkeypatch.setattr(assembly, name, counted(name))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         row, _ = run_single("hemisphere2", 5, 1,
                             HarnessOptions(variant=variant, mode=mode))
-    want = [("_sym_pairs", row.n0)]
-    if mode == "full":
-        want += [("_cross_pairs", row.n0), ("_sym_pairs", row.m0)]
-    assert sorted(searches) == sorted(want)
+    assert calls == {"_sym_pairs": [row.n0], "cKDTree": [row.n0]}
 
 
 def test_nonhomogeneous_compatibility_warning(small_cloud):
