@@ -16,6 +16,9 @@ positive-semidefinite system
 whose null space is the constants; F carries the kernel-smoothed forcing
 with its A-weighted mean removed so the right side stays orthogonal to
 the null space.  The reduced model keeps only the diffusion block.
+symmetric_product forms the boundary block with B = A Z as C = B (Rb B^T)
+and returns (C + C^T) / 2, so S is exactly symmetric, bit for bit; the
+model variants form their absorption blocks with it too.
 
 Every block and the smoothed forcing are sums over pairs inside the
 2 delta interaction horizon.  pair_graph makes the one neighbour search
@@ -207,37 +210,14 @@ def boundary_laplacian(cloud: PointCloud, delta: float | None = None,
     return _laplacian(cloud.m0, *_boundary_edges(cloud, pairs))
 
 
-def _incidence_factor(n: int, i: np.ndarray, j: np.ndarray,
-                      w: np.ndarray) -> sparse.csr_matrix:
-    """Edge incidence factor G with G^T G the Laplacian of the pairs (i, j, w).
-
-    Kbar loses its sign to cancellation near r = 1: negative values of
-    order -1e-16 were measured on 3 interior pairs at hemisphere2 t=80
-    seed 1, and on 1 interior and 1 point-boundary pair at hemisphere3
-    t=8.  Boundary pairs share that formula, so a negative weight is
-    clamped to 0 to keep its square root real.
-    """
-    root = np.sqrt(np.maximum(w, 0.0))
-    ne = len(root)
-    cols = np.empty(2 * ne, dtype=int)
-    cols[0::2] = i
-    cols[1::2] = j
-    data = np.empty(2 * ne)
-    data[0::2] = root
-    data[1::2] = -root
-    return sparse.csr_matrix((data, (np.repeat(np.arange(ne), 2), cols)),
-                             shape=(ne, n))
-
-
-def _coupling(cloud: PointCloud, pairs: PairGraph
-              ) -> tuple[BoundaryCoupling, sparse.csr_matrix | None]:
-    """The normalized coupling, the boundary Laplacian and its factor G."""
+def _coupling(cloud: PointCloud, pairs: PairGraph) -> BoundaryCoupling:
+    """The normalized coupling and the boundary Laplacian."""
     n0, m0 = cloud.n0, cloud.m0
     if pairs.mode == "reduced":
         return BoundaryCoupling(zeta=sparse.csr_matrix((n0, m0)),
                                 omega_hat=np.zeros(m0),
                                 RbarL=sparse.csr_matrix((m0, m0)),
-                                L=np.zeros(m0)), None
+                                L=np.zeros(m0))
     keep = pairs.zeta != 0.0
     rows, cols, vals = pairs.rows[keep], pairs.cols[keep], pairs.zeta[keep]
     omega = np.bincount(cols, weights=vals * cloud.A[rows], minlength=m0)
@@ -248,10 +228,16 @@ def _coupling(cloud: PointCloud, pairs: PairGraph
             f"omega(q_{k}) = {omega[k]:.3e} <= 0 at boundary point "
             f"{cloud.boundary[k]}; delta may be too large or the cloud too sparse")
     zeta = sparse.csr_matrix((vals / omega[cols], (rows, cols)), shape=(n0, m0))
-    edges = _boundary_edges(cloud, pairs)
-    coupling = BoundaryCoupling(zeta=zeta, omega_hat=omega,
-                                RbarL=_laplacian(m0, *edges), L=cloud.L)
-    return coupling, _incidence_factor(m0, *edges)
+    return BoundaryCoupling(zeta=zeta, omega_hat=omega,
+                            RbarL=_laplacian(m0, *_boundary_edges(cloud, pairs)),
+                            L=cloud.L)
+
+
+def symmetric_product(B: sparse.spmatrix, M: sparse.spmatrix) -> sparse.csr_matrix:
+    """B M B^T for a symmetric M, as C = B (M B^T) made exactly symmetric:
+    IEEE addition commutes, so (C + C^T) / 2 has (i, j) = (j, i) bit for bit."""
+    C = (B @ (M @ B.T)).tocsr()
+    return ((C + C.T) * 0.5).tocsr()
 
 
 def bar_matrix(pairs: PairGraph, n: int) -> sparse.csr_matrix:
@@ -303,13 +289,10 @@ def assemble(cloud: PointCloud, delta: float | None = None,
     RA = _laplacian(cloud.n0, *_pair_weights(pairs.i, pairs.j, base, cloud.A))
     del base
     S = RA.multiply(1.0 / (delta * delta)).tocsr()
-    coupling, G = _coupling(cloud, pairs)
+    coupling = _coupling(cloud, pairs)
     if mode == "full":
-        K = (sparse.diags(cloud.A) @ coupling.zeta @ G.T).tocsr()
-        # sorted rows make K K^T accumulate (i,j) and (j,i) in the same
-        # order, so S comes out exactly symmetric
-        K.sort_indices()
-        S = (S + 2.0 * (K @ K.T)).tocsr()
+        AZ = sparse.diags(cloud.A) @ coupling.zeta
+        S = (S + 2.0 * symmetric_product(AZ, coupling.RbarL)).tocsr()
 
     fd = smoothed_forcing(cloud, pairs, f)
     shift = float(fd @ cloud.A / cloud.A.sum())

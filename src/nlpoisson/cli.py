@@ -159,8 +159,10 @@ def _cmd_solve(merged: dict) -> int:
             f"--export-matrix: the {options.variant} model solves no single "
             f"linear system")
     [t] = _parse_t(merged["t"])
-    row, result, cloud, system = solve_single(
-        merged["case"], t, int(merged["seed"]), options)
+    seed = int(merged["seed"])
+    if seed < 0:
+        raise ConfigurationError(f"--seed {seed}: seeds must be >= 0")
+    row, result, cloud, system = solve_single(merged["case"], t, seed, options)
     out = Path(merged["out"])
     out.mkdir(parents=True, exist_ok=True)
     exact = VARIANTS[options.variant].exact(get_case(merged["case"]),

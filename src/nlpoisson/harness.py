@@ -352,6 +352,8 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
             "kernel-order diagnostics run on the hemisphere2 circle fixture")
     profile = profile or cosine_profile()
     deltas = sorted((float(d) for d in deltas), reverse=True)
+    if not all(np.isfinite(d) and d > 0.0 for d in deltas):
+        raise ConfigurationError("horizons must be finite and > 0")
     if len(deltas) < 4:
         raise ConfigurationError("need at least 4 horizons")
     if deltas[0] / deltas[-1] < 4.0:

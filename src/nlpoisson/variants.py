@@ -40,6 +40,7 @@ from .assembly import (
     interior_laplacian,  # noqa: F401
     pair_graph,
     smoothed_forcing,
+    symmetric_product,
 )
 from .geometry import PointCloud, get_case
 from .kernels import KernelProfile, cosine_profile
@@ -57,8 +58,8 @@ INNER_TOL = 1e-12  # relative residual target of every inner CG solve
 class VariantConfig:
     """Parameters of the generalized models.
 
-    lam is a nonnegative constant or scalar field, a positive constant
-    for the nonlinear model; p >= 1 the nonlinear exponent.  theta,
+    lam is a finite constant > 0, or a nonnegative scalar field for the
+    lambda model; p >= 1, finite, the nonlinear exponent.  theta,
     picard_tol and picard_max bound the damped Newton steps of the
     nonlinear solve (the names date from the damped Picard iteration it
     replaced): at most picard_max steps, each line search starting at
@@ -80,15 +81,13 @@ class VariantConfig:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping theta must lie in (0, 1]")
         if self.kind == "nonlinear":
-            if self.p < 1.0:
-                raise ValueError("nonlinear exponent p must be >= 1")
+            if not (np.isfinite(self.p) and self.p >= 1.0):
+                raise ValueError("nonlinear exponent p must be finite and >= 1")
             if callable(self.lam):
                 raise ValueError("nonlinear model takes a constant lambda")
-            if float(self.lam) <= 0.0:
-                raise ValueError("nonlinear model requires lambda > 0")
-        elif (self.kind == "lambda" and not callable(self.lam)
-              and float(self.lam) < 0.0):
-            raise ValueError("lambda must be nonnegative")
+        if self.kind != "nonhomogeneous" and not callable(self.lam):
+            if not (np.isfinite(self.lam) and self.lam > 0.0):
+                raise ValueError(f"{self.kind} model requires a finite lambda > 0")
 
 
 def _lambda_values(lam, points: np.ndarray) -> np.ndarray:
@@ -113,22 +112,14 @@ def _smoother(base: NonlocalSystem) -> tuple[np.ndarray, sparse.csr_matrix]:
 def _absorption_matrix(base: NonlocalSystem, Pbar: sparse.csr_matrix,
                        omega2: np.ndarray, w_interior: np.ndarray,
                        w_boundary: np.ndarray) -> sparse.csr_matrix:
-    """Energy-consistent absorption block, exactly symmetric by factoring.
-
-    Returns P^T diag(w w2 A) P + (A Z) diag(wb omega L) (A Z)^T.
-    """
-    cloud = base.cloud
-    k_int = (sparse.diags(np.sqrt(w_interior * omega2 * cloud.A)) @ Pbar).tocsr()
-    k_int.sort_indices()
-    M = (k_int.T @ k_int).tocsr()
-    coupling = base.coupling
-    wb = w_boundary * coupling.omega_hat * coupling.L
-    if np.any(wb != 0.0):
-        az = (sparse.diags(cloud.A) @ coupling.zeta).T
-        k_bnd = (sparse.diags(np.sqrt(wb)) @ az).tocsr()
-        k_bnd.sort_indices()
-        M = (M + k_bnd.T @ k_bnd).tocsr()
-    return M
+    """Energy-consistent absorption block P^T diag(w w2 A) P
+    + (A Z) diag(wb omega L) (A Z)^T, each term by symmetric_product."""
+    cloud, coupling = base.cloud, base.coupling
+    AZ = sparse.diags(cloud.A) @ coupling.zeta
+    interior = sparse.diags(w_interior * omega2 * cloud.A)
+    boundary = sparse.diags(w_boundary * coupling.omega_hat * coupling.L)
+    return (symmetric_product(Pbar.T, interior)
+            + symmetric_product(AZ, boundary)).tocsr()
 
 
 def assemble_lambda(cloud: PointCloud, delta: float | None = None,

@@ -10,19 +10,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from nlpoisson.assembly import (
     AssemblyError,
     _boundary_edges,
     assemble,
     boundary_laplacian,
-    _incidence_factor,
-    _laplacian,
     boundary_trace,
     export_matrix,
     interior_laplacian,
     pair_graph,
     smoothed_forcing,
+    symmetric_product,
     zeta_entry,
 )
 from nlpoisson.geometry import PointCloud, build_cloud, get_case, sample_case
@@ -201,11 +201,15 @@ def test_omega_degenerate_raises(profile):
         assemble(cloud, profile=profile)
 
 
-@pytest.mark.parametrize("t", [5, 10])
-def test_matvec_matches_summation_form(t, profile):
-    cloud = build_cloud("hemisphere2", t, 1)
+@pytest.mark.parametrize("case,t", [
+    pytest.param("hemisphere2", 5, id="5"),
+    pytest.param("hemisphere2", 10, id="10"),
+    pytest.param("hemisphere3", 4, id="hemisphere3-4"),
+])
+def test_matvec_matches_summation_form(case, t, profile):
+    cloud = build_cloud(case, t, 1)
     system = assemble(cloud, profile=profile, mode="full")
-    CR = compute_CR(profile, 2)
+    CR = compute_CR(profile, cloud.m)
     rng = np.random.default_rng(100 + t)
     for _ in range(20):
         U = rng.standard_normal(cloud.n0)
@@ -293,15 +297,18 @@ def test_smoothed_forcing_modes(medium_cloud, profile):
         forcing("both")
 
 
-def test_incidence_factor_clamps_negative_weights():
-    """G^T G is the Laplacian of the pair weights; a negative weight, as
-    Kbar's cancellation near r = 1 gives, counts as 0 and makes no NaN."""
-    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
-    w = np.array([0.5, -3e-16, 2.0])
-    G = _incidence_factor(3, i, j, w)
-    want = _laplacian(3, i, j, np.maximum(w, 0.0)).toarray()
-    assert np.all(np.isfinite(G.data))
-    assert np.allclose((G.T @ G).toarray(), want, rtol=0.0, atol=1e-15)
+def test_symmetric_product_is_exact_and_symmetric():
+    """B M B^T of a random sparse B and a symmetric M is symmetric bit for
+    bit and matches the dense product."""
+    rng = np.random.default_rng(5)
+    B = sparse.random(40, 25, density=0.15, format="csr", random_state=rng)
+    half = sparse.random(25, 25, density=0.2, format="csr", random_state=rng)
+    M = half + half.T
+    P = symmetric_product(B, M)
+    assert (P - P.T).count_nonzero() == 0
+    Bd = B.toarray()
+    want = Bd @ M.toarray() @ Bd.T
+    assert np.abs(P.toarray() - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def _search_clouds():

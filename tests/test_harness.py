@@ -221,8 +221,14 @@ def test_cli_converge_and_solve(tmp_path):
 @pytest.mark.parametrize("variant", ["none", "nonhomogeneous"])
 def test_cli_solve_exact_column_is_the_variants(tmp_path, variant):
     out = tmp_path / variant
-    code = main(["solve", "--case", "hemisphere2", "--t", "6", "--seed", "2",
-                 "--variant", variant, "--out", str(out)])
+    argv = ["solve", "--case", "hemisphere2", "--t", "6", "--seed", "2",
+            "--variant", variant, "--out", str(out)]
+    if variant == "nonhomogeneous":
+        # the flux data of hemisphere2_zsq miss discrete compatibility at t=6
+        with pytest.warns(UserWarning, match="discrete compatibility"):
+            code = main(argv)
+    else:
+        code = main(argv)
     assert code == 0
     rows = np.genfromtxt(out / "solution.csv", delimiter=",", names=True,
                          dtype=None, encoding="utf-8")
@@ -250,8 +256,19 @@ def test_cli_bad_t_list(tmp_path):
     ["solve", "--t", "5", "--variant", "nonlinear", "--theta", "0"],
     ["solve", "--t", "5", "--variant", "lambda", "--lambda", "-1"],
     ["solve", "--t", "5", "--variant", "nonlinear", "--lambda", "0"],
+    ["solve", "--t", "5", "--variant", "lambda", "--lambda", "0"],
+    ["lemmas", "--deltas", "0.4,0.2,0.1,0"],
+    ["solve", "--t", "5", "--seed", "-1"],
+    ["lemmas", "--deltas", "0.4,0.2,0.1,nan"],
+    ["lemmas", "--deltas", "inf,0.2,0.1,0.05"],
+    ["solve", "--t", "5", "--variant", "lambda", "--lambda", "nan"],
+    ["solve", "--t", "5", "--variant", "nonlinear", "--lambda", "inf"],
+    ["solve", "--t", "5", "--variant", "nonlinear", "--p", "nan"],
 ], ids=["solve_t", "converge_t", "lemmas_deltas", "nonlinear_p",
-        "nonlinear_theta", "lambda_negative", "nonlinear_lambda_zero"])
+        "nonlinear_theta", "lambda_negative", "nonlinear_lambda_zero",
+        "lambda_zero", "lemmas_delta_zero", "solve_seed", "lemmas_delta_nan",
+        "lemmas_delta_inf", "lambda_nan", "nonlinear_lambda_inf",
+        "nonlinear_p_nan"])
 def test_cli_out_of_range_is_a_configuration_error(argv, tmp_path, capsys):
     """Values outside a parameter's range exit 2 before anything is written."""
     out = tmp_path / "out"
