@@ -18,7 +18,7 @@ with its A-weighted mean removed so the right side stays orthogonal to
 the null space.  The reduced model keeps only the diffusion block.
 symmetric_product forms the boundary block with B = A Z as C = B (Rb B^T)
 and returns (C + C^T) / 2, so S is exactly symmetric, bit for bit; the
-model variants form their absorption blocks with it too.
+absorption models use it only to materialize their operator.
 
 Every block and the smoothed forcing are sums over pairs inside the
 2 delta interaction horizon.  pair_graph makes the one neighbour search
@@ -91,7 +91,7 @@ class PairGraph:
 
 @dataclass
 class NonlocalSystem:
-    S: sparse.csr_matrix
+    S: sparse.csr_matrix         # or an operator with @, diagonal(), materialize()
     rhs: np.ndarray
     coupling: BoundaryCoupling
     A: np.ndarray
@@ -309,8 +309,9 @@ def boundary_trace(coupling: BoundaryCoupling, A: np.ndarray,
 
 
 def export_matrix(system: NonlocalSystem, path) -> None:
-    """Write S in coordinate text format with a .meta sidecar."""
-    coo = system.S.tocoo()
+    """Write S, materialized if an operator, as coordinate text and .meta."""
+    S = system.S if sparse.issparse(system.S) else system.S.materialize()
+    coo = S.tocoo()
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w") as fh:
         for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):

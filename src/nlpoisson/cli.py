@@ -38,6 +38,8 @@ from .harness import (
 )
 
 OPTION_FIELDS = tuple(f.name for f in dataclasses.fields(HarnessOptions))
+SWITCH_VALUES = {"true": True, "yes": True, "1": True,
+                 "false": False, "no": False, "0": False}
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -100,7 +102,10 @@ def _config_defaults(path: str, args: argparse.Namespace) -> dict:
             raise ConfigurationError(
                 f"{path}:{lineno}: unknown key {key!r} for {args.command}")
         if dest == "allow_partial":
-            val = val.lower() in ("1", "true", "yes")
+            if val.lower() not in SWITCH_VALUES:
+                raise ConfigurationError(f"{path}:{lineno}: {key} = {val!r} is "
+                                         f"not one of {', '.join(SWITCH_VALUES)}")
+            val = SWITCH_VALUES[val.lower()]
         values[dest] = val
     return values
 

@@ -18,8 +18,9 @@ blocks:
       H U* = A f_delta + (2p-2) (Pbar^T (w ubar) + AZ (wb uhat)),
       H = S + Pbar^T diag((2p-1) w) Pbar + AZ diag((2p-1) wb) AZ^T,
 
-  where H is the Hessian of J at U.  H is applied matrix-free, from
-  blocks built once per solve, and the system is solved by Jacobi PCG.
+  where H is the Hessian of J at U.  H and the absorption system, H at
+  p = 1, are one AbsorptionOperator: blocks built once, applied
+  matrix-free with their own weights, and solved by Jacobi PCG.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ INNER_TOL = 1e-12  # relative residual target of every inner CG solve
 class VariantConfig:
     """Parameters of the generalized models.
 
-    lam is a finite constant > 0, or a nonnegative scalar field for the
-    lambda model; p >= 1, finite, the nonlinear exponent.  theta,
+    lam is a finite constant > 0, or a scalar field of finite nonnegative
+    values for the lambda model; p >= 1, finite, the nonlinear exponent.  theta,
     picard_tol and picard_max bound the damped Newton steps of the
     nonlinear solve (the names date from the damped Picard iteration it
     replaced): at most picard_max steps, each line search starting at
@@ -93,33 +94,9 @@ class VariantConfig:
 def _lambda_values(lam, points: np.ndarray) -> np.ndarray:
     vals = lam(points) if callable(lam) else np.full(points.shape[0], float(lam))
     vals = np.asarray(vals, dtype=float)
-    if np.any(vals < 0):
-        raise ValueError("lambda must be nonnegative")
+    if not np.all(np.isfinite(vals) & (vals >= 0)):
+        raise ValueError("lambda must be finite and nonnegative")
     return vals
-
-
-def _smoother(base: NonlocalSystem) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """Interior smoothing mass w2_j = sum_i Kbar(p_j, p_i) A_i and the
-    row-stochastic smoother P with P_ji = Kbar(p_j, p_i) A_i / w2_j."""
-    bar = bar_matrix(base.pairs, len(base.A))
-    omega2 = bar @ base.A
-    if np.any(omega2 <= 0.0):
-        j = int(np.argmin(omega2))
-        raise ValueError(f"smoothing mass w2({j}) = {omega2[j]:.3e} <= 0")
-    return omega2, (sparse.diags(1.0 / omega2) @ bar @ sparse.diags(base.A)).tocsr()
-
-
-def _absorption_matrix(base: NonlocalSystem, Pbar: sparse.csr_matrix,
-                       omega2: np.ndarray, w_interior: np.ndarray,
-                       w_boundary: np.ndarray) -> sparse.csr_matrix:
-    """Energy-consistent absorption block P^T diag(w w2 A) P
-    + (A Z) diag(wb omega L) (A Z)^T, each term by symmetric_product."""
-    cloud, coupling = base.cloud, base.coupling
-    AZ = sparse.diags(cloud.A) @ coupling.zeta
-    interior = sparse.diags(w_interior * omega2 * cloud.A)
-    boundary = sparse.diags(w_boundary * coupling.omega_hat * coupling.L)
-    return (symmetric_product(Pbar.T, interior)
-            + symmetric_product(AZ, boundary)).tocsr()
 
 
 def assemble_lambda(cloud: PointCloud, delta: float | None = None,
@@ -134,8 +111,9 @@ def assemble_lambda(cloud: PointCloud, delta: float | None = None,
     base = assemble(cloud, delta, profile, mode="full", f=f)
     lam_p = _lambda_values(lam, cloud.points)
     lam_q = _lambda_values(lam, cloud.boundary)
-    omega2, Pbar = _smoother(base)
-    S = (base.S + _absorption_matrix(base, Pbar, omega2, lam_p, lam_q)).tocsr()
+    blocks = AbsorptionBlocks(base)
+    S = AbsorptionOperator(blocks, lam_p * blocks.interior_mass,
+                           lam_q * blocks.boundary_mass)
     return replace(base, S=S, rhs=cloud.A * base.f_delta, mean_shift=0.0,
                    variant="lambda")
 
@@ -185,30 +163,63 @@ def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
                    variant="nonhomogeneous")
 
 
-class _FrozenOperator:
-    """Frozen absorption system S + Pbar^T diag(w) Pbar + AZ diag(wb) AZ^T.
+class AbsorptionBlocks:
+    """Fixed blocks of every absorption operator on a full-mode base system,
+    with the interior smoothing mass omega2_j = sum_i Kbar(p_j, p_i) A_i and
+    the row-stochastic smoother Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j."""
 
-    Applied matrix-free from the fixed blocks of a _NonlinearWork; only
-    the weights w (interior) and wb (boundary) change between steps.
-    """
+    def __init__(self, base: NonlocalSystem):
+        cloud, coupling = base.cloud, base.coupling
+        self.base = base
+        bar = bar_matrix(base.pairs, len(base.A))
+        self.omega2 = bar @ base.A
+        if np.any(self.omega2 <= 0.0):
+            j = int(np.argmin(self.omega2))
+            raise ValueError(f"smoothing mass w2({j}) = {self.omega2[j]:.3e} <= 0")
+        self.Pbar = (sparse.diags(1.0 / self.omega2) @ bar
+                     @ sparse.diags(base.A)).tocsr()
+        del bar  # freed before the transposes below are built
+        self.PbarT = self.Pbar.T.tocsr()
+        self.AZ = (sparse.diags(cloud.A) @ coupling.zeta).tocsr()
+        self.AZT = self.AZ.T.tocsr()
+        self.S_diag = base.S.diagonal()
+        self.Pbar_sqT = self.Pbar.multiply(self.Pbar).T.tocsr()
+        self.AZ_sq = self.AZ.multiply(self.AZ).tocsr()
+        self.interior_mass = self.omega2 * cloud.A
+        self.boundary_mass = coupling.omega_hat * coupling.L
 
-    def __init__(self, work: _NonlinearWork, w: np.ndarray, wb: np.ndarray):
-        self.work = work
-        self.w = w
-        self.wb = wb
+
+@dataclass(eq=False)
+class AbsorptionOperator:
+    """S + Pbar^T diag(w) Pbar + AZ diag(wb) AZ^T, applied matrix-free from
+    fixed AbsorptionBlocks: the lambda model and each Newton step differ
+    only in the weights.  materialize() multiplies it out, for export and
+    tests."""
+
+    blocks: AbsorptionBlocks
+    w: np.ndarray
+    wb: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        work = self.work
-        return (work.base.S @ x + work.PbarT @ (self.w * (work.Pbar @ x))
-                + work.AZ @ (self.wb * (work.AZT @ x)))
+        b = self.blocks
+        return (b.base.S @ x + b.PbarT @ (self.w * (b.Pbar @ x))
+                + b.AZ @ (self.wb * (b.AZT @ x)))
 
     def diagonal(self) -> np.ndarray:
-        work = self.work
-        return work.S_diag + work.Pbar_sqT @ self.w + work.AZ_sq @ self.wb
+        b = self.blocks
+        return b.S_diag + b.Pbar_sqT @ self.w + b.AZ_sq @ self.wb
+
+    def materialize(self) -> sparse.csr_matrix:
+        """The operator multiplied out, each term by symmetric_product."""
+        b = self.blocks
+        return (b.base.S + (symmetric_product(b.Pbar.T, sparse.diags(self.w))
+                            + symmetric_product(b.AZ, sparse.diags(self.wb)))
+                ).tocsr()
 
 
-class _NonlinearWork:
-    """Shared factors for the nonlinear iteration and its energy."""
+class _NonlinearWork(AbsorptionBlocks):
+    """The absorption blocks with the nonlinear model's Newton systems and
+    energy."""
 
     def __init__(self, cloud: PointCloud, delta: float, profile: KernelProfile,
                  config: VariantConfig):
@@ -218,20 +229,9 @@ class _NonlinearWork:
                 f" (p < {cloud.m / (cloud.m - 2):.3g} expected)")
         self.cloud = cloud
         self.config = config
-        self.base = assemble(cloud, delta, profile, mode="full", f=config.f)
-        self.omega2, self.Pbar = _smoother(self.base)
+        super().__init__(assemble(cloud, delta, profile, mode="full",
+                                  f=config.f))
         self.rhs = cloud.A * self.base.f_delta
-        # fixed blocks of every frozen system, and their squared entries
-        # for its exact diagonal
-        coupling = self.base.coupling
-        self.PbarT = self.Pbar.T.tocsr()
-        self.AZ = (sparse.diags(cloud.A) @ coupling.zeta).tocsr()
-        self.AZT = self.AZ.T.tocsr()
-        self.S_diag = self.base.S.diagonal()
-        self.Pbar_sqT = self.Pbar.multiply(self.Pbar).T.tocsr()
-        self.AZ_sq = self.AZ.multiply(self.AZ).tocsr()
-        self.interior_mass = self.omega2 * cloud.A
-        self.boundary_mass = coupling.omega_hat * coupling.L
 
     def averages(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ubar = self.Pbar @ U
@@ -247,15 +247,15 @@ class _NonlinearWork:
         wb = lam * np.abs(uhat) ** (2.0 * p - 2.0) * self.boundary_mass
         return ubar, uhat, w, wb
 
-    def frozen(self, U: np.ndarray) -> _FrozenOperator:
+    def frozen(self, U: np.ndarray) -> AbsorptionOperator:
         """The system with lambda |u|^(2p-2) frozen at U.
 
         frozen(U) @ U - rhs is the gradient of the energy at U.
         """
         _, _, w, wb = self._weights(U)
-        return _FrozenOperator(self, w, wb)
+        return AbsorptionOperator(self, w, wb)
 
-    def newton(self, U: np.ndarray) -> tuple[_FrozenOperator, np.ndarray]:
+    def newton(self, U: np.ndarray) -> tuple[AbsorptionOperator, np.ndarray]:
         """Hessian H of the energy at U and the Newton right side.
 
         H is the frozen system with both weights scaled by 2p - 1; the
@@ -265,8 +265,8 @@ class _NonlinearWork:
         """
         p = self.config.p
         ubar, uhat, w, wb = self._weights(U)
-        hessian = _FrozenOperator(self, (2.0 * p - 1.0) * w,
-                                  (2.0 * p - 1.0) * wb)
+        hessian = AbsorptionOperator(self, (2.0 * p - 1.0) * w,
+                                     (2.0 * p - 1.0) * wb)
         rhs = self.rhs + (2.0 * p - 2.0) * (self.PbarT @ (w * ubar)
                                             + self.AZ @ (wb * uhat))
         return hessian, rhs
@@ -305,13 +305,7 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
                     config: VariantConfig | None = None) -> SolveResult:
     """Damped Newton iteration on the discrete energy J.
 
-    With w = lambda |ubar|^(2p-2) omega2 A and wb = lambda |uhat|^(2p-2)
-    omega_hat L frozen at the iterate U, each step solves the Newton
-    system
-
-        H U* = A f_delta + (2p-2) (Pbar^T (w ubar) + AZ (wb uhat)),
-        H = S + Pbar^T diag((2p-1) w) Pbar + AZ diag((2p-1) wb) AZ^T,
-
+    Each step solves the Newton system H U* = ... of the module docstring
     by Jacobi PCG started from U, without forming H, and moves to
     U + theta (U* - U).  theta starts at config.theta every step and is
     halved while the energy would rise (not below 1/16, after which the

@@ -129,7 +129,7 @@ def test_criterion_7_second_order_surrogate(h2_full):
 def test_criterion_8_lambda_variant():
     cloud = build_cloud("hemisphere2", 5, 1)
     system = assemble_lambda(cloud, lam=1.0)
-    vals = np.linalg.eigvalsh(system.S.toarray())
+    vals = np.linalg.eigvalsh(system.S.materialize().toarray())
     case = get_case("hemisphere2")
 
     def f_man(x):

@@ -301,6 +301,18 @@ def test_cli_config_file(tmp_path):
     assert (tmp_path / "flagout" / "converge.csv").exists()
 
 
+def test_cli_config_bad_switch(tmp_path, capsys):
+    """A misspelt allow-partial value is refused, not read as false."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("allow-partial = ture\n")
+    out = tmp_path / "out"
+    code = main(["converge", "--case", "hemisphere2", "--t", "5,6,7,8",
+                 "--seeds", "1", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "'ture'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_variant_flags(tmp_path):
     code = main(["converge", "--case", "hemisphere2", "--t", "5,6,7,8",
                  "--seeds", "1", "--variant", "lambda", "--lambda", "1.0",
@@ -352,7 +364,7 @@ def test_cli_solve_builds_once_and_exports_the_solved_system(
         case = get_case("hemisphere2")
         S = variants.assemble_lambda(
             cloud, lam=2.0,
-            f=lambda x: case.forcing(x) + 2.0 * case.exact_u(x)).S
+            f=lambda x: case.forcing(x) + 2.0 * case.exact_u(x)).S.materialize()
     else:
         S = harness.assemble(cloud).S
     assert np.array_equal(_read_coo(matrix, cloud.n0), S.toarray())

@@ -109,7 +109,7 @@ def test_spd_matches_dense_oracle():
     system = _lambda_system()
     res = solve_spd(system, tol=1e-12)
     assert res.converged
-    want = np.linalg.solve(system.S.toarray(), system.rhs)
+    want = np.linalg.solve(system.S.materialize().toarray(), system.rhs)
     assert np.abs(res.U - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
 
 
@@ -126,7 +126,7 @@ def test_spd_large_lambda_fast():
     res = solve_spd(system, tol=1e-10)
     assert res.converged
     assert res.iterations < 50
-    want = np.linalg.solve(system.S.toarray(), system.rhs)
+    want = np.linalg.solve(system.S.materialize().toarray(), system.rhs)
     assert np.abs(res.U - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
 
 

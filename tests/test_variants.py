@@ -12,11 +12,10 @@ from nlpoisson.harness import HarnessOptions, e2_error, run_single
 from nlpoisson.kernels import cosine_profile
 from nlpoisson.solver import SolveResult, cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import (
+    AbsorptionBlocks,
+    AbsorptionOperator,
     VariantConfig,
-    _FrozenOperator,
     _NonlinearWork,
-    _absorption_matrix,
-    _smoother,
     assemble_lambda,
     assemble_nonhomogeneous,
     nonlinear_solve,
@@ -55,7 +54,7 @@ def _nh_g(q):
 def test_lambda_zero_is_identity(small_cloud):
     base = assemble(small_cloud, mode="full")
     lam0 = assemble_lambda(small_cloud, lam=0.0)
-    assert abs(lam0.S - base.S).max() == 0.0
+    assert abs(lam0.S.materialize() - base.S).max() == 0.0
 
 
 def test_lambda_rejects_negative(small_cloud):
@@ -63,10 +62,22 @@ def test_lambda_rejects_negative(small_cloud):
         assemble_lambda(small_cloud, lam=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lambda_rejects_non_finite_field(small_cloud, bad):
+    """One non-finite value in a lambda field is refused."""
+    def lam_field(x):
+        vals = np.ones(x.shape[0])
+        vals[0] = bad
+        return vals
+
+    with pytest.raises(ValueError, match="finite"):
+        assemble_lambda(small_cloud, lam=lam_field)
+
+
 def test_lambda_constant_energy(small_cloud):
     lam = 1.7
     system = assemble_lambda(small_cloud, lam=lam)
-    omega2, _ = _smoother(system)
+    omega2 = system.S.blocks.omega2
     omega_hat = system.coupling.omega_hat
     ones = np.ones(small_cloud.n0)
     got = float(ones @ (system.S @ ones))
@@ -77,10 +88,10 @@ def test_lambda_constant_energy(small_cloud):
 
 
 def test_lambda_strictly_positive_definite(small_cloud):
-    system = assemble_lambda(small_cloud, lam=1.0)
-    vals = np.linalg.eigvalsh(system.S.toarray())
+    S = assemble_lambda(small_cloud, lam=1.0).S.materialize()
+    vals = np.linalg.eigvalsh(S.toarray())
     assert vals[0] > 0.0
-    assert (system.S - system.S.T).count_nonzero() == 0
+    assert (S - S.T).count_nonzero() == 0
 
 
 def test_lambda_rhs_keeps_mean(small_cloud):
@@ -129,11 +140,10 @@ def test_energy_gradient_matches_finite_differences(small_cloud, rng):
                            f=lambda x: np.zeros(x.shape[0]))
     work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
                           config)
-    lam_vec = np.full(small_cloud.n0, lam)
-    lam_bnd = np.full(small_cloud.m0, lam)
-    M = _absorption_matrix(work.base, work.Pbar, work.omega2, lam_vec, lam_bnd)
+    system = AbsorptionOperator(work, lam * work.interior_mass,
+                                lam * work.boundary_mass)
     U = rng.standard_normal(small_cloud.n0)
-    grad = (work.base.S + M) @ U
+    grad = system @ U
     h = 1e-6
     fd = np.empty_like(U)
     for i in range(len(U)):
@@ -201,24 +211,30 @@ def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
 ])
 def test_one_pair_search_per_point_set(variant, mode, monkeypatch):
     """A solve makes one neighbour search, on one kd-tree over all n0
-    cloud points; the boundary and point-boundary pairs are taken from it."""
-    calls = {"_sym_pairs": [], "cKDTree": []}
+    cloud points; the boundary and point-boundary pairs are taken from it.
+    It multiplies out one block product, full-mode S's boundary block (none
+    in reduced mode): the absorption blocks are applied, not multiplied."""
+    calls = {"_sym_pairs": [], "cKDTree": [], "symmetric_product": []}
 
     def counted(name):
         fn = getattr(assembly, name)
 
-        def call(points, *args):
-            calls[name].append(len(points))
-            return fn(points, *args)
+        def call(first, *args):
+            calls[name].append(first.shape[0])
+            return fn(first, *args)
         return call
 
     for name in calls:
         monkeypatch.setattr(assembly, name, counted(name))
+    monkeypatch.setattr(variants, "symmetric_product",
+                        assembly.symmetric_product)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         row, _ = run_single("hemisphere2", 5, 1,
                             HarnessOptions(variant=variant, mode=mode))
-    assert calls == {"_sym_pairs": [row.n0], "cKDTree": [row.n0]}
+    products = [] if mode == "reduced" else [row.n0]
+    assert calls == {"_sym_pairs": [row.n0], "cKDTree": [row.n0],
+                     "symmetric_product": products}
 
 
 def test_nonhomogeneous_compatibility_warning(small_cloud):
@@ -348,25 +364,35 @@ def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
 
 
 @pytest.mark.parametrize("cloud_name", ["small_cloud", "medium_cloud"])
-@pytest.mark.parametrize("boundary", ["random", "zero"])
-def test_frozen_operator_matches_materialized(cloud_name, boundary, request,
+@pytest.mark.parametrize("weights", ["random", "zero", "lambda_field"])
+def test_frozen_operator_matches_materialized(cloud_name, weights, request,
                                               rng):
-    """Matrix-free apply and diagonal equal base S plus the absorption block."""
+    """Matrix-free apply, diagonal and materialize() equal base S plus the
+    absorption terms, multiplied out densely from the blocks: for random
+    weights, random interior and zero boundary weights, and the lambda
+    model with a lambda field."""
     cloud = request.getfixturevalue(cloud_name)
-    config = VariantConfig(kind="nonlinear", lam=1.0, p=1.5)
-    work = _NonlinearWork(cloud, cloud.delta, cosine_profile(), config)
-    w_int = rng.uniform(0.0, 2.0, cloud.n0)
-    w_bnd = (rng.uniform(0.0, 2.0, cloud.m0) if boundary == "random"
-             else np.zeros(cloud.m0))
-    dense = work.base.S + _absorption_matrix(work.base, work.Pbar,
-                                             work.omega2, w_int, w_bnd)
-    op = _FrozenOperator(work, w_int * work.interior_mass,
-                         w_bnd * work.boundary_mass)
+    if weights == "lambda_field":
+        op = assemble_lambda(cloud, lam=lambda x: 1.0 + x[:, 2] ** 2).S
+    else:
+        config = VariantConfig(kind="nonlinear", lam=1.0, p=1.5)
+        work = _NonlinearWork(cloud, cloud.delta, cosine_profile(), config)
+        w_bnd = (rng.uniform(0.0, 2.0, cloud.m0) if weights == "random"
+                 else np.zeros(cloud.m0))
+        op = AbsorptionOperator(
+            work, rng.uniform(0.0, 2.0, cloud.n0) * work.interior_mass,
+            w_bnd * work.boundary_mass)
+    b = op.blocks
+    Pbar, AZ = b.Pbar.toarray(), b.AZ.toarray()
+    dense = (b.base.S.toarray() + Pbar.T @ np.diag(op.w) @ Pbar
+             + AZ @ np.diag(op.wb) @ AZ.T)
     x = rng.standard_normal(cloud.n0)
     want = dense @ x
     assert np.linalg.norm(op @ x - want) <= 1e-13 * np.linalg.norm(want)
-    d_want = dense.diagonal()
+    d_want = np.diag(dense)
     assert np.abs(op.diagonal() - d_want).max() <= 1e-13 * np.abs(d_want).max()
+    scale = np.abs(dense).max()
+    assert np.abs(op.materialize().toarray() - dense).max() <= 1e-13 * scale
 
 
 def plain_cg(S, b, x0, tol, max_iter):
@@ -437,7 +463,7 @@ def test_energy_constant_field(small_cloud):
     work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
                           config)
     got = work.energy(U)
-    omega2, _ = _smoother(assemble(small_cloud, mode="full"))
+    omega2 = AbsorptionBlocks(assemble(small_cloud, mode="full")).omega2
     want = lam / (2 * p) * c ** (2 * p) * (
         float(omega2 @ small_cloud.A)
         + float(work.base.coupling.omega_hat @ small_cloud.L))
