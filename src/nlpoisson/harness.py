@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import MODES, NonlocalSystem, assemble
 from .geometry import ManifoldCase, PointCloud, build_cloud, get_case
-from .kernels import KernelProfile, compute_CR, cosine_profile, normalization
+from .kernels import KernelProfile, compute_CR, cosine_profile, pair_eval
 from .solver import SolveResult, solve_mean_zero, solve_spd
 from .variants import (
     VariantConfig,
@@ -332,8 +332,7 @@ def _cap_patch_omega(delta: float, phi0: float, profile: KernelProfile,
     dA = np.sin(TH) * ((th_max - th_lo) / nth) * (2.0 * half_w / nph)
     disp = pts - q
     sq = (disp**2).sum(axis=-1)
-    bar = normalization(delta, 2) * profile.levels["bar"](sq / (4 * delta**2))
-    zeta = -(disp @ nq) * bar
+    zeta = -(disp @ nq) * pair_eval(profile, "bar", sq, delta, 2)
     return float((zeta * dA).sum())
 
 
@@ -373,8 +372,7 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
         bsums = []
         for k in probe_idx:
             sq = ((pts - pts[k]) ** 2).sum(axis=1)
-            dbar = normalization(delta, 2) * profile.levels["dbar"](
-                sq / (4 * delta * delta))
+            dbar = pair_eval(profile, "dbar", sq, delta, 2)
             bsums.append(2.0 * delta * float(dbar.sum()) * seg)
         odevs = []
         for k in probe_idx:

@@ -5,8 +5,8 @@ together with three companions obtained by tail integration /
 differentiation::
 
     underline(r) = -d base / dr
-    bar(r)       = integral of base  over [r, inf)
-    dbar(r)      = integral of bar   over [r, inf)
+    bar(r)       = integral of base  over [r, 1]
+    dbar(r)      = integral of bar   over [r, 1]
 
 All four vanish identically for r > 1.  The scaled two-point kernel used
 by the assembly is
@@ -15,7 +15,8 @@ by the assembly is
 
 which is supported on pairs with |x - y| <= 2 delta.  The default profile
 is the cosine bump (1 + cos(pi r)) / 2, for which every level has a
-closed form; tabulated profiles are integrated numerically.
+closed form.  A tabulated profile's base is a monotone piecewise-cubic
+interpolant, so its tail integrals are exact piecewise polynomials too.
 """
 
 from __future__ import annotations
@@ -25,13 +26,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 from scipy.special import gamma
 
 LEVELS = ("underline", "base", "bar", "dbar")
-
-# Gauss-Legendre rule reused for every integration panel.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 @dataclass(frozen=True)
@@ -87,25 +85,19 @@ def cosine_profile() -> KernelProfile:
     return KernelProfile(kind="cosine", levels=levels, nondegeneracy_floor=0.5)
 
 
-def _panel_integrals(fn, edges: np.ndarray) -> np.ndarray:
-    """64-node Gauss-Legendre integral of ``fn`` over each [e_k, e_{k+1}]."""
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ _GL_WEIGHTS)
-
-
 def build_integrated(r_nodes, base_values) -> KernelProfile:
     """Build a full profile from a tabulated base function.
 
     The table must have strictly increasing abscissae starting at 0 and
-    reaching at least 1, with nonnegative values.  bar and dbar are
-    produced by panel-wise Gauss-Legendre quadrature (64 nodes per panel)
-    on a refined grid; underline is the negative derivative of the
-    monotone interpolant of the base table.
+    reaching at least 1, with nonnegative values; rows past r = 1 shape
+    the interpolant but every level vanishes there.  base is the monotone
+    piecewise-cubic (PCHIP) interpolant of the table and underline its
+    negative derivative.  bar and dbar are its tail integrals over [r, 1],
+    read exactly off the interpolant's first and second antiderivatives
+    B and B2:
+
+        bar(r)  = B(1) - B(r)
+        dbar(r) = B(1) (1 - r) - (B2(1) - B2(r))
     """
     r_nodes = np.asarray(r_nodes, dtype=float)
     base_values = np.asarray(base_values, dtype=float)
@@ -132,25 +124,15 @@ def build_integrated(r_nodes, base_values) -> KernelProfile:
     def underline_fn(r):
         return -np.nan_to_num(underline_interp(np.minimum(r, r_nodes[-1])))
 
-    # Refine the user panels so the spline reconstruction of bar is smooth
-    # enough for the finite-difference calculus checks.
-    refined = [r_nodes[0]]
-    for a, b in zip(r_nodes[:-1], r_nodes[1:]):
-        nsub = max(1, int(np.ceil((b - a) * 1024)))
-        refined.extend(np.linspace(a, b, nsub + 1)[1:])
-    refined = np.asarray(refined)
-
-    panel = _panel_integrals(base_fn, refined)
-    bar_at_nodes = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
-    bar_spline = CubicSpline(refined, bar_at_nodes)
-    bar_anti = bar_spline.antiderivative()
-    dbar_tail = float(bar_anti(refined[-1]))
+    B = base_interp.antiderivative()
+    B2 = B.antiderivative()
+    B_1, B2_1 = float(B(1.0)), float(B2(1.0))
 
     def bar_fn(r):
-        return np.maximum(bar_spline(r), 0.0)
+        return np.maximum(B_1 - B(r), 0.0)
 
     def dbar_fn(r):
-        return np.maximum(dbar_tail - bar_anti(r), 0.0)
+        return np.maximum(B_1 * (1.0 - r) - (B2_1 - B2(r)), 0.0)
 
     floor = float(np.min(base_fn(np.linspace(0.0, 0.5, 513))))
     levels = {

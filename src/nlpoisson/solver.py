@@ -2,12 +2,15 @@
 
 The base model's matrix is symmetric positive-semidefinite with the
 constants as null space, and its right side is orthogonal to that null
-space by construction.  Both solvers run CG scaled by the system's exact
-diagonal (Jacobi); solve_mean_zero also projects the constant mode out of
-every iterate and fixes the additive constant at the end so the
-volume-weighted mean of the solution vanishes.  The loop is our own:
-scipy.sparse.linalg.cg has no p^T S p <= 0 breakdown test and returns no
-iteration count.
+space by construction.  Both solvers run one CG loop scaled by the
+system's exact diagonal (Jacobi).  The constant mode needs no projection
+inside that loop: S kills the constants, so every residual b - S x stays
+orthogonal to them, and the constant part of the iterate never feeds
+back into a residual, a step length or a search direction (Kaasschieter,
+J. Comput. Appl. Math. 24, 1988).  solve_mean_zero fixes the additive
+constant once, at the end, so the volume-weighted mean of the solution
+vanishes.  The loop is our own: scipy.sparse.linalg.cg has no
+p^T S p <= 0 breakdown test and returns no iteration count.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ class SolveResult:
     residual: float
     iterations: int
     converged: bool
-    shift_applied: float = 0.0
     # populated by the nonlinear driver only
     energy_history: list[float] | None = None
     energy_monotone: bool | None = None
@@ -38,20 +40,11 @@ class SolveResult:
     inner_misses: int | None = None
 
 
-def _project_mean(x: np.ndarray) -> np.ndarray:
-    x -= x.mean()
-    return x
-
-
 def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
-       x0: np.ndarray | None = None, project: bool = False, callback=None):
+       x0: np.ndarray | None = None):
     """Jacobi PCG on S x = b; returns (x, rel_residual, iters, ok).
 
     The scaling is 1 / S.diagonal(), with 1 for non-positive entries.
-    With ``project`` the plain mean is removed from the iterate, the
-    residual and the scaled residual after every update, which keeps the
-    iteration on the complement of the constant null space of the
-    singular base system.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -64,14 +57,8 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     dinv = 1.0 / np.where(d > 0, d, 1.0)
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if project:
-        _project_mean(x)
     r = b - S @ x
-    if project:
-        _project_mean(r)
     z = dinv * r
-    if project:
-        _project_mean(z)
     p = z
     rz = float(r @ z)
     it = 0
@@ -86,45 +73,35 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
         alpha = rz / pSp
         x += alpha * p
         r -= alpha * Sp
-        if project:
-            _project_mean(x)
-            _project_mean(r)
         z = dinv * r
-        if project:
-            _project_mean(z)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1
-        if callback is not None:
-            callback(x.copy())
     rel = float(np.linalg.norm(b - S @ x)) / bnorm
     return x, rel, it, rel <= tol
 
 
 def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
-                    max_iter: int | None = None, x0: np.ndarray | None = None,
-                    callback=None) -> SolveResult:
+                    max_iter: int | None = None,
+                    x0: np.ndarray | None = None) -> SolveResult:
     """Solve the singular base system subject to sum_i U_i A_i = 0."""
     b = system.rhs
     bsum = abs(float(b.sum()))
     if bsum > 1e-10 * max(np.abs(b).sum(), 1e-300):
         raise ValueError(
             f"right side is not orthogonal to the constants (sum {bsum:.3e})")
-    U, rel, it, ok = cg(system.S, b, tol=tol, max_iter=max_iter, x0=x0,
-                        project=True, callback=callback)
-    shift = float(U @ system.A / system.A.sum())
-    U = U - shift
+    U, rel, it, ok = cg(system.S, b, tol=tol, max_iter=max_iter, x0=x0)
+    U = U - float(U @ system.A / system.A.sum())
     V = boundary_trace(system.coupling, system.A, U)
-    return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,
-                       shift_applied=-shift)
+    return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok)
 
 
 def solve_spd(system: NonlocalSystem, tol: float = DEFAULT_TOL,
-              max_iter: int | None = None, x0: np.ndarray | None = None,
-              callback=None) -> SolveResult:
+              max_iter: int | None = None,
+              x0: np.ndarray | None = None) -> SolveResult:
     """Solve a strictly positive-definite variant system by CG."""
     U, rel, it, ok = cg(system.S, system.rhs, tol=tol, max_iter=max_iter,
-                        x0=x0, callback=callback)
+                        x0=x0)
     V = boundary_trace(system.coupling, system.A, U)
     return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok)

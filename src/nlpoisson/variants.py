@@ -332,9 +332,8 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
                            inner_iterations=0, inner_misses=0)
 
     # start from the base model's mean-zero solution (solve_mean_zero's
-    # projected CG and shift, without the boundary trace it would add)
-    U, _, inner_iterations, ok = cg(work.base.S, work.base.rhs, tol=INNER_TOL,
-                                    project=True)
+    # CG and shift, without the boundary trace it would add)
+    U, _, inner_iterations, ok = cg(work.base.S, work.base.rhs, tol=INNER_TOL)
     U = U - float(U @ cloud.A / cloud.A.sum())
     inner_misses = int(not ok)
     energies = [work.energy(U)]

@@ -1,8 +1,10 @@
-"""Every import in the package is used.
+"""Every import in the package is used, and every private name is read.
 
 The repository runs no linter, so this walks each module's syntax tree.
 Package ``__init__`` modules (whose imports are re-exports) and names
-imported on a line marked ``# noqa: F401`` are exempt.
+imported on a line marked ``# noqa: F401`` are exempt from the import
+check.  A module-level private function, class or constant (``_name``)
+must be read somewhere in the package outside its own definition.
 """
 
 import ast
@@ -45,3 +47,48 @@ def test_checker_flags_unused_and_honours_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """Names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names read under ``node``, as bare names or as attributes."""
+    return ({n.id for n in ast.walk(node)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names of ``sources`` (module name -> source)
+    that nothing in them reads outside the defining statement."""
+    statements = [(module, stmt) for module, source in sorted(sources.items())
+                  for stmt in ast.parse(source).body]
+    reads = [_read_names(stmt) for _, stmt in statements]
+    dead = []
+    for k, (module, stmt) in enumerate(statements):
+        for name in _defined_names(stmt):
+            if name.startswith("_") and not name.startswith("__") and not any(
+                    name in r for j, r in enumerate(reads) if j != k):
+                dead.append(f"{module}.{name} (line {stmt.lineno})")
+    return dead
+
+
+def test_checker_flags_dead_private_names():
+    sources = {"a": ("_LIMIT = 3\n_unused = 4\n__all__ = []\n"
+                     "def _helper(x):\n    return _helper(x - 1)\n"
+                     "class _Used:\n    pass\n"),
+               "b": "from . import a\nX = a._LIMIT\nY = a._Used()\n"}
+    assert dead_private_names(sources) == ["a._unused (line 2)",
+                                           "a._helper (line 4)"]
+
+
+def test_no_dead_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert dead_private_names(sources) == []

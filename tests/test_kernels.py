@@ -24,6 +24,17 @@ def cos_base(r):
     return 0.5 * (1.0 + np.cos(np.pi * r))
 
 
+COS_TABLE = np.linspace(0.0, 1.0, 201)
+
+
+@pytest.fixture(scope="module", params=["cosine", "tabulated"])
+def any_profile(request):
+    """The closed-form cosine profile and its 201-node tabulated copy."""
+    if request.param == "cosine":
+        return cosine_profile()
+    return build_integrated(COS_TABLE, cos_base(COS_TABLE))
+
+
 def test_profile_eval_point_values(profile):
     assert profile_eval(profile, "base", 0.0) == pytest.approx(1.0, abs=1e-15)
     assert profile_eval(profile, "base", 1.0) == pytest.approx(0.0, abs=1e-15)
@@ -44,12 +55,12 @@ def test_profile_eval_rejects_bad_input(profile):
         profile_eval(profile, "quux", 0.5)
 
 
-def test_support_is_compact(profile):
+def test_support_is_compact(any_profile):
     r = np.linspace(1.0, 5.0, 64)
     for level in ("underline", "base", "bar", "dbar"):
-        vals = profile.levels[level](r[1:])
+        vals = any_profile.levels[level](r[1:])
         assert np.all(vals == 0.0)
-    assert profile_eval(profile, "base", 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert profile_eval(any_profile, "base", 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_nondegeneracy_floor(profile):
@@ -58,29 +69,31 @@ def test_nondegeneracy_floor(profile):
 
 
 @pytest.mark.parametrize("pair", [("bar", "base"), ("dbar", "bar")])
-def test_calculus_consistency(profile, pair, rng):
+def test_calculus_consistency(any_profile, pair, rng):
     """d/dr of each integrated level is minus the level below it."""
     outer, inner = pair
     r = rng.uniform(0.02, 0.98, 1000)
     h = 1e-5
-    deriv = (profile.levels[outer](r + h) - profile.levels[outer](r - h)) / (2 * h)
-    target = profile.levels[inner](r)
+    level = any_profile.levels[outer]
+    deriv = (level(r + h) - level(r - h)) / (2 * h)
+    target = any_profile.levels[inner](r)
     assert np.all(np.abs(deriv + target) <= 1e-6 * np.maximum(1.0, target))
 
 
-def test_monotone_nonincreasing(profile):
+def test_monotone_nonincreasing(any_profile):
     r = np.linspace(0.0, 1.2, 600)
     for level in ("bar", "dbar"):
-        vals = profile.levels[level](r)
+        vals = any_profile.levels[level](r)
         assert np.all(np.diff(vals) <= 1e-15)
         assert np.all(vals >= 0.0)
 
 
-def test_underline_is_negative_base_derivative(profile, rng):
+def test_underline_is_negative_base_derivative(any_profile, rng):
     r = rng.uniform(0.02, 0.98, 200)
     h = 1e-6
-    dbase = (profile.levels["base"](r + h) - profile.levels["base"](r - h)) / (2 * h)
-    assert np.abs(profile.levels["underline"](r) + dbase).max() < 1e-8
+    base = any_profile.levels["base"]
+    dbase = (base(r + h) - base(r - h)) / (2 * h)
+    assert np.abs(any_profile.levels["underline"](r) + dbase).max() < 1e-8
 
 
 def test_build_integrated_from_table():
@@ -105,6 +118,33 @@ def test_build_integrated_calculus(rng):
     deriv = (prof.levels["bar"](x + h) - prof.levels["bar"](x - h)) / (2 * h)
     target = prof.levels["base"](x)
     assert np.all(np.abs(deriv + target) <= 1e-6 * np.maximum(1.0, target))
+
+
+def test_build_integrated_levels_are_exact(rng):
+    """On each table interval base is cubic and bar quartic, so Simpson's
+    rule of base and the 3-point Gauss-Legendre rule of bar (exact to
+    degree 5) reproduce the tail-integral differences."""
+    prof = build_integrated(COS_TABLE, cos_base(COS_TABLE))
+    base, bar, dbar = (prof.levels[k] for k in ("base", "bar", "dbar"))
+    cell = rng.integers(0, COS_TABLE.size - 1, 500)
+    ends = np.sort(rng.uniform(COS_TABLE[cell, None], COS_TABLE[cell + 1, None],
+                               (500, 2)), axis=1)
+    x, y = ends[:, 0], ends[:, 1]
+    half, mid = 0.5 * (y - x), 0.5 * (x + y)
+    simpson = (half / 3.0) * (base(x) + 4.0 * base(mid) + base(y))
+    assert np.abs(bar(x) - bar(y) - simpson).max() <= 1e-13
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    gauss = half * sum(w * bar(mid + half * t) for t, w in zip(nodes, weights))
+    assert np.abs(dbar(x) - dbar(y) - gauss).max() <= 1e-13
+
+
+def test_build_integrated_table_past_one():
+    """Rows beyond r = 1 do not leak into the tail integrals over [r, 1]."""
+    long = build_integrated(np.linspace(0.0, 1.5, 16), np.ones(16))
+    assert profile_eval(long, "bar", 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert profile_eval(long, "dbar", 0.0) == pytest.approx(0.5, abs=1e-12)
+    cut = build_integrated(np.linspace(0.0, 1.0, 11), np.ones(11))
+    assert compute_CR(long, 2) == pytest.approx(compute_CR(cut, 2), rel=1e-12)
 
 
 def test_build_integrated_validation():
