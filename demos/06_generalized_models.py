@@ -4,9 +4,10 @@
   so the mean-zero constraint is dropped and CG runs unprojected;
 * non-homogeneous flux: du/dn = g only changes the right side;
 * nonlinear absorption lambda u |u|^(2p-2): damped Newton on the
-  discrete energy J, whose Hessian H = S + Pbar^T diag((2p-1) w) Pbar
-  + AZ diag((2p-1) w_b) AZ^T is the frozen absorption system with both
-  weights scaled by 2p - 1; the damping is halved while J would rise.
+  discrete energy J, whose Hessian H = S + B diag((2p-1) w) B^T, with
+  B = [Pbar^T | AZ] stacking the smoother and the boundary coupling, is
+  the frozen absorption system with its weights scaled by 2p - 1; the
+  damping is halved while J would rise.
 """
 
 import warnings
@@ -65,7 +66,7 @@ res_nl = nonlinear_solve(cloud, config=config)
 J = res_nl.energy_history
 print("\nnonlinear model (p = 1.5, lambda = 1):")
 print(f"  {res_nl.iterations} damped Newton steps "
-      f"(each solves H U* = A f + (2p-2) (Pbar^T (w ubar) + AZ (w_b uhat))), "
+      f"(each solves H U* = A f + (2p-2) B (w a), a = B^T U), "
       f"final residual {res_nl.residual:.2e}")
 print(f"  energy trail: {J[0]:.6f} -> {J[1]:.6f} -> ... -> {J[-1]:.6f} "
       f"(non-increasing: {res_nl.energy_monotone})")

@@ -98,7 +98,6 @@ class NonlocalSystem:
     delta: float
     mode: str
     cloud: PointCloud
-    profile: KernelProfile
     f_delta: np.ndarray          # smoothed source before mean removal
     mean_shift: float            # constant removed from f_delta
     pairs: PairGraph             # the neighbour pairs it was built from
@@ -298,7 +297,7 @@ def assemble(cloud: PointCloud, delta: float | None = None,
     shift = float(fd @ cloud.A / cloud.A.sum())
     rhs = cloud.A * (fd - shift)
     return NonlocalSystem(S=S, rhs=rhs, coupling=coupling, A=cloud.A,
-                          delta=delta, mode=mode, cloud=cloud, profile=profile,
+                          delta=delta, mode=mode, cloud=cloud,
                           f_delta=fd, mean_shift=shift, pairs=pairs)
 
 

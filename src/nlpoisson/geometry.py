@@ -170,14 +170,6 @@ class Hemisphere2(ManifoldCase):
     def surface_frames(self, x):
         return _householder_tangent_frames(np.atleast_2d(x))
 
-    def boundary_frames(self, q):
-        # circle tangent, embedded; unused by the weight recipes for m=2
-        q = np.atleast_2d(q)
-        tang = np.zeros((q.shape[0], 1, 3))
-        tang[:, 0, 0] = -q[:, 1] / self.boundary_rho
-        tang[:, 0, 1] = q[:, 0] / self.boundary_rho
-        return tang
-
     def on_manifold(self, x, tol=1e-10):
         x = np.atleast_2d(x)
         radial = np.abs((x * x).sum(axis=1) - 1.0) <= 2 * tol
@@ -539,16 +531,18 @@ def save_cloud_csv(cloud: PointCloud, path) -> None:
 
 
 def load_cloud_csv(path) -> PointCloud:
-    """Read a cloud written by :func:`save_cloud_csv`."""
+    """Read a cloud written by :func:`save_cloud_csv`.
+
+    Raises ValueError on a missing metadata key, a boundary row count
+    other than m0, or boundary coordinates that differ from the tail of
+    the point rows.
+    """
     meta: dict[str, str] = {}
-    interior: list[list[float]] = []
-    a_weights: list[float] = []
-    l_weights: list[float] = []
-    normals: list[list[float]] = []
+    rows: dict[str, list[list[str]]] = {"interior": [], "boundary": []}
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line:
+            if not line or line.startswith("kind,"):
                 continue
             if line.startswith("#"):
                 for tok in line[1:].split():
@@ -556,26 +550,26 @@ def load_cloud_csv(path) -> PointCloud:
                         key, val = tok.split("=", 1)
                         meta[key] = val
                 continue
-            if line.startswith("kind,"):
-                continue
-            parts = line.split(",")
-            d = int(meta["d"])
-            kind = parts[0]
-            coords = [float(v) for v in parts[1:1 + d]]
-            weight = float(parts[1 + d])
-            if kind == "interior":
-                interior.append(coords)
-                a_weights.append(weight)
-            elif kind == "boundary":
-                l_weights.append(weight)
-                normals.append([float(v) for v in parts[2 + d:2 + 2 * d]])
-            else:
+            kind, *fields = line.split(",")
+            if kind not in rows:
                 raise ValueError(f"unknown row kind {kind!r}")
-    points = np.asarray(interior)
-    m0 = int(meta["m0"])
-    cloud = PointCloud(case_name=meta["case"], m=int(meta["m"]), d=int(meta["d"]),
-                       t=int(meta["t"]), seed=int(meta["seed"]),
-                       delta=float(meta["delta"]), points=points, m0=m0,
-                       A=np.asarray(a_weights), L=np.asarray(l_weights),
-                       normals=np.asarray(normals))
-    return cloud
+            rows[kind].append(fields)
+    for key in ("case", "t", "seed", "delta", "m", "d", "m0"):
+        if key not in meta:
+            raise ValueError(f"{path}: missing metadata key {key!r}")
+    d, m0 = int(meta["d"]), int(meta["m0"])
+    if len(rows["boundary"]) != m0:
+        raise ValueError(f"{path}: {len(rows['boundary'])} boundary rows, "
+                         f"expected m0 = {m0}")
+    interior = np.array([[float(v) for v in r[:d + 1]] for r in rows["interior"]])
+    boundary = np.array([[float(v) for v in r[:2 * d + 1]]
+                         for r in rows["boundary"]]).reshape(m0, 2 * d + 1)
+    points = interior[:, :d]
+    if not np.array_equal(boundary[:, :d], points[len(points) - m0:]):
+        raise ValueError(f"{path}: boundary coordinates differ from the "
+                         f"last {m0} point rows")
+    return PointCloud(case_name=meta["case"], m=int(meta["m"]), d=d,
+                      t=int(meta["t"]), seed=int(meta["seed"]),
+                      delta=float(meta["delta"]), points=points, m0=m0,
+                      A=interior[:, d], L=boundary[:, d],
+                      normals=boundary[:, d + 1:])

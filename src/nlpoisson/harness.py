@@ -310,17 +310,18 @@ def _circle_fixture(n: int) -> tuple[np.ndarray, float]:
     return pts, 2.0 * np.pi * rho / n
 
 
-def _cap_patch_omega(delta: float, phi0: float, profile: KernelProfile,
-                     resolution: int) -> float:
+def _cap_patch_omega(delta: float, phi0: float,
+                     profile: KernelProfile) -> float:
     """Midpoint quadrature of the displacement coupling over the cap patch
-    within kernel range of the boundary probe at angle phi0."""
+    within kernel range of the boundary probe at angle phi0, 40 cells per
+    delta."""
     rho, zb = np.sqrt(3.0) / 2.0, 0.5
     q = np.array([rho * np.cos(phi0), rho * np.sin(phi0), zb])
     nq = np.array([0.5 * np.cos(phi0), 0.5 * np.sin(phi0), -rho])
     th_max = np.pi / 3.0
     geo = 2.0 * np.arcsin(min(delta, 1.0)) + 0.05 * delta
     th_lo = max(0.0, th_max - geo)
-    h = delta / resolution
+    h = delta / 40
     nth = int(np.ceil((th_max - th_lo) / h))
     half_w = geo / np.sin(th_max) + 2.0 * h
     nph = int(np.ceil(2.0 * half_w / h))
@@ -338,7 +339,6 @@ def _cap_patch_omega(delta: float, phi0: float, profile: KernelProfile,
 
 def lemma_diagnostics(case_name: str, deltas: Sequence[float],
                       n_boundary: int | None = None, probes: int = 4,
-                      resolution: int = 40,
                       profile: KernelProfile | None = None) -> LemmaReport:
     """Boundary kernel-sum and coupling-normalization orders on fixtures.
 
@@ -377,7 +377,7 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
         odevs = []
         for k in probe_idx:
             phi0 = 2.0 * np.pi * k / n_boundary
-            omega = _cap_patch_omega(delta, phi0, profile, resolution)
+            omega = _cap_patch_omega(delta, phi0, profile)
             odevs.append(abs(omega - delta * CR))
         bdev = max(abs(b - CR) for b in bsums)
         rows.append(LemmaRow(delta=delta, boundary_sum=float(np.mean(bsums)),

@@ -11,16 +11,16 @@ blocks:
   right side;
 * a nonlinear absorption lambda u |u|^(2p-2), whose discrete energy J
   is strictly convex and is minimized by damped Newton iteration with
-  energy backtracking.  With the weights w = lambda |ubar|^(2p-2) omega2 A
-  and wb = lambda |uhat|^(2p-2) omega_hat L frozen at the iterate U, each
-  step solves the Newton system
+  energy backtracking.  The averages a = B^T U, B = [Pbar^T | AZ], stack
+  the smoothed values ubar = Pbar U and the boundary trace
+  uhat = (AZ)^T U.  With the weights w = lambda |a|^(2p-2) [omega2 A;
+  omega_hat L] frozen at the iterate U, each step solves the Newton system
 
-      H U* = A f_delta + (2p-2) (Pbar^T (w ubar) + AZ (wb uhat)),
-      H = S + Pbar^T diag((2p-1) w) Pbar + AZ diag((2p-1) wb) AZ^T,
+      H U* = A f_delta + (2p-2) B (w a),    H = S + B diag((2p-1) w) B^T,
 
   where H is the Hessian of J at U.  H and the absorption system, H at
-  p = 1, are one AbsorptionOperator: blocks built once, applied
-  matrix-free with their own weights, and solved by Jacobi PCG.
+  p = 1, are one AbsorptionOperator: B built once, applied matrix-free
+  with the model's weights, and solved by Jacobi PCG.
 """
 
 from __future__ import annotations
@@ -110,10 +110,10 @@ def assemble_lambda(cloud: PointCloud, delta: float | None = None,
     """
     base = assemble(cloud, delta, profile, mode="full", f=f)
     lam_p = _lambda_values(lam, cloud.points)
-    lam_q = _lambda_values(lam, cloud.boundary)
     blocks = AbsorptionBlocks(base)
-    S = AbsorptionOperator(blocks, lam_p * blocks.interior_mass,
-                           lam_q * blocks.boundary_mass)
+    # boundary point k is cloud point n0 - m0 + k
+    w = np.concatenate([lam_p, lam_p[cloud.n0 - cloud.m0:]]) * blocks.measure
+    S = AbsorptionOperator(blocks, w)
     return replace(base, S=S, rhs=cloud.A * base.f_delta, mean_shift=0.0,
                    variant="lambda")
 
@@ -164,57 +164,52 @@ def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
 
 
 class AbsorptionBlocks:
-    """Fixed blocks of every absorption operator on a full-mode base system,
-    with the interior smoothing mass omega2_j = sum_i Kbar(p_j, p_i) A_i and
-    the row-stochastic smoother Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j."""
+    """Fixed blocks of every absorption operator on a full-mode base system:
+    B = [Pbar^T | AZ], n0 x (n0 + m0), with the row-stochastic smoother
+    Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j, omega2_j = sum_i Kbar(p_j, p_i)
+    A_i, and AZ = diag(A) zeta; measure = [omega2 A; omega_hat L] weighs
+    the averages a = B^T U."""
 
     def __init__(self, base: NonlocalSystem):
-        cloud, coupling = base.cloud, base.coupling
+        diag_A = sparse.diags(base.A)
         self.base = base
         bar = bar_matrix(base.pairs, len(base.A))
         self.omega2 = bar @ base.A
         if np.any(self.omega2 <= 0.0):
             j = int(np.argmin(self.omega2))
             raise ValueError(f"smoothing mass w2({j}) = {self.omega2[j]:.3e} <= 0")
-        self.Pbar = (sparse.diags(1.0 / self.omega2) @ bar
-                     @ sparse.diags(base.A)).tocsr()
-        del bar  # freed before the transposes below are built
-        self.PbarT = self.Pbar.T.tocsr()
-        self.AZ = (sparse.diags(cloud.A) @ coupling.zeta).tocsr()
-        self.AZT = self.AZ.T.tocsr()
+        self.B = sparse.hstack([diag_A @ bar @ sparse.diags(1.0 / self.omega2),
+                                diag_A @ base.coupling.zeta], format="csr")
+        del bar  # freed before the transpose below is built
+        self.BT = self.B.T.tocsr()
+        self.B_sq = self.B.power(2)
         self.S_diag = base.S.diagonal()
-        self.Pbar_sqT = self.Pbar.multiply(self.Pbar).T.tocsr()
-        self.AZ_sq = self.AZ.multiply(self.AZ).tocsr()
-        self.interior_mass = self.omega2 * cloud.A
-        self.boundary_mass = coupling.omega_hat * coupling.L
+        self.measure = np.concatenate([self.omega2 * base.A,
+                                       base.coupling.omega_hat * base.coupling.L])
 
 
 @dataclass(eq=False)
 class AbsorptionOperator:
-    """S + Pbar^T diag(w) Pbar + AZ diag(wb) AZ^T, applied matrix-free from
-    fixed AbsorptionBlocks: the lambda model and each Newton step differ
-    only in the weights.  materialize() multiplies it out, for export and
+    """S + B diag(w) B^T, applied matrix-free from fixed AbsorptionBlocks:
+    the lambda model and each Newton step differ only in the weights w,
+    one per average.  materialize() multiplies it out, for export and
     tests."""
 
     blocks: AbsorptionBlocks
     w: np.ndarray
-    wb: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         b = self.blocks
-        return (b.base.S @ x + b.PbarT @ (self.w * (b.Pbar @ x))
-                + b.AZ @ (self.wb * (b.AZT @ x)))
+        return b.base.S @ x + b.B @ (self.w * (b.BT @ x))
 
     def diagonal(self) -> np.ndarray:
         b = self.blocks
-        return b.S_diag + b.Pbar_sqT @ self.w + b.AZ_sq @ self.wb
+        return b.S_diag + b.B_sq @ self.w
 
     def materialize(self) -> sparse.csr_matrix:
-        """The operator multiplied out, each term by symmetric_product."""
+        """The operator multiplied out by symmetric_product."""
         b = self.blocks
-        return (b.base.S + (symmetric_product(b.Pbar.T, sparse.diags(self.w))
-                            + symmetric_product(b.AZ, sparse.diags(self.wb)))
-                ).tocsr()
+        return (b.base.S + symmetric_product(b.B, sparse.diags(self.w))).tocsr()
 
 
 class _NonlinearWork(AbsorptionBlocks):
@@ -233,42 +228,32 @@ class _NonlinearWork(AbsorptionBlocks):
                                   f=config.f))
         self.rhs = cloud.A * self.base.f_delta
 
-    def averages(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ubar = self.Pbar @ U
-        uhat = boundary_trace(self.base.coupling, self.cloud.A, U)
-        return ubar, uhat
-
-    def _weights(self, U: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Averages of U and the absorption weights frozen at U."""
+    def _weights(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The averages a = B^T U and the absorption weights frozen at U."""
         lam, p = float(self.config.lam), self.config.p
-        ubar, uhat = self.averages(U)
-        w = lam * np.abs(ubar) ** (2.0 * p - 2.0) * self.interior_mass
-        wb = lam * np.abs(uhat) ** (2.0 * p - 2.0) * self.boundary_mass
-        return ubar, uhat, w, wb
+        a = self.BT @ U
+        return a, lam * np.abs(a) ** (2.0 * p - 2.0) * self.measure
 
     def frozen(self, U: np.ndarray) -> AbsorptionOperator:
         """The system with lambda |u|^(2p-2) frozen at U.
 
         frozen(U) @ U - rhs is the gradient of the energy at U.
         """
-        _, _, w, wb = self._weights(U)
-        return AbsorptionOperator(self, w, wb)
+        return AbsorptionOperator(self, self._weights(U)[1])
 
     def newton(self, U: np.ndarray) -> tuple[AbsorptionOperator, np.ndarray]:
         """Hessian H of the energy at U and the Newton right side.
 
-        H is the frozen system with both weights scaled by 2p - 1; the
-        right side is rhs + (2p-2) (Pbar^T (w ubar) + AZ (wb uhat)), so
-        H U* = rhs' puts the Newton step at U* - U.  At p = 1 both are
-        the frozen system and rhs themselves.
+        H is the frozen system with its weights scaled by 2p - 1; the
+        right side is rhs + (2p-2) B (w a), so H U* = rhs' puts the
+        Newton step at U* - U.  At p = 1 both are the frozen system and
+        rhs themselves.
         """
         p = self.config.p
-        ubar, uhat, w, wb = self._weights(U)
-        hessian = AbsorptionOperator(self, (2.0 * p - 1.0) * w,
-                                     (2.0 * p - 1.0) * wb)
-        rhs = self.rhs + (2.0 * p - 2.0) * (self.PbarT @ (w * ubar)
-                                            + self.AZ @ (wb * uhat))
+        a, w = self._weights(U)
+        hessian = AbsorptionOperator(self, (2.0 * p - 1.0) * w)
+        # scaling B (w a), not B, keeps the product a matvec
+        rhs = self.rhs + (2.0 * p - 2.0) * (self.B @ (w * a))
         return hessian, rhs
 
     def frozen_solve(self, U: np.ndarray, tol: float) -> SolveResult:
@@ -280,24 +265,19 @@ class _NonlinearWork(AbsorptionBlocks):
     def energy(self, U: np.ndarray) -> float:
         """Discrete energy whose critical points solve the discrete model.
 
-        Five terms: pairwise diffusion, the two absorption averages, the
-        boundary-gradient quadratic in its cancelled-constant form
-        V^T RbarL V, minus the source pairing.  The diffusion prefactor
-        1/(4 delta^2) on the double sum makes the gradient of the whole
-        expression exactly (S + frozen absorption) U - A f_delta.
+        Three terms: U^T S U / 2, the absorption over the averages
+        a = B^T U, minus the source pairing.  Its gradient is exactly
+        (S + frozen absorption) U - A f_delta.
         """
         lam, p = float(self.config.lam), self.config.p
-        cloud, base = self.cloud, self.base
         # the diffusion (1/4 delta^2) sum_ij (u_i - u_j)^2 K A A plus
         # V^T RbarL V is U^T S U / 2: S = RA / delta^2 + 2 AZ RbarL AZ^T
         # and V = AZ^T U
-        quad = 0.5 * float(U @ (base.S @ U))
-        ubar, uhat = self.averages(U)
-        t2 = lam / (2.0 * p) * float((self.omega2 * np.abs(ubar) ** (2 * p)) @ cloud.A)
-        t3 = lam / (2.0 * p) * float(
-            (base.coupling.omega_hat * np.abs(uhat) ** (2 * p)) @ base.coupling.L)
-        t4 = -float((U * base.f_delta) @ cloud.A)
-        return quad + t2 + t3 + t4
+        quad = 0.5 * float(U @ (self.base.S @ U))
+        absorption = lam / (2.0 * p) * float(
+            self.measure @ np.abs(self.BT @ U) ** (2.0 * p))
+        source = -float((U * self.base.f_delta) @ self.cloud.A)
+        return quad + absorption + source
 
 
 def nonlinear_solve(cloud: PointCloud, delta: float | None = None,

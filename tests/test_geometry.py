@@ -375,3 +375,42 @@ def test_cloud_csv_roundtrip(tmp_path):
     assert np.array_equal(back.A, cloud.A)
     assert np.array_equal(back.L, cloud.L)
     assert np.array_equal(back.normals, cloud.normals)
+
+
+def _edited_csv(cloud, tmp_path, edit):
+    """Write cloud as CSV, pass its lines through edit, return the path."""
+    path = tmp_path / "cloud.csv"
+    save_cloud_csv(cloud, path)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    return path
+
+
+@pytest.mark.parametrize("drop, key", [("# case=", "case"), ("m0=", "m0")])
+def test_cloud_csv_missing_metadata(small_cloud, tmp_path, drop, key):
+    """Without its metadata line, or one key of it, a file is refused and
+    the key named."""
+    def edit(lines):
+        if drop.startswith("#"):
+            return [l for l in lines if not l.startswith(drop)]
+        return [" ".join(tok for tok in l.split() if not tok.startswith(drop))
+                + "\n" if l.startswith("# case=") else l for l in lines]
+    path = _edited_csv(small_cloud, tmp_path, edit)
+    with pytest.raises(ValueError, match=f"metadata key '{key}'"):
+        load_cloud_csv(path)
+
+
+def test_cloud_csv_boundary_row_count(small_cloud, tmp_path):
+    """A file short of one boundary row does not load as a smaller m0."""
+    path = _edited_csv(small_cloud, tmp_path, lambda lines: lines[:-1])
+    with pytest.raises(ValueError, match="boundary rows"):
+        load_cloud_csv(path)
+
+
+def test_cloud_csv_boundary_coordinates(small_cloud, tmp_path):
+    """A boundary row must repeat the coordinates of its tail point."""
+    def edit(lines):
+        kind, x0, rest = lines[-1].split(",", 2)
+        return lines[:-1] + [",".join([kind, repr(float(x0) + 1e-9), rest])]
+    path = _edited_csv(small_cloud, tmp_path, edit)
+    with pytest.raises(ValueError, match="boundary coordinates"):
+        load_cloud_csv(path)

@@ -140,8 +140,7 @@ def test_energy_gradient_matches_finite_differences(small_cloud, rng):
                            f=lambda x: np.zeros(x.shape[0]))
     work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
                           config)
-    system = AbsorptionOperator(work, lam * work.interior_mass,
-                                lam * work.boundary_mass)
+    system = AbsorptionOperator(work, lam * work.measure)
     U = rng.standard_normal(small_cloud.n0)
     grad = system @ U
     h = 1e-6
@@ -368,10 +367,12 @@ def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
 def test_frozen_operator_matches_materialized(cloud_name, weights, request,
                                               rng):
     """Matrix-free apply, diagonal and materialize() equal base S plus the
-    absorption terms, multiplied out densely from the blocks: for random
-    weights, random interior and zero boundary weights, and the lambda
-    model with a lambda field."""
+    absorption terms, multiplied out densely from Pbar and AZ built from
+    the pairs and the coupling: for random weights, random interior and
+    zero boundary weights, and the lambda model with a lambda field.  The
+    stacked averages B^T U are the smoothed values and the boundary trace."""
     cloud = request.getfixturevalue(cloud_name)
+    n0 = cloud.n0
     if weights == "lambda_field":
         op = assemble_lambda(cloud, lam=lambda x: 1.0 + x[:, 2] ** 2).S
     else:
@@ -379,20 +380,25 @@ def test_frozen_operator_matches_materialized(cloud_name, weights, request,
         work = _NonlinearWork(cloud, cloud.delta, cosine_profile(), config)
         w_bnd = (rng.uniform(0.0, 2.0, cloud.m0) if weights == "random"
                  else np.zeros(cloud.m0))
-        op = AbsorptionOperator(
-            work, rng.uniform(0.0, 2.0, cloud.n0) * work.interior_mass,
-            w_bnd * work.boundary_mass)
-    b = op.blocks
-    Pbar, AZ = b.Pbar.toarray(), b.AZ.toarray()
-    dense = (b.base.S.toarray() + Pbar.T @ np.diag(op.w) @ Pbar
-             + AZ @ np.diag(op.wb) @ AZ.T)
-    x = rng.standard_normal(cloud.n0)
+        w = np.concatenate([rng.uniform(0.0, 2.0, n0), w_bnd])
+        op = AbsorptionOperator(work, w * work.measure)
+    base = op.blocks.base
+    Kbar = assembly.bar_matrix(base.pairs, n0).toarray()
+    Pbar = Kbar * cloud.A[None, :] / (Kbar @ cloud.A)[:, None]
+    AZ = cloud.A[:, None] * base.coupling.zeta.toarray()
+    w_int, w_bnd = op.w[:n0], op.w[n0:]
+    dense = (base.S.toarray() + Pbar.T @ np.diag(w_int) @ Pbar
+             + AZ @ np.diag(w_bnd) @ AZ.T)
+    x = rng.standard_normal(n0)
     want = dense @ x
     assert np.linalg.norm(op @ x - want) <= 1e-13 * np.linalg.norm(want)
     d_want = np.diag(dense)
     assert np.abs(op.diagonal() - d_want).max() <= 1e-13 * np.abs(d_want).max()
     scale = np.abs(dense).max()
     assert np.abs(op.materialize().toarray() - dense).max() <= 1e-13 * scale
+    a_want = np.concatenate([Pbar @ x, boundary_trace(base.coupling, cloud.A, x)])
+    a = op.blocks.BT @ x
+    assert np.linalg.norm(a - a_want) <= 1e-14 * np.linalg.norm(a_want)
 
 
 def plain_cg(S, b, x0, tol, max_iter):
