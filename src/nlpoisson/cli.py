@@ -184,8 +184,10 @@ def _cmd_solve(merged: dict) -> int:
     save_cloud_csv(cloud, out / "cloud.csv")
     if merged.get("export_matrix"):
         export_matrix(system, merged["export_matrix"])
+    inner = ("" if result.inner_iterations is None
+             else f" inner_iters={result.inner_iterations}")
     print(f"t={row.t} seed={row.seed} n0={row.n0} m0={row.m0} "
-          f"e2={row.e2:.6f} iters={row.iters} converged={row.converged}")
+          f"e2={row.e2:.6f} iters={row.iters}{inner} converged={row.converged}")
     print(f"wrote {path}")
     return 0 if row.converged else 3
 

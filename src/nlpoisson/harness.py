@@ -379,7 +379,7 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
             phi0 = 2.0 * np.pi * k / n_boundary
             omega = _cap_patch_omega(delta, phi0, profile)
             odevs.append(abs(omega - delta * CR))
-        bdev = max(abs(b - CR) for b in bsums)
+        bdev = float(max(abs(b - CR) for b in bsums))
         rows.append(LemmaRow(delta=delta, boundary_sum=float(np.mean(bsums)),
                              boundary_dev=bdev, omega_dev=max(odevs)))
     border, _ = fit_loglog([r.delta for r in rows],

@@ -2,15 +2,21 @@
 
 The base model's matrix is symmetric positive-semidefinite with the
 constants as null space, and its right side is orthogonal to that null
-space by construction.  Both solvers run one CG loop scaled by the
-system's exact diagonal (Jacobi).  The constant mode needs no projection
-inside that loop: S kills the constants, so every residual b - S x stays
-orthogonal to them, and the constant part of the iterate never feeds
-back into a residual, a step length or a search direction (Kaasschieter,
-J. Comput. Appl. Math. 24, 1988).  solve_mean_zero fixes the additive
-constant once, at the end, so the volume-weighted mean of the solution
-vanishes.  The loop is our own: scipy.sparse.linalg.cg has no
-p^T S p <= 0 breakdown test and returns no iteration count.
+space by construction.  Every solve runs one preconditioned CG loop.  Its
+preconditioner is the inverse of the system's exact diagonal (Jacobi).
+An operator that offers a coarse space (Z, E), as the absorption
+operators of nlpoisson.variants do, adds the Galerkin correction:
+M^-1 = D^-1 + Z E^-1 Z^T, with E = Z^T S Z formed exactly (Nicolaides,
+SIAM J. Numer. Anal. 24, 1987).  Both preconditioners are SPD, so the
+breakdown test and the energy monotonicity of CG hold for either.  The
+constant mode of the base system needs no projection inside the loop: S
+kills the constants, so every residual b - S x stays orthogonal to them,
+and the constant part of the iterate never feeds back into a residual, a
+step length or a search direction (Kaasschieter, J. Comput. Appl. Math.
+24, 1988).  solve_mean_zero fixes the additive constant once, at the end, so
+the volume-weighted mean of the solution vanishes.  The loop is our own:
+scipy.sparse.linalg.cg has no p^T S p <= 0 breakdown test and returns no
+iteration count.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ class SolveResult:
     residual: float
     iterations: int
     converged: bool
+    # why the CG loop stopped: "converged", "max_iter" or "breakdown"
+    # (p^T S p <= 0); set by the linear solves only
+    reason: str | None = None
     # populated by the nonlinear driver only
     energy_history: list[float] | None = None
     energy_monotone: bool | None = None
@@ -40,46 +49,76 @@ class SolveResult:
     inner_misses: int | None = None
 
 
+def _coarse_factor(S) -> np.ndarray | None:
+    """W with W W^T = Z E^+ Z^T when S offers a coarse space (Z, E), else None.
+
+    E is symmetric positive semidefinite; its eigenvalues below 1e-12 of
+    the largest are dropped, which leaves M^-1 SPD.
+    """
+    coarse_space = getattr(S, "coarse_space", None)
+    if coarse_space is None:
+        return None
+    Z, E = coarse_space()
+    lam, Q = np.linalg.eigh(E)
+    keep = lam > 1e-12 * max(float(lam[-1]), 0.0)
+    return Z @ (Q[:, keep] / np.sqrt(lam[keep]))
+
+
 def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
        x0: np.ndarray | None = None):
-    """Jacobi PCG on S x = b; returns (x, rel_residual, iters, ok).
+    """PCG on S x = b; returns (x, rel_residual, iters, ok, reason).
 
-    The scaling is 1 / S.diagonal(), with 1 for non-positive entries.
+    The preconditioner is 1 / S.diagonal(), with 1 for non-positive
+    entries, plus W W^T = Z E^+ Z^T when S offers S.coarse_space().
+    reason says why the loop stopped: "converged", "max_iter" or
+    "breakdown" (p^T S p <= 0); ok is whether the true relative residual
+    is at most tol.
     """
     n = b.shape[0]
     if max_iter is None:
         max_iter = 10 * n
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), 0.0, 0, True
+        return np.zeros(n), 0.0, 0, True, "converged"
 
     d = S.diagonal()
     dinv = 1.0 / np.where(d > 0, d, 1.0)
+    W = _coarse_factor(S)
+
+    def precondition(r):
+        z = dinv * r
+        if W is not None:
+            z += W @ (W.T @ r)
+        return z
 
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - S @ x
-    z = dinv * r
+    z = precondition(r)
     p = z
     rz = float(r @ z)
     it = 0
-    while it < max_iter:
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= tol * bnorm:
+    reason = "max_iter"
+    while True:
+        if float(np.linalg.norm(r)) <= tol * bnorm:
+            reason = "converged"
+            break
+        if it >= max_iter:
             break
         Sp = S @ p
         pSp = float(p @ Sp)
         if pSp <= 0.0:
-            break  # numerical breakdown on the semidefinite system
+            reason = "breakdown"
+            break
         alpha = rz / pSp
         x += alpha * p
         r -= alpha * Sp
-        z = dinv * r
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
         it += 1
     rel = float(np.linalg.norm(b - S @ x)) / bnorm
-    return x, rel, it, rel <= tol
+    return x, rel, it, rel <= tol, reason
 
 
 def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
@@ -91,17 +130,19 @@ def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
     if bsum > 1e-10 * max(np.abs(b).sum(), 1e-300):
         raise ValueError(
             f"right side is not orthogonal to the constants (sum {bsum:.3e})")
-    U, rel, it, ok = cg(system.S, b, tol=tol, max_iter=max_iter, x0=x0)
+    U, rel, it, ok, reason = cg(system.S, b, tol=tol, max_iter=max_iter, x0=x0)
     U = U - float(U @ system.A / system.A.sum())
     V = boundary_trace(system.coupling, system.A, U)
-    return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok)
+    return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,
+                       reason=reason)
 
 
 def solve_spd(system: NonlocalSystem, tol: float = DEFAULT_TOL,
               max_iter: int | None = None,
               x0: np.ndarray | None = None) -> SolveResult:
     """Solve a strictly positive-definite variant system by CG."""
-    U, rel, it, ok = cg(system.S, system.rhs, tol=tol, max_iter=max_iter,
-                        x0=x0)
+    U, rel, it, ok, reason = cg(system.S, system.rhs, tol=tol,
+                                max_iter=max_iter, x0=x0)
     V = boundary_trace(system.coupling, system.A, U)
-    return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok)
+    return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,
+                       reason=reason)

@@ -20,11 +20,19 @@ blocks:
 
   where H is the Hessian of J at U.  H and the absorption system, H at
   p = 1, are one AbsorptionOperator: B built once, applied matrix-free
-  with the model's weights, and solved by Jacobi PCG.
+  with the model's weights, and solved by two-level PCG.
+
+The two-level preconditioner adds to Jacobi the Galerkin correction
+Z E^-1 Z^T on a fixed smooth coarse basis Z: the ambient polynomials of
+degree <= COARSE_DEGREE on the cloud, orthonormalized (nlpoisson.solver
+runs it).  Jacobi alone leaves these smooth modes slow to converge.
+AbsorptionBlocks caches Z^T S Z and B^T Z once, so each operator forms
+E = Z^T H Z in O((n0 + m0) k^2) without another sparse product.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -53,6 +61,7 @@ from .solver import SolveResult, cg, solve_mean_zero, solve_spd  # noqa: F401
 VARIANT_KINDS = ("lambda", "nonhomogeneous", "nonlinear")
 THETA_MIN = 1.0 / 16.0
 INNER_TOL = 1e-12  # relative residual target of every inner CG solve
+COARSE_DEGREE = 2  # degree of the ambient polynomials spanning the coarse space
 
 
 @dataclass
@@ -163,12 +172,30 @@ def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
                    variant="nonhomogeneous")
 
 
+def smooth_basis(points: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the ambient polynomials of degree at most
+    COARSE_DEGREE sampled at the points, constant included.
+
+    The monomials are orthonormalized by SVD; singular values below 1e-10
+    of the largest are dropped, which removes the polynomials that vanish
+    on the manifold (|x|^2 - 1 on a sphere).
+    """
+    n, d = points.shape
+    cols = [np.ones(n)]
+    for degree in range(1, COARSE_DEGREE + 1):
+        for idx in itertools.combinations_with_replacement(range(d), degree):
+            cols.append(np.prod(points[:, idx], axis=1))
+    Q, s, _ = np.linalg.svd(np.column_stack(cols), full_matrices=False)
+    return np.ascontiguousarray(Q[:, s > 1e-10 * s[0]])
+
+
 class AbsorptionBlocks:
     """Fixed blocks of every absorption operator on a full-mode base system:
     B = [Pbar^T | AZ], n0 x (n0 + m0), with the row-stochastic smoother
     Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j, omega2_j = sum_i Kbar(p_j, p_i)
     A_i, and AZ = diag(A) zeta; measure = [omega2 A; omega_hat L] weighs
-    the averages a = B^T U."""
+    the averages a = B^T U.  Z is the smooth coarse basis of the two-level
+    PCG, with its products Z^T S Z and B^T Z."""
 
     def __init__(self, base: NonlocalSystem):
         diag_A = sparse.diags(base.A)
@@ -186,14 +213,18 @@ class AbsorptionBlocks:
         self.S_diag = base.S.diagonal()
         self.measure = np.concatenate([self.omega2 * base.A,
                                        base.coupling.omega_hat * base.coupling.L])
+        self.Z = smooth_basis(base.cloud.points)
+        self.ZtSZ = self.Z.T @ (base.S @ self.Z)
+        self.BtZ = self.BT @ self.Z
 
 
 @dataclass(eq=False)
 class AbsorptionOperator:
     """S + B diag(w) B^T, applied matrix-free from fixed AbsorptionBlocks:
     the lambda model and each Newton step differ only in the weights w,
-    one per average.  materialize() multiplies it out, for export and
-    tests."""
+    one per average.  coarse_space() gives the two-level PCG its
+    Galerkin matrix; materialize() multiplies the operator out, for export
+    and tests."""
 
     blocks: AbsorptionBlocks
     w: np.ndarray
@@ -205,6 +236,13 @@ class AbsorptionOperator:
     def diagonal(self) -> np.ndarray:
         b = self.blocks
         return b.S_diag + b.B_sq @ self.w
+
+    def coarse_space(self) -> tuple[np.ndarray, np.ndarray]:
+        """The blocks' coarse basis Z and E = Z^T (S + B diag(w) B^T) Z,
+        symmetrized, from the cached Z^T S Z and B^T Z."""
+        b = self.blocks
+        E = b.ZtSZ + b.BtZ.T @ (self.w[:, None] * b.BtZ)
+        return b.Z, 0.5 * (E + E.T)
 
     def materialize(self) -> sparse.csr_matrix:
         """The operator multiplied out by symmetric_product."""
@@ -257,7 +295,7 @@ class _NonlinearWork(AbsorptionBlocks):
         return hessian, rhs
 
     def frozen_solve(self, U: np.ndarray, tol: float) -> SolveResult:
-        """Jacobi PCG on the Newton system at U, started from U."""
+        """Two-level PCG on the Newton system at U, started from U."""
         hessian, rhs = self.newton(U)
         system = replace(self.base, S=hessian, rhs=rhs, mean_shift=0.0)
         return solve_spd(system, tol=tol, max_iter=20 * self.cloud.n0, x0=U)
@@ -286,7 +324,7 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
     """Damped Newton iteration on the discrete energy J.
 
     Each step solves the Newton system H U* = ... of the module docstring
-    by Jacobi PCG started from U, without forming H, and moves to
+    by two-level PCG started from U, without forming H, and moves to
     U + theta (U* - U).  theta starts at config.theta every step and is
     halved while the energy would rise (not below 1/16, after which the
     step is accepted and the result flagged).  At most config.picard_max
@@ -313,7 +351,8 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
 
     # start from the base model's mean-zero solution (solve_mean_zero's
     # CG and shift, without the boundary trace it would add)
-    U, _, inner_iterations, ok = cg(work.base.S, work.base.rhs, tol=INNER_TOL)
+    U, _, inner_iterations, ok, _ = cg(work.base.S, work.base.rhs,
+                                       tol=INNER_TOL)
     U = U - float(U @ cloud.A / cloud.A.sum())
     inner_misses = int(not ok)
     energies = [work.energy(U)]

@@ -184,7 +184,9 @@ def test_emit_lemma_report(tmp_path):
     report = lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05],
                                n_boundary=8192, probes=2)
     csv_path, svg_path = emit_lemma_report(report, tmp_path)
-    lines = csv_path.read_text().splitlines()
+    text = csv_path.read_text()
+    assert "np." not in text  # plain floats, not np.float64(...) reprs
+    lines = text.splitlines()
     assert lines[0] == "delta,boundary_sum,boundary_dev,omega_dev"
     assert sum(1 for l in lines if l.startswith("#")) == 3
     assert svg_path.exists()
@@ -216,6 +218,20 @@ def test_cli_converge_and_solve(tmp_path):
     assert code == 0
     assert (tmp_path / "single" / "solution.csv").exists()
     assert (tmp_path / "single" / "S.txt.meta").exists()
+
+
+@pytest.mark.parametrize("variant", ["none", "nonlinear"])
+def test_cli_solve_prints_inner_iterations(variant, tmp_path, capsys):
+    """Only results that carry inner CG iterations print them."""
+    code = main(["solve", "--case", "hemisphere2", "--t", "5", "--seed", "1",
+                 "--variant", variant, "--out", str(tmp_path)])
+    assert code == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    fields = dict(f.split("=") for f in line.split())
+    if variant == "nonlinear":
+        assert int(fields["inner_iters"]) > int(fields["iters"])
+    else:
+        assert "inner_iters" not in fields
 
 
 @pytest.mark.parametrize("variant", ["none", "nonhomogeneous"])

@@ -1,12 +1,13 @@
-"""Jacobi CG on the singular base system and the positive-definite variants,
-against dense factorization oracles."""
+"""Preconditioned CG on the singular base system and the positive-definite
+variants, against dense factorization oracles."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from nlpoisson.assembly import assemble
 from nlpoisson.geometry import build_cloud, get_case
-from nlpoisson.solver import solve_mean_zero, solve_spd
+from nlpoisson.solver import cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import assemble_lambda
 
 
@@ -18,7 +19,7 @@ def dense_mean_zero_solution(system):
 
 def test_solve_matches_dense_oracle(small_system):
     res = solve_mean_zero(small_system, tol=1e-12)
-    assert res.converged
+    assert res.converged and res.reason == "converged"
     assert res.residual <= 1e-12
     want = dense_mean_zero_solution(small_system)
     assert np.abs(res.U - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
@@ -103,7 +104,7 @@ def _lambda_system(t=5, lam=1.0):
 def test_spd_matches_dense_oracle():
     system = _lambda_system()
     res = solve_spd(system, tol=1e-12)
-    assert res.converged
+    assert res.converged and res.reason == "converged"
     want = np.linalg.solve(system.S.materialize().toarray(), system.rhs)
     assert np.abs(res.U - want).max() <= 1e-8 * max(1.0, np.abs(want).max())
 
@@ -113,6 +114,7 @@ def test_spd_zero_rhs():
     system = dataclasses.replace(_lambda_system(), rhs=np.zeros(40))
     res = solve_spd(system)
     assert np.all(res.U == 0.0) and res.iterations == 0
+    assert res.reason == "converged"
 
 
 def test_spd_large_lambda_fast():
@@ -130,3 +132,12 @@ def test_max_iter_flags_nonconvergence(small_system):
     assert not res.converged
     assert res.iterations == 2
     assert res.residual > 1e-13
+    assert res.reason == "max_iter"
+
+
+def test_reason_breakdown_on_indefinite_system():
+    """p^T S p = 1 - 4 < 0 on the first direction: the loop stops there."""
+    S = sparse.csr_matrix(np.diag([1.0, -1.0]))
+    _, _, it, ok, reason = cg(S, np.array([1.0, 2.0]))
+    assert reason == "breakdown"
+    assert it == 0 and not ok
