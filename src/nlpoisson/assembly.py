@@ -21,15 +21,18 @@ and returns (C + C^T) / 2, so S is exactly symmetric, bit for bit; the
 absorption models use it only to materialize their operator.
 
 Every block and the smoothed forcing are sums over pairs inside the
-2 delta interaction horizon.  pair_graph makes the one neighbour search
-per (cloud, delta) and evaluates Kbar once on its pairs.  Boundary point
-k is cloud point n0 - m0 + k (geometry's tail invariant), so every
-point-boundary and boundary-boundary pair is a searched pair or a
-boundary point with itself.  assemble builds R_A, the coupling, Rb and
-the forcing from the PairGraph and keeps it as NonlocalSystem.pairs,
-from which the model variants take their kernel smoother and flux term.
-All pair enumeration is done in sorted index order so that assembly is
-bit-reproducible.
+2 delta interaction horizon, so all of them are built on one pattern.
+pair_graph makes the one neighbour search per (cloud, delta) and returns
+it as the symmetric Kbar matrix NonlocalSystem.pairs: every searched
+pair in both orders and each point with itself, Kbar at distance zero on
+the diagonal, with the base kernel K in the same entry order.  R_A is a
+Laplacian filled in place on the whole pattern.  Boundary point k is
+cloud point n0 - m0 + k (geometry's tail invariant), so zeta and its
+normalization come from the pattern's last m0 columns, Rb is a Laplacian
+on its trailing m0 x m0 block, and the smoothed forcing is a matvec with
+it plus one with zeta; the model variants take their kernel smoother and
+flux term from the same matrix.  Its entries are in sorted index order,
+so assembly is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -66,30 +69,6 @@ class BoundaryCoupling:
 
 
 @dataclass
-class PairGraph:
-    """Neighbour pairs of one (cloud, delta) inside the 2 delta horizon.
-
-    i < j are the pairs of the one search, over all cloud points, in
-    lexicographic order and bar their Kbar(p_i, p_j); bar0 is Kbar at
-    distance zero.  rows, cols are the point-boundary pairs (p_r, q_k),
-    sorted by point and then boundary index, with cross_bar =
-    Kbar(p_r, q_k) and zeta = zeta(p_r, q_k) before normalization; as
-    q_k is point n0 - m0 + k, they are taken from i, j.  A reduced-mode
-    graph has none.
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    bar: np.ndarray
-    bar0: float
-    rows: np.ndarray
-    cols: np.ndarray
-    cross_bar: np.ndarray
-    zeta: np.ndarray
-    mode: str
-
-
-@dataclass
 class NonlocalSystem:
     S: sparse.csr_matrix         # or an operator with @, diagonal(), materialize()
     rhs: np.ndarray
@@ -100,7 +79,7 @@ class NonlocalSystem:
     cloud: PointCloud
     f_delta: np.ndarray          # smoothed source before mean removal
     mean_shift: float            # constant removed from f_delta
-    pairs: PairGraph             # the neighbour pairs it was built from
+    pairs: sparse.csr_matrix     # Kbar on the 2 delta pattern of every block
     variant: str = "none"        # model variant this system discretizes
 
 
@@ -115,121 +94,101 @@ def zeta_entry(p, q, n_q, delta: float, profile: KernelProfile,
     return float(-(p - q) @ n_q * bar)
 
 
-def _pair_order(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
-    """Argsort into lexicographic order of unique index pairs, by one int64 key."""
-    return np.argsort(rows.astype(np.int64) * ncols + cols)
-
-
 def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i < j, lexicographically sorted) within ``radius``, as int32."""
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     i, j = pairs[:, 0], pairs[:, 1]
-    order = _pair_order(i, j, len(points))
+    order = np.argsort(i.astype(np.int64) * len(points) + j)
     return i[order].astype(np.int32), j[order].astype(np.int32)
 
 
 def pair_graph(cloud: PointCloud, delta: float | None = None,
-               profile: KernelProfile | None = None,
-               mode: str = "full") -> tuple[PairGraph, np.ndarray]:
-    """Search the cloud's pairs within 2 delta and evaluate their kernels.
+               profile: KernelProfile | None = None
+               ) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The cloud's pair pattern within 2 delta, as the symmetric Kbar matrix.
 
-    Returns the PairGraph and the base kernel K(p_i, p_j) on its
-    interior pairs, which only R_A reads.  A full-mode graph takes its
-    point-boundary pairs from the same search.
+    One neighbour search over all cloud points gives the pairs i < j; the
+    pattern holds each in both orders, Kbar(p_i, p_j), and each point with
+    itself, Kbar at distance zero.  Also returns the base kernel
+    K(p_i, p_j) in the pattern's entry order, which only R_A reads (its
+    Laplacian ignores the diagonal).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
-    points, m, n0, m0 = cloud.points, cloud.m, cloud.n0, cloud.m0
+    points, m, n = cloud.points, cloud.m, cloud.n0
     i, j = _sym_pairs(points, 2.0 * delta)
-    sq = ((points[i] - points[j]) ** 2).sum(axis=1)
-    base = pair_eval(profile, "base", sq, delta, m)
-    bar = pair_eval(profile, "bar", sq, delta, m)
-    bar0 = float(pair_eval(profile, "bar", 0.0, delta, m))
-    rows = cols = np.empty(0, dtype=np.int32)
-    cross_bar = zeta = np.empty(0)
-    if mode == "full":
-        # (i, j) with j in the tail gives (i, j - nb), with i in the tail
-        # also (j, i - nb); each boundary point pairs with itself
-        nb = n0 - m0
-        hit, tail = j >= nb, i >= nb
-        own = np.arange(nb, n0, dtype=np.int32)
-        rows = np.concatenate([i[hit], j[tail], own])
-        cols = np.concatenate([j[hit], i[tail], own]) - nb
-        order = _pair_order(rows, cols, m0)
-        rows, cols = rows[order], cols[order]
-        cross_bar = np.concatenate([bar[hit], bar[tail], np.full(m0, bar0)])[order]
-        disp = points[rows] - cloud.boundary[cols]
-        zeta = -(disp * cloud.normals[cols]).sum(axis=1) * cross_bar
-    graph = PairGraph(i=i, j=j, bar=bar, bar0=bar0, rows=rows, cols=cols,
-                      cross_bar=cross_bar, zeta=zeta, mode=mode)
-    return graph, base
+    p = len(i)
+    sq = np.append(((points[i] - points[j]) ** 2).sum(axis=1), 0.0)
+    ids, own = np.arange(p, dtype=np.int32), np.arange(n, dtype=np.int32)
+    # entry p is a point with itself; fed as [lower triangle, diagonal,
+    # upper triangle] with the pairs in order, the conversion's stable row
+    # bucketing leaves every row's columns sorted
+    entry = sparse.coo_matrix(
+        (np.concatenate([ids, np.full(n, p, np.int32), ids]),
+         (np.concatenate([j, own, i]), np.concatenate([i, own, j]))),
+        shape=(n, n)).tocsr()
+    Kbar = sparse.csr_matrix(
+        (pair_eval(profile, "bar", sq, delta, m)[entry.data], entry.indices,
+         entry.indptr), shape=(n, n))
+    return Kbar, pair_eval(profile, "base", sq, delta, m)[entry.data]
 
 
-def _pair_weights(i: np.ndarray, j: np.ndarray, kernel: np.ndarray,
-                  weights: np.ndarray):
-    """The pairs with nonzero weight kernel * w_i * w_j, and those weights."""
-    w = kernel * weights[i] * weights[j]
-    keep = w != 0.0
-    return i[keep], j[keep], w[keep]
+def _laplacian(pattern: sparse.csr_matrix, kernel: np.ndarray,
+               weights: np.ndarray) -> sparse.csr_matrix:
+    """Graph Laplacian on a square pattern that holds its whole diagonal,
+    with pair weights kernel_ij (w_i w_j), kernel in the pattern's entry
+    order: minus the weight off the diagonal, the off-diagonal row sum on it."""
+    n = pattern.shape[0]
+    rows = np.repeat(np.arange(n, dtype=pattern.indices.dtype),
+                     np.diff(pattern.indptr))
+    data = -(kernel * (weights[rows] * weights[pattern.indices]))
+    diag = np.flatnonzero(pattern.indices == rows)
+    data[diag] = 0.0
+    data[diag] = -np.bincount(rows, weights=data, minlength=n)
+    return sparse.csr_matrix((data, pattern.indices, pattern.indptr),
+                             shape=(n, n))
 
 
-def _laplacian(n: int, i: np.ndarray, j: np.ndarray,
-               w: np.ndarray) -> sparse.csr_matrix:
-    """Graph Laplacian of the weighted pairs (i, j, w) on n nodes."""
-    diag = np.bincount(i, weights=w, minlength=n) + \
-        np.bincount(j, weights=w, minlength=n)
-    off = sparse.coo_matrix(
-        (np.concatenate([-w, -w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n))
-    return (off + sparse.diags(diag)).tocsr()
-
-
-def _boundary_edges(cloud: PointCloud, pairs: PairGraph):
-    """Boundary pairs within 2 delta with their weights Kbar L_k L_l: the
-    graph's pairs whose first, and so both, indices lie in the tail."""
-    nb = cloud.n0 - cloud.m0
-    first = int(np.searchsorted(pairs.i, nb))
-    return _pair_weights(pairs.i[first:] - nb, pairs.j[first:] - nb,
-                         pairs.bar[first:], cloud.L)
+def _boundary_block(pairs: sparse.csr_matrix, L: np.ndarray) -> sparse.csr_matrix:
+    """Kbar L L graph Laplacian on the pattern's trailing m0 x m0 block."""
+    nb = pairs.shape[0] - len(L)
+    tail = pairs[nb:, nb:]
+    return _laplacian(tail, tail.data, L)
 
 
 def interior_laplacian(cloud: PointCloud, delta: float | None = None,
                        profile: KernelProfile | None = None) -> sparse.csr_matrix:
     """Diffusion graph Laplacian R_A over all cloud points."""
-    pairs, base = pair_graph(cloud, delta, profile, mode="reduced")
-    return _laplacian(cloud.n0, *_pair_weights(pairs.i, pairs.j, base, cloud.A))
+    return _laplacian(*pair_graph(cloud, delta, profile), cloud.A)
 
 
 def boundary_laplacian(cloud: PointCloud, delta: float | None = None,
                        profile: KernelProfile | None = None) -> sparse.csr_matrix:
     """Boundary graph Laplacian with Kbar L L weights (C_R cancelled form)."""
-    pairs, _ = pair_graph(cloud, delta, profile, mode="reduced")
-    return _laplacian(cloud.m0, *_boundary_edges(cloud, pairs))
+    return _boundary_block(pair_graph(cloud, delta, profile)[0], cloud.L)
 
 
-def _coupling(cloud: PointCloud, pairs: PairGraph) -> BoundaryCoupling:
-    """The normalized coupling and the boundary Laplacian."""
+def boundary_coupling(cloud: PointCloud,
+                      pairs: sparse.csr_matrix) -> BoundaryCoupling:
+    """The normalized coupling, from the pattern's last m0 columns, and the
+    boundary Laplacian, from its trailing block."""
     n0, m0 = cloud.n0, cloud.m0
-    if pairs.mode == "reduced":
-        return BoundaryCoupling(zeta=sparse.csr_matrix((n0, m0)),
-                                omega_hat=np.zeros(m0),
-                                RbarL=sparse.csr_matrix((m0, m0)),
-                                L=np.zeros(m0))
-    keep = pairs.zeta != 0.0
-    rows, cols, vals = pairs.rows[keep], pairs.cols[keep], pairs.zeta[keep]
-    omega = np.bincount(cols, weights=vals * cloud.A[rows], minlength=m0)
+    cross = pairs[:, n0 - m0:]  # Kbar(p_r, q_k)
+    rows = np.repeat(np.arange(n0), np.diff(cross.indptr))
+    cols = cross.indices
+    disp = cloud.points[rows] - cloud.boundary[cols]
+    cross.data = -(disp * cloud.normals[cols]).sum(axis=1) * cross.data
+    omega = np.bincount(cols, weights=cross.data * cloud.A[rows], minlength=m0)
     bad = np.nonzero(omega <= 0.0)[0]
     if bad.size:
         k = int(bad[0])
         raise AssemblyError(
             f"omega(q_{k}) = {omega[k]:.3e} <= 0 at boundary point "
             f"{cloud.boundary[k]}; delta may be too large or the cloud too sparse")
-    zeta = sparse.csr_matrix((vals / omega[cols], (rows, cols)), shape=(n0, m0))
-    return BoundaryCoupling(zeta=zeta, omega_hat=omega,
-                            RbarL=_laplacian(m0, *_boundary_edges(cloud, pairs)),
-                            L=cloud.L)
+    cross.data /= omega[cols]
+    cross.eliminate_zeros()
+    return BoundaryCoupling(zeta=cross, omega_hat=omega,
+                            RbarL=_boundary_block(pairs, cloud.L), L=cloud.L)
 
 
 def symmetric_product(B: sparse.spmatrix, M: sparse.spmatrix) -> sparse.csr_matrix:
@@ -239,36 +198,25 @@ def symmetric_product(B: sparse.spmatrix, M: sparse.spmatrix) -> sparse.csr_matr
     return ((C + C.T) * 0.5).tocsr()
 
 
-def bar_matrix(pairs: PairGraph, n: int) -> sparse.csr_matrix:
-    """Symmetric matrix of the graph's interior Kbar values, diagonal included."""
-    keep = pairs.bar != 0.0
-    i, j, bar = pairs.i[keep], pairs.j[keep], pairs.bar[keep]
-    mat = sparse.coo_matrix(
-        (np.concatenate([bar, bar]),
-         (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
-    return (mat + sparse.diags(np.full(n, pairs.bar0))).tocsr()
+def bar_matrix(pairs: sparse.csr_matrix, n: int) -> sparse.csr_matrix:
+    """The Kbar matrix of the n cloud points, which is the pattern itself;
+    kept as a name of variants that perfbench's traced runs wrap."""
+    return pairs
 
 
-def smoothed_forcing(cloud: PointCloud, pairs: PairGraph,
+def smoothed_forcing(cloud: PointCloud, pairs: sparse.csr_matrix,
+                     coupling: BoundaryCoupling,
                      f: Callable[[np.ndarray], np.ndarray] | None = None
                      ) -> np.ndarray:
     """Kernel-smoothed forcing before any mean removal.
 
-    fd_i = sum_j f(p_j) Kbar(p_i, p_j) A_j, plus the boundary coupling
-    term sum_k f(q_k) zeta(p_i, q_k) L_k for a full-mode graph.
+    fd_i = sum_j Kbar(p_i, p_j) f(p_j) A_j, plus the boundary coupling
+    term sum_k zeta(p_i, q_k) f(q_k) L_k, zero in reduced mode.
     """
     f = f or get_case(cloud.case_name).forcing
-    fp = np.asarray(f(cloud.points), dtype=float)
-    i, j, bar = pairs.i, pairs.j, pairs.bar
-    fd = np.bincount(i, weights=bar * fp[j] * cloud.A[j], minlength=cloud.n0)
-    fd += np.bincount(j, weights=bar * fp[i] * cloud.A[i], minlength=cloud.n0)
-    fd += pairs.bar0 * fp * cloud.A
-    if pairs.mode == "full":
-        fq = np.asarray(f(cloud.boundary), dtype=float)
-        cols = pairs.cols
-        fd += np.bincount(pairs.rows, weights=pairs.zeta * fq[cols] * cloud.L[cols],
-                          minlength=cloud.n0)
-    return fd
+    fd = pairs @ (np.asarray(f(cloud.points), dtype=float) * cloud.A)
+    fq = np.asarray(f(cloud.boundary), dtype=float)
+    return fd + coupling.zeta @ (coupling.omega_hat * fq * coupling.L)
 
 
 def assemble(cloud: PointCloud, delta: float | None = None,
@@ -279,21 +227,28 @@ def assemble(cloud: PointCloud, delta: float | None = None,
     mode "full" includes the boundary coupling; "reduced" keeps only the
     diffusion block (all boundary weights treated as zero).
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
     if cloud.A is None:
         raise ValueError("cloud has no volume weights; run volume_weights first")
 
-    pairs, base = pair_graph(cloud, delta, profile, mode)
-    RA = _laplacian(cloud.n0, *_pair_weights(pairs.i, pairs.j, base, cloud.A))
+    pairs, base = pair_graph(cloud, delta, profile)
+    S = _laplacian(pairs, base, cloud.A)
     del base
-    S = RA.multiply(1.0 / (delta * delta)).tocsr()
-    coupling = _coupling(cloud, pairs)
+    S.data *= 1.0 / (delta * delta)
+    n0, m0 = cloud.n0, cloud.m0
     if mode == "full":
+        coupling = boundary_coupling(cloud, pairs)
         AZ = sparse.diags(cloud.A) @ coupling.zeta
         S = (S + 2.0 * symmetric_product(AZ, coupling.RbarL)).tocsr()
+    else:
+        coupling = BoundaryCoupling(zeta=sparse.csr_matrix((n0, m0)),
+                                    omega_hat=np.zeros(m0),
+                                    RbarL=sparse.csr_matrix((m0, m0)),
+                                    L=np.zeros(m0))
 
-    fd = smoothed_forcing(cloud, pairs, f)
+    fd = smoothed_forcing(cloud, pairs, coupling, f)
     shift = float(fd @ cloud.A / cloud.A.sum())
     rhs = cloud.A * (fd - shift)
     return NonlocalSystem(S=S, rhs=rhs, coupling=coupling, A=cloud.A,

@@ -44,9 +44,6 @@ class KernelProfile:
     levels: Mapping[str, Callable[[np.ndarray], np.ndarray]]
     nondegeneracy_floor: float = 0.0
 
-    def __call__(self, level: str, r):
-        return profile_eval(self, level, r)
-
 
 def _masked(fn: Callable[[np.ndarray], np.ndarray]):
     """Wrap ``fn`` so it evaluates to exactly 0 outside [0, 1]."""

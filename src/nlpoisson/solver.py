@@ -37,8 +37,9 @@ class SolveResult:
     residual: float
     iterations: int
     converged: bool
-    # why the CG loop stopped: "converged", "max_iter" or "breakdown"
-    # (p^T S p <= 0); set by the linear solves only
+    # why the loop stopped: "converged", "max_iter", and from CG "breakdown"
+    # (p^T S p <= 0) or from nonlinear_solve "stalled" (a step below
+    # tolerance, the residual above it)
     reason: str | None = None
     # populated by the nonlinear driver only
     energy_history: list[float] | None = None

@@ -41,10 +41,11 @@ import numpy as np
 from scipy import sparse
 
 from .assembly import (
+    BoundaryCoupling,
     NonlocalSystem,
-    PairGraph,
     assemble,
-    bar_matrix,
+    bar_matrix,  # noqa: F401
+    boundary_coupling,
     boundary_trace,
     interior_laplacian,  # noqa: F401
     pair_graph,
@@ -53,9 +54,9 @@ from .assembly import (
 )
 from .geometry import PointCloud, get_case
 from .kernels import KernelProfile, cosine_profile
-# interior_laplacian and solve_mean_zero are not called here; they stay
-# importable from this module with the other solver and assembly names
-# that perfbench's traced runs wrap
+# bar_matrix, interior_laplacian and solve_mean_zero are not called here;
+# they stay importable from this module with the other solver and assembly
+# names that perfbench's traced runs wrap
 from .solver import SolveResult, cg, solve_mean_zero, solve_spd  # noqa: F401
 
 VARIANT_KINDS = ("lambda", "nonhomogeneous", "nonlinear")
@@ -136,14 +137,18 @@ def source_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
     F_i = fd_i + sum_k (2 Kbar(p_i, q_k) + zeta(p_i, q_k)) g(q_k) L_k,
     minus the constant that zeroes sum_i F_i A_i.  Warns when the discrete
     compatibility sum(f A) + sum(g L) exceeds 1e-3 in relative size.
+    Normalizing zeta, it raises AssemblyError where assemble would.
     """
     pairs, _ = pair_graph(cloud, delta, profile)
-    return _flux_source(cloud, pairs, f, g, smoothed_forcing(cloud, pairs, f))
+    coupling = boundary_coupling(cloud, pairs)
+    fd = smoothed_forcing(cloud, pairs, coupling, f)
+    return _flux_source(cloud, pairs, coupling, f, g, fd)
 
 
-def _flux_source(cloud: PointCloud, pairs: PairGraph, f: Callable | None,
+def _flux_source(cloud: PointCloud, pairs: sparse.csr_matrix,
+                 coupling: BoundaryCoupling, f: Callable | None,
                  g: Callable | None, fd: np.ndarray) -> tuple[np.ndarray, float]:
-    """source_nonhomogeneous from the pairs and fd, the smoothed forcing of f."""
+    """source_nonhomogeneous from the pattern, coupling and fd = smoothed f."""
     if g is not None:
         f = f or get_case(cloud.case_name).forcing
         gq = np.asarray(g(cloud.boundary), dtype=float)
@@ -154,9 +159,10 @@ def _flux_source(cloud: PointCloud, pairs: PairGraph, f: Callable | None,
             warnings.warn(
                 f"discrete compatibility violated: sum(f A) + sum(g L) = "
                 f"{comp:.3e} ({abs(comp) / scale:.2e} relative)")
-        cols = pairs.cols
-        contrib = (2.0 * pairs.cross_bar + pairs.zeta) * gq[cols] * cloud.L[cols]
-        fd = fd + np.bincount(pairs.rows, weights=contrib, minlength=cloud.n0)
+        # boundary point k is cloud point n0 - m0 + k
+        gL = gq * cloud.L
+        fd = (fd + 2.0 * (pairs[:, cloud.n0 - cloud.m0:] @ gL)
+              + coupling.zeta @ (coupling.omega_hat * gL))
     shift = float(fd @ cloud.A / cloud.A.sum())
     return fd - shift, shift
 
@@ -167,7 +173,8 @@ def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
                             g: Callable | None = None) -> NonlocalSystem:
     """Base full-model system with the non-homogeneous right side."""
     base = assemble(cloud, delta, profile, mode="full", f=f)
-    F, shift = _flux_source(cloud, base.pairs, f, g, base.f_delta)
+    F, shift = _flux_source(cloud, base.pairs, base.coupling, f, g,
+                            base.f_delta)
     return replace(base, rhs=cloud.A * F, f_delta=F + shift, mean_shift=shift,
                    variant="nonhomogeneous")
 
@@ -193,21 +200,24 @@ class AbsorptionBlocks:
     """Fixed blocks of every absorption operator on a full-mode base system:
     B = [Pbar^T | AZ], n0 x (n0 + m0), with the row-stochastic smoother
     Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j, omega2_j = sum_i Kbar(p_j, p_i)
-    A_i, and AZ = diag(A) zeta; measure = [omega2 A; omega_hat L] weighs
-    the averages a = B^T U.  Z is the smooth coarse basis of the two-level
-    PCG, with its products Z^T S Z and B^T Z."""
+    A_i, on the Kbar pattern base.pairs, and AZ = diag(A) zeta; measure =
+    [omega2 A; omega_hat L] weighs the averages a = B^T U.  Z is the smooth
+    coarse basis of the two-level PCG, with its products Z^T S Z and B^T Z."""
 
     def __init__(self, base: NonlocalSystem):
-        diag_A = sparse.diags(base.A)
         self.base = base
-        bar = bar_matrix(base.pairs, len(base.A))
-        self.omega2 = bar @ base.A
+        Kbar = base.pairs
+        self.omega2 = Kbar @ base.A
         if np.any(self.omega2 <= 0.0):
             j = int(np.argmin(self.omega2))
             raise ValueError(f"smoothing mass w2({j}) = {self.omega2[j]:.3e} <= 0")
-        self.B = sparse.hstack([diag_A @ bar @ sparse.diags(1.0 / self.omega2),
-                                diag_A @ base.coupling.zeta], format="csr")
-        del bar  # freed before the transpose below is built
+        # Pbar^T_ij = A_i Kbar_ij / omega2_j, on the pattern
+        PbarT = sparse.csr_matrix(
+            (np.repeat(base.A, np.diff(Kbar.indptr)) * Kbar.data
+             * (1.0 / self.omega2)[Kbar.indices], Kbar.indices, Kbar.indptr),
+            shape=Kbar.shape)
+        self.B = sparse.hstack([PbarT, sparse.diags(base.A) @ base.coupling.zeta],
+                               format="csr")
         self.BT = self.B.T.tocsr()
         self.B_sq = self.B.power(2)
         self.S_diag = base.S.diagonal()
@@ -332,8 +342,10 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
     |frozen(U) U - A f_delta| / |A f_delta| of the discrete nonlinear
     system, the relative gradient of J, at the final iterate; converged
     requires both the last step size and that residual to be at most
-    config.picard_tol.  inner_iterations and inner_misses report the
-    inner CG solves and leave converged unaffected.
+    config.picard_tol, and reason says which held: "converged", "stalled"
+    (the step only) or "max_iter" (picard_max steps, the last one larger).
+    inner_iterations and inner_misses report the inner CG solves and
+    leave converged unaffected.
     """
     delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
@@ -346,8 +358,9 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
         U = np.zeros(cloud.n0)
         V = np.zeros(cloud.m0)
         return SolveResult(U=U, V=V, residual=0.0, iterations=0, converged=True,
-                           energy_history=[work.energy(U)], energy_monotone=True,
-                           inner_iterations=0, inner_misses=0)
+                           reason="converged", energy_history=[work.energy(U)],
+                           energy_monotone=True, inner_iterations=0,
+                           inner_misses=0)
 
     # start from the base model's mean-zero solution (solve_mean_zero's
     # CG and shift, without the boundary trace it would add)
@@ -382,10 +395,12 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
             break
 
     residual = float(np.linalg.norm(work.frozen(U) @ U - rhs)) / rnorm
-    converged = step_size <= config.picard_tol and residual <= config.picard_tol
+    stopped = step_size <= config.picard_tol
+    converged = stopped and residual <= config.picard_tol
+    reason = "converged" if converged else "stalled" if stopped else "max_iter"
     V = boundary_trace(work.base.coupling, cloud.A, U)
     return SolveResult(U=U, V=V, residual=residual, iterations=steps,
-                       converged=converged, energy_history=energies,
-                       energy_monotone=monotone,
+                       converged=converged, reason=reason,
+                       energy_history=energies, energy_monotone=monotone,
                        inner_iterations=inner_iterations,
                        inner_misses=inner_misses)

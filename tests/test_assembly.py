@@ -14,8 +14,8 @@ from scipy import sparse
 
 from nlpoisson.assembly import (
     AssemblyError,
-    _boundary_edges,
     assemble,
+    boundary_coupling,
     boundary_laplacian,
     boundary_trace,
     export_matrix,
@@ -289,8 +289,10 @@ def test_export_matrix(tmp_path, small_system):
 
 def test_smoothed_forcing_modes(medium_cloud, profile):
     def forcing(mode):
-        pairs, _ = pair_graph(medium_cloud, profile=profile, mode=mode)
-        return smoothed_forcing(medium_cloud, pairs)
+        system = assemble(medium_cloud, profile=profile, mode=mode)
+        fd = smoothed_forcing(medium_cloud, system.pairs, system.coupling)
+        assert np.array_equal(fd, system.f_delta)
+        return fd
 
     assert not np.array_equal(forcing("full"), forcing("reduced"))
     with pytest.raises(ValueError):
@@ -329,23 +331,28 @@ def _search_clouds():
                          ids=["aliased_boundary", "duplicated_point"])
 @pytest.mark.parametrize("search", ["interior", "cross", "boundary"])
 def test_pair_search_matches_brute_force(cloud, zeros, search, profile):
-    """pair_graph's one search gives every pair within 2 delta in
-    lexicographic order as int32: the interior pairs i < j over all
-    points, the point-boundary pairs, and the boundary pairs k < l that
-    _boundary_edges takes from it.  Their Kbar values, and the zeta
-    values, equal a direct pair_eval on each pair's coordinates.  Pairs
-    within 1e-12 relative of the radius are left out of the comparison."""
-    graph, _ = pair_graph(cloud, profile=profile)
+    """pair_graph's one search gives the Kbar pattern of every pair within
+    2 delta, with int32 indices in lexicographic order: the interior pairs
+    i < j over all points (its upper triangle), the point-boundary pairs
+    (its last m0 columns), and the boundary pairs k < l (the upper triangle
+    of its trailing m0 x m0 block).  Their Kbar values equal a direct
+    pair_eval on each pair's coordinates, and so do the zeta values that
+    boundary_coupling normalizes.  Pairs within 1e-12 relative of the
+    radius are left out of the comparison."""
+    pairs, _ = pair_graph(cloud, profile=profile)
+    nb = cloud.n0 - cloud.m0
     radius = 2.0 * cloud.delta
     points, targets = cloud.points, cloud.boundary
     if search == "interior":
         targets = points
-        got, values = (graph.i, graph.j), graph.bar
+        block = pairs.tocoo()
     elif search == "cross":
-        got, values = (graph.rows, graph.cols), graph.cross_bar
+        block = pairs[:, nb:].tocoo()
     else:
         points = targets
-        *got, values = _boundary_edges(replace(cloud, L=np.ones(cloud.m0)), graph)
+        block = pairs[nb:, nb:].tocoo()
+    upper = (block.row < block.col) if search != "cross" else slice(None)
+    got, values = (block.row[upper], block.col[upper]), block.data[upper]
     dist = np.sqrt(((points[:, None, :] - targets[None, :, :]) ** 2).sum(axis=2))
     clear = np.abs(dist - radius) > 1e-12 * radius
     inside = dist <= radius
@@ -361,5 +368,15 @@ def test_pair_search_matches_brute_force(cloud, zeros, search, profile):
     bar = pair_eval(profile, "bar", (disp**2).sum(axis=1), cloud.delta, cloud.m)
     assert np.array_equal(values, bar)
     if search == "cross":
-        zeta = -(disp * cloud.normals[graph.cols]).sum(axis=1) * bar
-        assert np.array_equal(graph.zeta, zeta)
+        # unit weights: omega is the plain column sum of zeta
+        rows, cols = got
+        zeta = -(disp * cloud.normals[cols]).sum(axis=1) * bar
+        omega = np.bincount(cols, weights=zeta, minlength=cloud.m0)
+        unit = replace(cloud, A=np.ones(cloud.n0), L=np.ones(cloud.m0))
+        coupling = boundary_coupling(unit, pairs)
+        nz = zeta != 0.0
+        assert np.array_equal(coupling.omega_hat, omega)
+        got_zeta = coupling.zeta.tocoo()
+        assert np.array_equal(got_zeta.row, rows[nz])
+        assert np.array_equal(got_zeta.col, cols[nz])
+        assert np.array_equal(got_zeta.data, zeta[nz] / omega[cols[nz]])

@@ -237,6 +237,26 @@ def test_one_pair_search_per_point_set(variant, mode, monkeypatch):
                      "symmetric_product": products}
 
 
+@pytest.mark.parametrize("case,t", [("hemisphere2", 10), ("hemisphere3", 4)])
+def test_every_block_on_the_one_pattern(case, t):
+    """Every block is built on the one Kbar pattern of the pair search: the
+    reduced-mode S (R_A) and Pbar^T = B[:, :n0] hold exactly its entries,
+    RbarL those of its trailing m0 x m0 block, and zeta only entries of
+    its last m0 columns."""
+    cloud = build_cloud(case, t, 1)
+    full = assemble(cloud)
+    pairs = full.pairs
+    n0, nb = cloud.n0, cloud.n0 - cloud.m0
+    same = (assemble(cloud, mode="reduced").S, AbsorptionBlocks(full).B[:, :n0],
+            full.coupling.RbarL)
+    for block, pattern in zip(same, (pairs, pairs, pairs[nb:, nb:])):
+        assert np.array_equal(block.indptr, pattern.indptr)
+        assert np.array_equal(block.indices, pattern.indices)
+    zeta, cross = full.coupling.zeta.tocoo(), pairs[:, nb:].tocoo()
+    assert zeta.nnz > 0
+    assert set(zip(zeta.row, zeta.col)) <= set(zip(cross.row, cross.col))
+
+
 def test_nonhomogeneous_compatibility_warning(small_cloud):
     with pytest.warns(UserWarning, match="compatibility"):
         source_nonhomogeneous(small_cloud, f=lambda x: np.ones(x.shape[0]),
@@ -282,6 +302,7 @@ def test_nonlinear_zero_forcing_fixed_point(small_cloud):
                            f=lambda x: np.zeros(x.shape[0]))
     res = nonlinear_solve(small_cloud, config=config)
     assert res.converged and res.iterations == 0
+    assert res.reason == "converged"
     assert np.all(res.U == 0.0)
     assert res.residual == 0.0
     assert res.energy_history == [0.0]
@@ -292,7 +313,7 @@ def test_nonlinear_p_one_matches_lambda(small_cloud):
     f = manufactured_lambda_forcing(lam)
     config = VariantConfig(kind="nonlinear", lam=lam, p=1.0, f=f)
     res = nonlinear_solve(small_cloud, config=config)
-    assert res.converged
+    assert res.converged and res.reason == "converged"
     linear = solve_spd(assemble_lambda(small_cloud, lam=lam, f=f), tol=1e-12)
     assert np.abs(res.U - linear.U).max() <= 1e-8 * max(1.0, np.abs(linear.U).max())
 
@@ -303,7 +324,7 @@ def test_nonlinear_manufactured_residual():
     config = VariantConfig(kind="nonlinear", lam=lam, p=p,
                            f=manufactured_nonlinear_forcing(lam, p))
     res = nonlinear_solve(cloud, config=config)
-    assert res.converged
+    assert res.converged and res.reason == "converged"
     assert res.residual < 1e-8
     J = np.array(res.energy_history)
     assert np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1])))
@@ -341,7 +362,7 @@ def test_nonlinear_newton_converges_where_picard_stalled():
     config = VariantConfig(kind="nonlinear", lam=lam, p=p,
                            f=manufactured_nonlinear_forcing(lam, p))
     res = nonlinear_solve(cloud, config=config)
-    assert res.converged
+    assert res.converged and res.reason == "converged"
     assert res.residual <= 1e-10
     J = np.array(res.energy_history)
     assert np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1])))
@@ -363,6 +384,20 @@ def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
     assert res.iterations == 1
     assert res.residual > config.picard_tol
     assert res.converged is False
+    assert res.reason == "stalled"
+
+
+def test_nonlinear_reason_max_iter():
+    """One Newton step on criterion 9's cloud leaves the iteration moving:
+    the step limit, not convergence, ends it."""
+    lam, p = 1.0, 1.5
+    cloud = build_cloud("hemisphere2", 20, 1)
+    config = VariantConfig(kind="nonlinear", lam=lam, p=p, picard_max=1,
+                           f=manufactured_nonlinear_forcing(lam, p))
+    res = nonlinear_solve(cloud, config=config)
+    assert res.iterations == 1
+    assert res.converged is False
+    assert res.reason == "max_iter"
 
 
 @pytest.mark.parametrize("cloud_name", ["small_cloud", "medium_cloud"])
