@@ -41,19 +41,15 @@ import numpy as np
 from scipy import sparse
 
 from .assembly import (
-    BoundaryCoupling,
     NonlocalSystem,
     assemble,
     bar_matrix,  # noqa: F401
-    boundary_coupling,
     boundary_trace,
     interior_laplacian,  # noqa: F401
-    pair_graph,
-    smoothed_forcing,
     symmetric_product,
 )
 from .geometry import PointCloud, get_case
-from .kernels import KernelProfile, cosine_profile
+from .kernels import KernelProfile
 # bar_matrix, interior_laplacian and solve_mean_zero are not called here;
 # they stay importable from this module with the other solver and assembly
 # names that perfbench's traced runs wrap
@@ -73,8 +69,9 @@ class VariantConfig:
     values for the lambda model; p >= 1, finite, the nonlinear exponent.  theta,
     picard_tol and picard_max bound the damped Newton steps of the
     nonlinear solve (the names date from the damped Picard iteration it
-    replaced): at most picard_max steps, each line search starting at
-    theta, stopping once a step moves no entry by more than picard_tol.
+    replaced): at most picard_max steps, an integer >= 1, each line search
+    starting at theta, stopping once a step moves no entry by more than
+    picard_tol, finite and > 0.  Every kind checks these three.
     """
 
     kind: str = "lambda"
@@ -91,6 +88,11 @@ class VariantConfig:
                 f"unknown variant kind {self.kind!r}; expected {VARIANT_KINDS}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping theta must lie in (0, 1]")
+        if not (isinstance(self.picard_max, (int, np.integer))
+                and self.picard_max >= 1):
+            raise ValueError("picard_max must be an integer >= 1")
+        if not (np.isfinite(self.picard_tol) and self.picard_tol > 0.0):
+            raise ValueError("picard_tol must be finite and > 0")
         if self.kind == "nonlinear":
             if not (np.isfinite(self.p) and self.p >= 1.0):
                 raise ValueError("nonlinear exponent p must be finite and >= 1")
@@ -135,20 +137,18 @@ def source_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
     """Source with boundary-flux data folded in, A-weighted mean removed.
 
     F_i = fd_i + sum_k (2 Kbar(p_i, q_k) + zeta(p_i, q_k)) g(q_k) L_k,
-    minus the constant that zeroes sum_i F_i A_i.  Warns when the discrete
-    compatibility sum(f A) + sum(g L) exceeds 1e-3 in relative size.
-    Normalizing zeta, it raises AssemblyError where assemble would.
+    minus the constant that zeroes sum_i F_i A_i, with fd, the pattern and
+    zeta read off the full-mode base system assemble returns.  Warns when
+    the discrete compatibility sum(f A) + sum(g L) exceeds 1e-3 in relative
+    size.
     """
-    pairs, _ = pair_graph(cloud, delta, profile)
-    coupling = boundary_coupling(cloud, pairs)
-    fd = smoothed_forcing(cloud, pairs, coupling, f)
-    return _flux_source(cloud, pairs, coupling, f, g, fd)
+    return _flux_source(assemble(cloud, delta, profile, mode="full", f=f), f, g)
 
 
-def _flux_source(cloud: PointCloud, pairs: sparse.csr_matrix,
-                 coupling: BoundaryCoupling, f: Callable | None,
-                 g: Callable | None, fd: np.ndarray) -> tuple[np.ndarray, float]:
-    """source_nonhomogeneous from the pattern, coupling and fd = smoothed f."""
+def _flux_source(base: NonlocalSystem, f: Callable | None,
+                 g: Callable | None) -> tuple[np.ndarray, float]:
+    """source_nonhomogeneous from the base system's blocks."""
+    cloud, coupling, fd = base.cloud, base.coupling, base.f_delta
     if g is not None:
         f = f or get_case(cloud.case_name).forcing
         gq = np.asarray(g(cloud.boundary), dtype=float)
@@ -161,7 +161,7 @@ def _flux_source(cloud: PointCloud, pairs: sparse.csr_matrix,
                 f"{comp:.3e} ({abs(comp) / scale:.2e} relative)")
         # boundary point k is cloud point n0 - m0 + k
         gL = gq * cloud.L
-        fd = (fd + 2.0 * (pairs[:, cloud.n0 - cloud.m0:] @ gL)
+        fd = (fd + 2.0 * (base.pairs[:, cloud.n0 - cloud.m0:] @ gL)
               + coupling.zeta @ (coupling.omega_hat * gL))
     shift = float(fd @ cloud.A / cloud.A.sum())
     return fd - shift, shift
@@ -173,8 +173,7 @@ def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
                             g: Callable | None = None) -> NonlocalSystem:
     """Base full-model system with the non-homogeneous right side."""
     base = assemble(cloud, delta, profile, mode="full", f=f)
-    F, shift = _flux_source(cloud, base.pairs, base.coupling, f, g,
-                            base.f_delta)
+    F, shift = _flux_source(base, f, g)
     return replace(base, rhs=cloud.A * F, f_delta=F + shift, mean_shift=shift,
                    variant="nonhomogeneous")
 
@@ -201,8 +200,9 @@ class AbsorptionBlocks:
     B = [Pbar^T | AZ], n0 x (n0 + m0), with the row-stochastic smoother
     Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j, omega2_j = sum_i Kbar(p_j, p_i)
     A_i, on the Kbar pattern base.pairs, and AZ = diag(A) zeta; measure =
-    [omega2 A; omega_hat L] weighs the averages a = B^T U.  Z is the smooth
-    coarse basis of the two-level PCG, with its products Z^T S Z and B^T Z."""
+    [omega2 A; omega_hat L] weighs the averages a = B^T U.  BT is a view
+    of B's arrays; S is read from base.  Z is the smooth coarse basis of
+    the two-level PCG, with its products Z^T S Z and B^T Z."""
 
     def __init__(self, base: NonlocalSystem):
         self.base = base
@@ -218,9 +218,10 @@ class AbsorptionBlocks:
             shape=Kbar.shape)
         self.B = sparse.hstack([PbarT, sparse.diags(base.A) @ base.coupling.zeta],
                                format="csr")
-        self.BT = self.B.T.tocsr()
-        self.B_sq = self.B.power(2)
-        self.S_diag = base.S.diagonal()
+        # sorted once: AZ's columns come out of the product unsorted, and a
+        # later in-place sort would change the view BT under a running solve
+        self.B.sort_indices()
+        self.BT = self.B.T
         self.measure = np.concatenate([self.omega2 * base.A,
                                        base.coupling.omega_hat * base.coupling.L])
         self.Z = smooth_basis(base.cloud.points)
@@ -245,7 +246,7 @@ class AbsorptionOperator:
 
     def diagonal(self) -> np.ndarray:
         b = self.blocks
-        return b.S_diag + b.B_sq @ self.w
+        return b.base.S.diagonal() + b.B.power(2) @ self.w
 
     def coarse_space(self) -> tuple[np.ndarray, np.ndarray]:
         """The blocks' coarse basis Z and E = Z^T (S + B diag(w) B^T) Z,
@@ -264,13 +265,15 @@ class _NonlinearWork(AbsorptionBlocks):
     """The absorption blocks with the nonlinear model's Newton systems and
     energy."""
 
-    def __init__(self, cloud: PointCloud, delta: float, profile: KernelProfile,
-                 config: VariantConfig):
+    def __init__(self, cloud: PointCloud, delta: float | None,
+                 profile: KernelProfile | None, config: VariantConfig):
+        if config.kind != "nonlinear":
+            raise ValueError(
+                f"nonlinear_solve needs a nonlinear config, not {config.kind!r}")
         if cloud.m > 2 and config.p >= cloud.m / (cloud.m - 2):
             warnings.warn(
                 f"exponent p = {config.p} is not subcritical for m = {cloud.m}"
                 f" (p < {cloud.m / (cloud.m - 2):.3g} expected)")
-        self.cloud = cloud
         self.config = config
         super().__init__(assemble(cloud, delta, profile, mode="full",
                                   f=config.f))
@@ -308,7 +311,7 @@ class _NonlinearWork(AbsorptionBlocks):
         """Two-level PCG on the Newton system at U, started from U."""
         hessian, rhs = self.newton(U)
         system = replace(self.base, S=hessian, rhs=rhs, mean_shift=0.0)
-        return solve_spd(system, tol=tol, max_iter=20 * self.cloud.n0, x0=U)
+        return solve_spd(system, tol=tol, max_iter=20 * len(U), x0=U)
 
     def energy(self, U: np.ndarray) -> float:
         """Discrete energy whose critical points solve the discrete model.
@@ -324,7 +327,7 @@ class _NonlinearWork(AbsorptionBlocks):
         quad = 0.5 * float(U @ (self.base.S @ U))
         absorption = lam / (2.0 * p) * float(
             self.measure @ np.abs(self.BT @ U) ** (2.0 * p))
-        source = -float((U * self.base.f_delta) @ self.cloud.A)
+        source = -float((U * self.base.f_delta) @ self.base.A)
         return quad + absorption + source
 
 
@@ -347,8 +350,6 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
     inner_iterations and inner_misses report the inner CG solves and
     leave converged unaffected.
     """
-    delta = cloud.delta if delta is None else delta
-    profile = profile or cosine_profile()
     config = config or VariantConfig(kind="nonlinear")
     work = _NonlinearWork(cloud, delta, profile, config)
     rhs = work.rhs
@@ -370,8 +371,6 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
     inner_misses = int(not ok)
     energies = [work.energy(U)]
     monotone = True
-    step_size = np.inf
-    steps = 0
     slack = 1e-12
     for steps in range(1, config.picard_max + 1):
         inner = work.frozen_solve(U, INNER_TOL)

@@ -8,10 +8,16 @@ import pytest
 from nlpoisson import assembly, variants
 from nlpoisson.assembly import assemble, boundary_trace, interior_laplacian
 from nlpoisson.geometry import build_cloud, get_case
-from nlpoisson.harness import HarnessOptions, e2_error, run_single
+from nlpoisson.harness import (
+    ConfigurationError,
+    HarnessOptions,
+    e2_error,
+    run_single,
+)
 from nlpoisson.kernels import cosine_profile
 from nlpoisson.solver import SolveResult, cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import (
+    VARIANT_KINDS,
     AbsorptionBlocks,
     AbsorptionOperator,
     VariantConfig,
@@ -192,7 +198,6 @@ def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
 
     smoothed = counted(assembly.smoothed_forcing, "smoothed_forcing")
     monkeypatch.setattr(assembly, "smoothed_forcing", smoothed)
-    monkeypatch.setattr(variants, "smoothed_forcing", smoothed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         system = assemble_nonhomogeneous(small_cloud, f=_nh_f, g=_nh_g)
@@ -255,6 +260,28 @@ def test_every_block_on_the_one_pattern(case, t):
     zeta, cross = full.coupling.zeta.tocoo(), pairs[:, nb:].tocoo()
     assert zeta.nnz > 0
     assert set(zip(zeta.row, zeta.col)) <= set(zip(cross.row, cross.col))
+
+
+@pytest.mark.parametrize("case,t", [("hemisphere2", 10), ("hemisphere3", 4)])
+def test_absorption_blocks_hold_B_once(case, t):
+    """B is stored once, in canonical order, and BT is a view of its arrays."""
+    blocks = AbsorptionBlocks(assemble(build_cloud(case, t, 1)))
+    assert blocks.B.has_canonical_format
+    assert np.shares_memory(blocks.BT.data, blocks.B.data)
+
+
+def test_absorption_operator_unchanged_by_its_diagonal(small_cloud, rng):
+    """The first diagonal() call leaves B and its view as they were: the
+    apply, the diagonal and materialize() agree bit for bit before and
+    after it."""
+    op = assemble_lambda(small_cloud, lam=1.0).S
+    x = rng.standard_normal(small_cloud.n0)
+    before = (op @ x, op.diagonal(), op.materialize())
+    after = (op @ x, op.diagonal(), op.materialize())
+    assert np.array_equal(before[0], after[0])
+    assert np.array_equal(before[1], after[1])
+    assert np.array_equal(before[2].indices, after[2].indices)
+    assert np.array_equal(before[2].data, after[2].data)
 
 
 def test_nonhomogeneous_compatibility_warning(small_cloud):
@@ -522,6 +549,20 @@ def test_nonlinear_config_validation(small_cloud):
         nonlinear_solve(small_cloud,
                         config=VariantConfig(kind="nonlinear",
                                              lam=lambda x: x[:, 0]))
+    # a config checked for another kind is refused, not trusted
+    for other in (VariantConfig(kind="lambda", lam=1.0, p=0.5),
+                  VariantConfig(kind="lambda", lam=lambda x: 1.0 + x[:, 0])):
+        with pytest.raises(ValueError, match="lambda"):
+            nonlinear_solve(small_cloud, config=other)
+    # the Newton loop's bounds are checked for every kind
+    for kind in VARIANT_KINDS:
+        for bad in (dict(picard_max=0), dict(picard_max=-3),
+                    dict(picard_max=2.5), dict(picard_tol=np.nan),
+                    dict(picard_tol=np.inf), dict(picard_tol=0.0)):
+            with pytest.raises(ValueError, match="picard"):
+                VariantConfig(kind=kind, **bad)
+            with pytest.raises(ConfigurationError, match="picard"):
+                HarnessOptions(variant=kind, **bad)
 
 
 def test_nonlinear_supercritical_warns():
