@@ -2,7 +2,8 @@
 
 * absorption: -Lap u + lambda u = f becomes strictly positive definite,
   so the mean-zero constraint is dropped and CG runs unprojected;
-* non-homogeneous flux: du/dn = g only changes the right side;
+* non-homogeneous flux: du/dn = g only changes the right side, so the
+  base builder takes it, assemble(cloud, f=..., g=...);
 * nonlinear absorption lambda u |u|^(2p-2): damped Newton on the
   discrete energy J, whose Hessian H = S + B diag((2p-1) w) B^T, with
   B = [Pbar^T | AZ] stacking the smoother and the boundary coupling, is
@@ -16,8 +17,8 @@ import numpy as np
 
 from nlpoisson import (
     VariantConfig,
+    assemble,
     assemble_lambda,
-    assemble_nonhomogeneous,
     build_cloud,
     e2_error,
     get_case,
@@ -43,7 +44,7 @@ print(f"  note: no mean constraint; sum(rhs) = {system.rhs.sum():.3e}")
 # u = z^2 - 7/12 has constant outward rim derivative -sqrt(3)/2
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")   # manufactured data: compatibility is O(delta)
-    nh = assemble_nonhomogeneous(
+    nh = assemble(
         cloud,
         f=lambda x: 6 * x[:, 2] ** 2 - 2,
         g=lambda q: np.full(q.shape[0], -np.sqrt(3) / 2))

@@ -59,9 +59,7 @@ from .solver import SolveResult, solve_mean_zero, solve_spd
 from .variants import (
     VariantConfig,
     assemble_lambda,
-    assemble_nonhomogeneous,
     nonlinear_solve,
-    source_nonhomogeneous,
 )
 
 __all__ = [
@@ -80,7 +78,6 @@ __all__ = [
     "VariantConfig",
     "assemble",
     "assemble_lambda",
-    "assemble_nonhomogeneous",
     "boundary_laplacian",
     "boundary_trace",
     "boundary_weights",
@@ -109,7 +106,6 @@ __all__ = [
     "scaled_eval",
     "solve_mean_zero",
     "solve_spd",
-    "source_nonhomogeneous",
     "volume_weights",
     "zeta_entry",
 ]

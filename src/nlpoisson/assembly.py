@@ -30,13 +30,20 @@ Laplacian filled in place on the whole pattern.  Boundary point k is
 cloud point n0 - m0 + k (geometry's tail invariant), so zeta and its
 normalization come from the pattern's last m0 columns, Rb is a Laplacian
 on its trailing m0 x m0 block, and the smoothed forcing is a matvec with
-it plus one with zeta; the model variants take their kernel smoother and
-flux term from the same matrix.  Its entries are in sorted index order,
-so assembly is bit-reproducible.
+it plus one with zeta; the absorption models take their kernel smoother
+from the same matrix.  Its entries are in sorted index order, so
+assembly is bit-reproducible.
+
+A prescribed boundary flux g only changes the right side: assemble(...,
+g=g) builds the non-homogeneous Neumann model, whose smoothed source
+adds sum_k (2 Kbar(p_i, q_k) + zeta(p_i, q_k)) g(q_k) L_k from the same
+two matrices.  The horizon delta is always cloud.delta; a caller that
+wants another one passes dataclasses.replace(cloud, delta=...).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,8 +109,7 @@ def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
     return i[order].astype(np.int32), j[order].astype(np.int32)
 
 
-def pair_graph(cloud: PointCloud, delta: float | None = None,
-               profile: KernelProfile | None = None
+def pair_graph(cloud: PointCloud, *, profile: KernelProfile | None = None
                ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """The cloud's pair pattern within 2 delta, as the symmetric Kbar matrix.
 
@@ -113,9 +119,8 @@ def pair_graph(cloud: PointCloud, delta: float | None = None,
     K(p_i, p_j) in the pattern's entry order, which only R_A reads (its
     Laplacian ignores the diagonal).
     """
-    delta = cloud.delta if delta is None else delta
     profile = profile or cosine_profile()
-    points, m, n = cloud.points, cloud.m, cloud.n0
+    points, m, n, delta = cloud.points, cloud.m, cloud.n0, cloud.delta
     i, j = _sym_pairs(points, 2.0 * delta)
     p = len(i)
     sq = np.append(((points[i] - points[j]) ** 2).sum(axis=1), 0.0)
@@ -156,16 +161,16 @@ def _boundary_block(pairs: sparse.csr_matrix, L: np.ndarray) -> sparse.csr_matri
     return _laplacian(tail, tail.data, L)
 
 
-def interior_laplacian(cloud: PointCloud, delta: float | None = None,
+def interior_laplacian(cloud: PointCloud, *,
                        profile: KernelProfile | None = None) -> sparse.csr_matrix:
     """Diffusion graph Laplacian R_A over all cloud points."""
-    return _laplacian(*pair_graph(cloud, delta, profile), cloud.A)
+    return _laplacian(*pair_graph(cloud, profile=profile), cloud.A)
 
 
-def boundary_laplacian(cloud: PointCloud, delta: float | None = None,
+def boundary_laplacian(cloud: PointCloud, *,
                        profile: KernelProfile | None = None) -> sparse.csr_matrix:
     """Boundary graph Laplacian with Kbar L L weights (C_R cancelled form)."""
-    return _boundary_block(pair_graph(cloud, delta, profile)[0], cloud.L)
+    return _boundary_block(pair_graph(cloud, profile=profile)[0], cloud.L)
 
 
 def boundary_coupling(cloud: PointCloud,
@@ -206,37 +211,68 @@ def bar_matrix(pairs: sparse.csr_matrix, n: int) -> sparse.csr_matrix:
 
 def smoothed_forcing(cloud: PointCloud, pairs: sparse.csr_matrix,
                      coupling: BoundaryCoupling,
-                     f: Callable[[np.ndarray], np.ndarray] | None = None
+                     f: Callable[[np.ndarray], np.ndarray] | None = None,
+                     g: Callable[[np.ndarray], np.ndarray] | None = None
                      ) -> np.ndarray:
-    """Kernel-smoothed forcing before any mean removal.
+    """Kernel-smoothed source before any mean removal.
 
     fd_i = sum_j Kbar(p_i, p_j) f(p_j) A_j, plus the boundary coupling
-    term sum_k zeta(p_i, q_k) f(q_k) L_k, zero in reduced mode.
+    term sum_k zeta(p_i, q_k) f(q_k) L_k, zero in reduced mode.  A flux g
+    adds sum_k (2 Kbar(p_i, q_k) + zeta(p_i, q_k)) g(q_k) L_k, and warns
+    when the discrete compatibility sum(f A) + sum(g L) exceeds 1e-3 in
+    relative size.
     """
     f = f or get_case(cloud.case_name).forcing
-    fd = pairs @ (np.asarray(f(cloud.points), dtype=float) * cloud.A)
+    fp = np.asarray(f(cloud.points), dtype=float)
+    fd = pairs @ (fp * cloud.A)
     fq = np.asarray(f(cloud.boundary), dtype=float)
-    return fd + coupling.zeta @ (coupling.omega_hat * fq * coupling.L)
+    fd = fd + coupling.zeta @ (coupling.omega_hat * fq * coupling.L)
+    if g is None:
+        return fd
+    gq = np.asarray(g(cloud.boundary), dtype=float)
+    comp = float(fp @ cloud.A + gq @ coupling.L)
+    scale = float(np.abs(fp) @ cloud.A + np.abs(gq) @ coupling.L)
+    if scale > 0 and abs(comp) > 1e-3 * scale:
+        warnings.warn(
+            f"discrete compatibility violated: sum(f A) + sum(g L) = "
+            f"{comp:.3e} ({abs(comp) / scale:.2e} relative)")
+    # boundary point k is cloud point n0 - m0 + k
+    gL = gq * coupling.L
+    return (fd + 2.0 * (pairs[:, cloud.n0 - cloud.m0:] @ gL)
+            + coupling.zeta @ (coupling.omega_hat * gL))
 
 
-def assemble(cloud: PointCloud, delta: float | None = None,
-             profile: KernelProfile | None = None, mode: str = "full",
-             f: Callable[[np.ndarray], np.ndarray] | None = None) -> NonlocalSystem:
-    """Build the symmetric PSD system S U = A F for one cloud.
+def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
+             mode: str = "full",
+             f: Callable[[np.ndarray], np.ndarray] | None = None,
+             g: Callable[[np.ndarray], np.ndarray] | None = None
+             ) -> NonlocalSystem:
+    """Build the symmetric PSD system S U = A F for one cloud, at its delta.
 
     mode "full" includes the boundary coupling; "reduced" keeps only the
-    diffusion block (all boundary weights treated as zero).
+    diffusion block (all boundary weights treated as zero).  f is the
+    forcing, the case's own by default.  A boundary flux g, full mode
+    only, gives the non-homogeneous Neumann model: the same S, with g in
+    the smoothed source (see smoothed_forcing) and variant
+    "nonhomogeneous".  Full mode needs cloud.A, cloud.L and
+    cloud.normals; reduced mode only cloud.A.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    delta = cloud.delta if delta is None else delta
+    if g is not None and mode != "full":
+        raise ValueError("a boundary flux g needs mode 'full'")
     if cloud.A is None:
         raise ValueError("cloud has no volume weights; run volume_weights first")
+    if mode == "full" and cloud.L is None:
+        raise ValueError("cloud has no boundary weights; run boundary_weights first")
+    if mode == "full" and cloud.normals is None:
+        raise ValueError("cloud has no co-normals; "
+                         "set cloud.normals = case.conormal(cloud.boundary)")
 
-    pairs, base = pair_graph(cloud, delta, profile)
+    pairs, base = pair_graph(cloud, profile=profile)
     S = _laplacian(pairs, base, cloud.A)
     del base
-    S.data *= 1.0 / (delta * delta)
+    S.data *= 1.0 / (cloud.delta * cloud.delta)
     n0, m0 = cloud.n0, cloud.m0
     if mode == "full":
         coupling = boundary_coupling(cloud, pairs)
@@ -248,12 +284,13 @@ def assemble(cloud: PointCloud, delta: float | None = None,
                                     RbarL=sparse.csr_matrix((m0, m0)),
                                     L=np.zeros(m0))
 
-    fd = smoothed_forcing(cloud, pairs, coupling, f)
+    fd = smoothed_forcing(cloud, pairs, coupling, f, g)
     shift = float(fd @ cloud.A / cloud.A.sum())
     rhs = cloud.A * (fd - shift)
     return NonlocalSystem(S=S, rhs=rhs, coupling=coupling, A=cloud.A,
-                          delta=delta, mode=mode, cloud=cloud,
-                          f_delta=fd, mean_shift=shift, pairs=pairs)
+                          delta=cloud.delta, mode=mode, cloud=cloud,
+                          f_delta=fd, mean_shift=shift, pairs=pairs,
+                          variant="none" if g is None else "nonhomogeneous")
 
 
 def boundary_trace(coupling: BoundaryCoupling, A: np.ndarray,

@@ -26,12 +26,7 @@ from .assembly import MODES, NonlocalSystem, assemble
 from .geometry import ManifoldCase, PointCloud, build_cloud, get_case
 from .kernels import KernelProfile, compute_CR, cosine_profile, pair_eval
 from .solver import SolveResult, solve_mean_zero, solve_spd
-from .variants import (
-    VariantConfig,
-    assemble_lambda,
-    assemble_nonhomogeneous,
-    nonlinear_solve,
-)
+from .variants import VariantConfig, assemble_lambda, nonlinear_solve
 
 
 class ConfigurationError(ValueError):
@@ -178,7 +173,7 @@ def _solve_lambda(cloud, profile, options, f):
 
 def _solve_nonhomogeneous(cloud, profile, options, f):
     g = _g_case(cloud.case_name, options)[2]
-    system = assemble_nonhomogeneous(cloud, profile=profile, f=f, g=g)
+    system = assemble(cloud, profile=profile, f=f, g=g)
     return system, solve_mean_zero(system, tol=options.tol)
 
 

@@ -1,14 +1,13 @@
-"""Generalized models: absorption term, non-homogeneous flux, nonlinearity.
+"""Generalized models: absorption term and nonlinear absorption.
 
-Three extensions of the base model share its diffusion and boundary
-blocks:
+Two extensions of the base model share its diffusion and boundary
+blocks (the third, a prescribed non-homogeneous boundary flux g, only
+changes the right side and is built by assembly.assemble(..., g=g)):
 
 * an absorption (reaction) term lambda(x) u, discretized in
   energy-consistent form through kernel-smoothed averages so the system
   becomes strictly positive definite and the mean-zero constraint is
   dropped;
-* a prescribed non-homogeneous boundary flux g, which only changes the
-  right side;
 * a nonlinear absorption lambda u |u|^(2p-2), whose discrete energy J
   is strictly convex and is minimized by damped Newton iteration with
   energy backtracking.  The averages a = B^T U, B = [Pbar^T | AZ], stack
@@ -48,7 +47,7 @@ from .assembly import (
     interior_laplacian,  # noqa: F401
     symmetric_product,
 )
-from .geometry import PointCloud, get_case
+from .geometry import PointCloud
 from .kernels import KernelProfile
 # bar_matrix, interior_laplacian and solve_mean_zero are not called here;
 # they stay importable from this module with the other solver and assembly
@@ -111,7 +110,7 @@ def _lambda_values(lam, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def assemble_lambda(cloud: PointCloud, delta: float | None = None,
+def assemble_lambda(cloud: PointCloud, *,
                     profile: KernelProfile | None = None,
                     lam: float | Callable = 1.0,
                     f: Callable | None = None) -> NonlocalSystem:
@@ -120,7 +119,7 @@ def assemble_lambda(cloud: PointCloud, delta: float | None = None,
     The right side keeps the smoothed forcing without mean removal: the
     mean-zero constraint no longer applies.
     """
-    base = assemble(cloud, delta, profile, mode="full", f=f)
+    base = assemble(cloud, profile=profile, mode="full", f=f)
     lam_p = _lambda_values(lam, cloud.points)
     blocks = AbsorptionBlocks(base)
     # boundary point k is cloud point n0 - m0 + k
@@ -128,54 +127,6 @@ def assemble_lambda(cloud: PointCloud, delta: float | None = None,
     S = AbsorptionOperator(blocks, w)
     return replace(base, S=S, rhs=cloud.A * base.f_delta, mean_shift=0.0,
                    variant="lambda")
-
-
-def source_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
-                          profile: KernelProfile | None = None,
-                          f: Callable | None = None,
-                          g: Callable | None = None) -> tuple[np.ndarray, float]:
-    """Source with boundary-flux data folded in, A-weighted mean removed.
-
-    F_i = fd_i + sum_k (2 Kbar(p_i, q_k) + zeta(p_i, q_k)) g(q_k) L_k,
-    minus the constant that zeroes sum_i F_i A_i, with fd, the pattern and
-    zeta read off the full-mode base system assemble returns.  Warns when
-    the discrete compatibility sum(f A) + sum(g L) exceeds 1e-3 in relative
-    size.
-    """
-    return _flux_source(assemble(cloud, delta, profile, mode="full", f=f), f, g)
-
-
-def _flux_source(base: NonlocalSystem, f: Callable | None,
-                 g: Callable | None) -> tuple[np.ndarray, float]:
-    """source_nonhomogeneous from the base system's blocks."""
-    cloud, coupling, fd = base.cloud, base.coupling, base.f_delta
-    if g is not None:
-        f = f or get_case(cloud.case_name).forcing
-        gq = np.asarray(g(cloud.boundary), dtype=float)
-        fp = np.asarray(f(cloud.points), dtype=float)
-        comp = float(fp @ cloud.A + gq @ cloud.L)
-        scale = float(np.abs(fp) @ cloud.A + np.abs(gq) @ cloud.L)
-        if scale > 0 and abs(comp) > 1e-3 * scale:
-            warnings.warn(
-                f"discrete compatibility violated: sum(f A) + sum(g L) = "
-                f"{comp:.3e} ({abs(comp) / scale:.2e} relative)")
-        # boundary point k is cloud point n0 - m0 + k
-        gL = gq * cloud.L
-        fd = (fd + 2.0 * (base.pairs[:, cloud.n0 - cloud.m0:] @ gL)
-              + coupling.zeta @ (coupling.omega_hat * gL))
-    shift = float(fd @ cloud.A / cloud.A.sum())
-    return fd - shift, shift
-
-
-def assemble_nonhomogeneous(cloud: PointCloud, delta: float | None = None,
-                            profile: KernelProfile | None = None,
-                            f: Callable | None = None,
-                            g: Callable | None = None) -> NonlocalSystem:
-    """Base full-model system with the non-homogeneous right side."""
-    base = assemble(cloud, delta, profile, mode="full", f=f)
-    F, shift = _flux_source(base, f, g)
-    return replace(base, rhs=cloud.A * F, f_delta=F + shift, mean_shift=shift,
-                   variant="nonhomogeneous")
 
 
 def smooth_basis(points: np.ndarray) -> np.ndarray:
@@ -265,8 +216,8 @@ class _NonlinearWork(AbsorptionBlocks):
     """The absorption blocks with the nonlinear model's Newton systems and
     energy."""
 
-    def __init__(self, cloud: PointCloud, delta: float | None,
-                 profile: KernelProfile | None, config: VariantConfig):
+    def __init__(self, cloud: PointCloud, profile: KernelProfile | None,
+                 config: VariantConfig):
         if config.kind != "nonlinear":
             raise ValueError(
                 f"nonlinear_solve needs a nonlinear config, not {config.kind!r}")
@@ -275,7 +226,7 @@ class _NonlinearWork(AbsorptionBlocks):
                 f"exponent p = {config.p} is not subcritical for m = {cloud.m}"
                 f" (p < {cloud.m / (cloud.m - 2):.3g} expected)")
         self.config = config
-        super().__init__(assemble(cloud, delta, profile, mode="full",
+        super().__init__(assemble(cloud, profile=profile, mode="full",
                                   f=config.f))
         self.rhs = cloud.A * self.base.f_delta
 
@@ -331,7 +282,7 @@ class _NonlinearWork(AbsorptionBlocks):
         return quad + absorption + source
 
 
-def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
+def nonlinear_solve(cloud: PointCloud, *,
                     profile: KernelProfile | None = None,
                     config: VariantConfig | None = None) -> SolveResult:
     """Damped Newton iteration on the discrete energy J.
@@ -351,7 +302,7 @@ def nonlinear_solve(cloud: PointCloud, delta: float | None = None,
     leave converged unaffected.
     """
     config = config or VariantConfig(kind="nonlinear")
-    work = _NonlinearWork(cloud, delta, profile, config)
+    work = _NonlinearWork(cloud, profile, config)
     rhs = work.rhs
     rnorm = float(np.linalg.norm(rhs))
 

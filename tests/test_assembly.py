@@ -265,8 +265,8 @@ def test_nnz_scales_linearly(profile):
     c40 = build_cloud("hemisphere2", 40, 1)
     spacing20 = np.sqrt(np.pi / c20.n0)
     spacing40 = np.sqrt(np.pi / c40.n0)
-    s20 = assemble(c20, delta=4.0 * spacing20, profile=profile)
-    s40 = assemble(c40, delta=4.0 * spacing40, profile=profile)
+    s20 = assemble(replace(c20, delta=4.0 * spacing20), profile=profile)
+    s40 = assemble(replace(c40, delta=4.0 * spacing40), profile=profile)
     n_ratio = s40.S.shape[0] / s20.S.shape[0]
     nnz_ratio = s40.S.count_nonzero() / s20.S.count_nonzero()
     assert nnz_ratio <= 1.6 * n_ratio
@@ -297,6 +297,31 @@ def test_smoothed_forcing_modes(medium_cloud, profile):
     assert not np.array_equal(forcing("full"), forcing("reduced"))
     with pytest.raises(ValueError):
         forcing("both")
+    with pytest.raises(ValueError, match="flux"):
+        assemble(medium_cloud, profile=profile, mode="reduced",
+                 g=lambda q: np.ones(q.shape[0]))
+
+
+@pytest.mark.parametrize("missing,mode,message", [
+    (("A",), "full", "volume_weights"),
+    (("A",), "reduced", "volume_weights"),
+    (("L",), "full", "boundary_weights"),
+    (("normals",), "full", "conormal"),
+    (("L", "normals"), "reduced", None),
+], ids=["no_A-full", "no_A-reduced", "no_L-full", "no_normals-full",
+        "no_L_no_normals-reduced"])
+def test_assemble_needs_the_cloud_weights(small_cloud, missing, mode, message):
+    """A cloud without the weights or co-normals its mode reads is refused
+    with the step that makes them; reduced mode reads only A."""
+    cloud = replace(small_cloud, **dict.fromkeys(missing))
+    if message is None:
+        got = assemble(cloud, mode=mode).S
+        want = assemble(small_cloud, mode=mode).S
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.indices, want.indices)
+    else:
+        with pytest.raises(ValueError, match=message):
+            assemble(cloud, mode=mode)
 
 
 def test_symmetric_product_is_exact_and_symmetric():

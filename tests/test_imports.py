@@ -1,4 +1,5 @@
-"""Every import in the package is used, and every private name is read.
+"""Every import in the package is used, every private name is read, and
+the package exports what it imports.
 
 The repository runs no linter, so this walks each module's syntax tree.
 Package ``__init__`` modules (whose imports are re-exports) and names
@@ -127,3 +128,16 @@ def test_checker_flags_dead_private_names():
 def test_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def test_all_matches_the_package_imports():
+    """``__all__`` lists exactly the names the package ``__init__`` imports,
+    once each, and every one resolves, so ``from nlpoisson import *`` works."""
+    import nlpoisson
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = sorted(alias.asname or alias.name for node in tree.body
+                      if isinstance(node, ast.ImportFrom)
+                      for alias in node.names)
+    assert sorted(nlpoisson.__all__) == imported
+    assert [n for n in nlpoisson.__all__ if not hasattr(nlpoisson, n)] == []

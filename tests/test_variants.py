@@ -23,10 +23,8 @@ from nlpoisson.variants import (
     VariantConfig,
     _NonlinearWork,
     assemble_lambda,
-    assemble_nonhomogeneous,
     nonlinear_solve,
     smooth_basis,
-    source_nonhomogeneous,
 )
 
 CASE = get_case("hemisphere2")
@@ -145,8 +143,7 @@ def test_energy_gradient_matches_finite_differences(small_cloud, rng):
     lam = 0.9
     config = VariantConfig(kind="nonlinear", lam=lam, p=1.0,
                            f=lambda x: np.zeros(x.shape[0]))
-    work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
-                          config)
+    work = _NonlinearWork(small_cloud, cosine_profile(), config)
     system = AbsorptionOperator(work, lam * work.measure)
     U = rng.standard_normal(small_cloud.n0)
     grad = system @ U
@@ -175,9 +172,15 @@ def test_lambda_homotopy_approaches_base(medium_cloud):
 
 
 def test_nonhomogeneous_zero_flux_is_bitwise_base(small_cloud):
+    """A flux g = 0 leaves the base system as it is, bit for bit; it still
+    warns, since sum(f A) misses 0 by the quadrature error."""
     base = assemble(small_cloud, mode="full")
-    nh = assemble_nonhomogeneous(small_cloud, f=None, g=None)
+    with pytest.warns(UserWarning, match="compatibility"):
+        nh = assemble(small_cloud, g=lambda q: np.zeros(q.shape[0]))
+    assert nh.variant == "nonhomogeneous"
     assert np.array_equal(nh.rhs, base.rhs)
+    assert np.array_equal(nh.f_delta, base.f_delta)
+    assert nh.mean_shift == base.mean_shift
     assert abs(nh.S - base.S).max() == 0.0
     a = solve_mean_zero(base, tol=1e-11)
     b = solve_mean_zero(nh, tol=1e-11)
@@ -185,9 +188,9 @@ def test_nonhomogeneous_zero_flux_is_bitwise_base(small_cloud):
 
 
 def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
-    """assemble_nonhomogeneous reuses the base system's smoothed forcing:
-    one smoothed_forcing call, and the right side source_nonhomogeneous
-    gives."""
+    """assemble(..., g=g) smooths the forcing and the flux in one
+    smoothed_forcing call; the right side is A times that source with its
+    A-weighted mean removed."""
     calls = {"smoothed_forcing": 0}
 
     def counted(fn, name):
@@ -200,14 +203,11 @@ def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
     monkeypatch.setattr(assembly, "smoothed_forcing", smoothed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        system = assemble_nonhomogeneous(small_cloud, f=_nh_f, g=_nh_g)
+        system = assemble(small_cloud, f=_nh_f, g=_nh_g)
     assert calls == {"smoothed_forcing": 1}
-    monkeypatch.undo()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        F, shift = source_nonhomogeneous(small_cloud, f=_nh_f, g=_nh_g)
-    assert np.array_equal(system.rhs, small_cloud.A * F)
-    assert system.mean_shift == shift
+    A = small_cloud.A
+    assert system.mean_shift == float(system.f_delta @ A / A.sum())
+    assert np.array_equal(system.rhs, A * (system.f_delta - system.mean_shift))
 
 
 @pytest.mark.parametrize("variant,mode", [
@@ -286,18 +286,18 @@ def test_absorption_operator_unchanged_by_its_diagonal(small_cloud, rng):
 
 def test_nonhomogeneous_compatibility_warning(small_cloud):
     with pytest.warns(UserWarning, match="compatibility"):
-        source_nonhomogeneous(small_cloud, f=lambda x: np.ones(x.shape[0]),
-                              g=lambda q: np.ones(q.shape[0]))
+        assemble(small_cloud, f=lambda x: np.ones(x.shape[0]),
+                 g=lambda q: np.ones(q.shape[0]))
 
 
 def test_nonhomogeneous_mean_zero_rhs(small_cloud):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        F, _ = source_nonhomogeneous(small_cloud, f=_nh_f, g=_nh_g)
-        Fg0, _ = source_nonhomogeneous(
-            small_cloud, f=lambda x: np.zeros(x.shape[0]),
-            g=lambda q: np.full(q.shape[0], 2.0))
+        nh = assemble(small_cloud, f=_nh_f, g=_nh_g)
+        nh0 = assemble(small_cloud, f=lambda x: np.zeros(x.shape[0]),
+                       g=lambda q: np.full(q.shape[0], 2.0))
+    F, Fg0 = nh.f_delta - nh.mean_shift, nh0.f_delta - nh0.mean_shift
     assert abs(float(F @ small_cloud.A)) <= 1e-12 * float(np.abs(F) @ small_cloud.A)
     assert abs(float(Fg0 @ small_cloud.A)) <= 1e-12 * max(
         float(np.abs(Fg0) @ small_cloud.A), 1e-30)
@@ -313,7 +313,7 @@ def test_nonhomogeneous_manufactured_trend():
             cloud = build_cloud("hemisphere2", t, seed)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                system = assemble_nonhomogeneous(cloud, f=_nh_f, g=_nh_g)
+                system = assemble(cloud, f=_nh_f, g=_nh_g)
             res = solve_mean_zero(system, tol=1e-11)
             assert res.converged
             errs.append(e2_error(res.U, cloud, _nh_u))
@@ -367,8 +367,7 @@ def test_newton_hessian_matches_finite_differences(small_cloud, rng):
     """The Newton operator is the derivative of the gradient U -> frozen(U) U,
     and the Newton right side puts the step at -H^-1 grad J."""
     config = VariantConfig(kind="nonlinear", lam=1.0, p=1.5)
-    work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
-                          config)
+    work = _NonlinearWork(small_cloud, cosine_profile(), config)
     U = rng.standard_normal(small_cloud.n0)
     v = rng.standard_normal(small_cloud.n0)
     hessian, rhs = work.newton(U)
@@ -443,7 +442,7 @@ def test_frozen_operator_matches_materialized(cloud_name, weights, request,
         op = assemble_lambda(cloud, lam=lambda x: 1.0 + x[:, 2] ** 2).S
     else:
         config = VariantConfig(kind="nonlinear", lam=1.0, p=1.5)
-        work = _NonlinearWork(cloud, cloud.delta, cosine_profile(), config)
+        work = _NonlinearWork(cloud, cosine_profile(), config)
         w_bnd = (rng.uniform(0.0, 2.0, cloud.m0) if weights == "random"
                  else np.zeros(cloud.m0))
         w = np.concatenate([rng.uniform(0.0, 2.0, n0), w_bnd])
@@ -494,7 +493,7 @@ def first_newton_system():
     cloud = build_cloud("hemisphere2", 20, 1)
     config = VariantConfig(kind="nonlinear", lam=lam, p=p,
                            f=manufactured_nonlinear_forcing(lam, p))
-    work = _NonlinearWork(cloud, cloud.delta, cosine_profile(), config)
+    work = _NonlinearWork(cloud, cosine_profile(), config)
     U0 = solve_mean_zero(work.base, tol=1e-12).U
     hessian, rhs = work.newton(U0)
     return cloud, U0, hessian, rhs
@@ -579,8 +578,7 @@ def test_energy_constant_field(small_cloud):
     config = VariantConfig(kind="nonlinear", lam=lam, p=p,
                            f=lambda x: np.zeros(x.shape[0]))
     U = np.full(small_cloud.n0, c)
-    work = _NonlinearWork(small_cloud, small_cloud.delta, cosine_profile(),
-                          config)
+    work = _NonlinearWork(small_cloud, cosine_profile(), config)
     got = work.energy(U)
     omega2 = AbsorptionBlocks(assemble(small_cloud, mode="full")).omega2
     want = lam / (2 * p) * c ** (2 * p) * (
