@@ -225,7 +225,8 @@ def smoothed_forcing(cloud: PointCloud, pairs: sparse.csr_matrix,
     f = f or get_case(cloud.case_name).forcing
     fp = np.asarray(f(cloud.points), dtype=float)
     fd = pairs @ (fp * cloud.A)
-    fq = np.asarray(f(cloud.boundary), dtype=float)
+    # boundary point k is cloud point n0 - m0 + k
+    fq = fp[cloud.n0 - cloud.m0:]
     fd = fd + coupling.zeta @ (coupling.omega_hat * fq * coupling.L)
     if g is None:
         return fd
@@ -236,7 +237,6 @@ def smoothed_forcing(cloud: PointCloud, pairs: sparse.csr_matrix,
         warnings.warn(
             f"discrete compatibility violated: sum(f A) + sum(g L) = "
             f"{comp:.3e} ({abs(comp) / scale:.2e} relative)")
-    # boundary point k is cloud point n0 - m0 + k
     gL = gq * coupling.L
     return (fd + 2.0 * (pairs[:, cloud.n0 - cloud.m0:] @ gL)
             + coupling.zeta @ (coupling.omega_hat * gL))

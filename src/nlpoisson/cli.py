@@ -170,8 +170,8 @@ def _cmd_solve(merged: dict) -> int:
     row, result, cloud, system = solve_single(merged["case"], t, seed, options)
     out = Path(merged["out"])
     out.mkdir(parents=True, exist_ok=True)
-    exact = VARIANTS[options.variant].exact(get_case(merged["case"]),
-                                            options)(cloud.points)
+    exact = VARIANTS[options.variant].data(get_case(merged["case"]),
+                                           options)[0](cloud.points)
     path = out / "solution.csv"
     with open(path, "w") as fh:
         fh.write("kind," + ",".join(f"x{i}" for i in range(cloud.d))

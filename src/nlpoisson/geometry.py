@@ -48,6 +48,10 @@ class PointCloud:
     L: np.ndarray | None = None
     normals: np.ndarray | None = None
 
+    def __post_init__(self):
+        # a NumPy scalar would be written as np.float64(...) by repr
+        self.delta = float(self.delta)
+
     @property
     def n0(self) -> int:
         return self.points.shape[0]

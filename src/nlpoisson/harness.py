@@ -96,18 +96,19 @@ class HarnessOptions:
         if self.variant != "none" and self.mode != "full":
             raise ConfigurationError(
                 "variants are defined for the full model only")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigurationError("tol must be finite and > 0")
         try:
             self.variant_config()
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from None
 
-    def variant_config(self, f: Callable | None = None) -> VariantConfig | None:
-        """The variant's VariantConfig with forcing f; None for the base
-        model.  VariantConfig checks the parameter ranges."""
-        if self.variant == "none":
-            return None
-        return VariantConfig(kind=self.variant, lam=self.lam, p=self.p,
-                             theta=self.theta, f=f, picard_tol=self.picard_tol,
+    def variant_config(self, f: Callable | None = None) -> VariantConfig:
+        """The nonlinear model's VariantConfig with forcing f.  It is built
+        for every variant, so VariantConfig checks the ranges of lam, p,
+        theta, picard_tol and picard_max whatever the variant."""
+        return VariantConfig(lam=self.lam, p=self.p, theta=self.theta, f=f,
+                             picard_tol=self.picard_tol,
                              picard_max=self.picard_max)
 
 
@@ -159,51 +160,47 @@ def _absorbing_forcing(case: ManifoldCase, lam: float, p: float):
     return f_man
 
 
-# Variant solves: (cloud, profile, options, forcing) -> (system, result).
-# solve_mean_zero is looked up at call time so that tests can replace it.
-def _solve_base(cloud, profile, options, f):
-    system = assemble(cloud, profile=profile, mode=options.mode, f=f)
+# Variant solves: (cloud, profile, options, forcing, flux) -> (system,
+# result).  solve_mean_zero is looked up at call time so that tests can
+# replace it.
+def _solve_neumann(cloud, profile, options, f, g):
+    system = assemble(cloud, profile=profile, mode=options.mode, f=f, g=g)
     return system, solve_mean_zero(system, tol=options.tol)
 
 
-def _solve_lambda(cloud, profile, options, f):
+def _solve_lambda(cloud, profile, options, f, g):
     system = assemble_lambda(cloud, profile=profile, lam=options.lam, f=f)
     return system, solve_spd(system, tol=options.tol)
 
 
-def _solve_nonhomogeneous(cloud, profile, options, f):
-    g = _g_case(cloud.case_name, options)[2]
-    system = assemble(cloud, profile=profile, f=f, g=g)
-    return system, solve_mean_zero(system, tol=options.tol)
-
-
-def _solve_nonlinear(cloud, profile, options, f):
+def _solve_nonlinear(cloud, profile, options, f, g):
     return None, nonlinear_solve(cloud, profile=profile,
                                  config=options.variant_config(f))
 
 
 class Variant(NamedTuple):
-    """A model variant: its solve, and the manufactured forcing and exact
-    solution it is scored against, each a function of (case, options).
-    ``linear`` is false for a solve that returns no single linear system."""
+    """A model variant: its solve, and the manufactured data it is scored
+    against.  data(case, options) gives (exact_u, forcing, flux), the
+    flux None for every model without one; solve(cloud, profile, options,
+    forcing, flux) gives (system, result).  ``linear`` is false for a
+    solve that returns no single linear system."""
 
     solve: Callable[..., tuple[NonlocalSystem | None, SolveResult]]
-    forcing: Callable[[ManifoldCase, HarnessOptions], Callable]
-    exact: Callable[[ManifoldCase, HarnessOptions], Callable] = \
-        lambda case, options: case.exact_u
+    data: Callable[[ManifoldCase, HarnessOptions],
+                   tuple[Callable, Callable, Callable | None]]
     linear: bool = True
 
 
 VARIANTS: dict[str, Variant] = {
-    "none": Variant(_solve_base, lambda case, o: case.forcing),
-    "lambda": Variant(_solve_lambda,
-                      lambda case, o: _absorbing_forcing(case, o.lam, 1.0)),
-    "nonhomogeneous": Variant(_solve_nonhomogeneous,
-                              lambda case, o: _g_case(case.name, o)[1],
-                              lambda case, o: _g_case(case.name, o)[0]),
-    "nonlinear": Variant(_solve_nonlinear,
-                         lambda case, o: _absorbing_forcing(case, o.lam, o.p),
-                         linear=False),
+    "none": Variant(_solve_neumann,
+                    lambda case, o: (case.exact_u, case.forcing, None)),
+    "lambda": Variant(_solve_lambda, lambda case, o: (
+        case.exact_u, _absorbing_forcing(case, o.lam, 1.0), None)),
+    "nonhomogeneous": Variant(_solve_neumann,
+                              lambda case, o: _g_case(case.name, o)),
+    "nonlinear": Variant(_solve_nonlinear, lambda case, o: (
+        case.exact_u, _absorbing_forcing(case, o.lam, o.p), None),
+        linear=False),
 }
 
 
@@ -218,11 +215,10 @@ def solve_single(case_name: str, t: int, seed: int,
     profile = profile or cosine_profile()
     case = get_case(case_name)
     variant = VARIANTS[options.variant]
-    exact = variant.exact(case, options)
-    f = variant.forcing(case, options)
+    exact, f, g = variant.data(case, options)
     start = time.perf_counter()
     cloud = build_cloud(case, t, seed)
-    system, result = variant.solve(cloud, profile, options, f)
+    system, result = variant.solve(cloud, profile, options, f, g)
     wall_ms = (time.perf_counter() - start) * 1000.0
     row = ReportRow(t=t, delta=cloud.delta, n0=cloud.n0, m0=cloud.m0,
                     seed=seed, e2=e2_error(result.U, cloud, exact),

@@ -54,7 +54,6 @@ from .kernels import KernelProfile
 # names that perfbench's traced runs wrap
 from .solver import SolveResult, cg, solve_mean_zero, solve_spd  # noqa: F401
 
-VARIANT_KINDS = ("lambda", "nonhomogeneous", "nonlinear")
 THETA_MIN = 1.0 / 16.0
 INNER_TOL = 1e-12  # relative residual target of every inner CG solve
 COARSE_DEGREE = 2  # degree of the ambient polynomials spanning the coarse space
@@ -62,19 +61,20 @@ COARSE_DEGREE = 2  # degree of the ambient polynomials spanning the coarse space
 
 @dataclass
 class VariantConfig:
-    """Parameters of the generalized models.
+    """Parameters of the nonlinear absorption model lambda u |u|^(2p-2).
 
-    lam is a finite constant > 0, or a scalar field of finite nonnegative
-    values for the lambda model; p >= 1, finite, the nonlinear exponent.  theta,
-    picard_tol and picard_max bound the damped Newton steps of the
-    nonlinear solve (the names date from the damped Picard iteration it
+    kind names that model, "nonlinear", and takes no other value.  lam is
+    a finite constant > 0; p >= 1, finite, the exponent.  theta,
+    picard_tol and picard_max bound the damped Newton steps of
+    nonlinear_solve (the names date from the damped Picard iteration it
     replaced): at most picard_max steps, an integer >= 1, each line search
     starting at theta, stopping once a step moves no entry by more than
-    picard_tol, finite and > 0.  Every kind checks these three.
+    picard_tol, finite and > 0.  f is the forcing, the case's own by
+    default.
     """
 
-    kind: str = "lambda"
-    lam: float | Callable[[np.ndarray], np.ndarray] = 1.0
+    kind: str = "nonlinear"
+    lam: float = 1.0
     p: float = 1.5
     theta: float = 1.0
     picard_tol: float = 1e-10
@@ -82,9 +82,15 @@ class VariantConfig:
     f: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
-            raise ValueError(
-                f"unknown variant kind {self.kind!r}; expected {VARIANT_KINDS}")
+        if self.kind != "nonlinear":
+            raise ValueError(f"VariantConfig configures the nonlinear model, "
+                             f"not {self.kind!r}")
+        if callable(self.lam) or not (np.isfinite(self.lam)
+                                      and self.lam > 0.0):
+            raise ValueError("nonlinear model requires a constant lambda, "
+                             "finite and > 0")
+        if not (np.isfinite(self.p) and self.p >= 1.0):
+            raise ValueError("nonlinear exponent p must be finite and >= 1")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping theta must lie in (0, 1]")
         if not (isinstance(self.picard_max, (int, np.integer))
@@ -92,14 +98,6 @@ class VariantConfig:
             raise ValueError("picard_max must be an integer >= 1")
         if not (np.isfinite(self.picard_tol) and self.picard_tol > 0.0):
             raise ValueError("picard_tol must be finite and > 0")
-        if self.kind == "nonlinear":
-            if not (np.isfinite(self.p) and self.p >= 1.0):
-                raise ValueError("nonlinear exponent p must be finite and >= 1")
-            if callable(self.lam):
-                raise ValueError("nonlinear model takes a constant lambda")
-        if self.kind != "nonhomogeneous" and not callable(self.lam):
-            if not (np.isfinite(self.lam) and self.lam > 0.0):
-                raise ValueError(f"{self.kind} model requires a finite lambda > 0")
 
 
 def _lambda_values(lam, points: np.ndarray) -> np.ndarray:
@@ -218,9 +216,6 @@ class _NonlinearWork(AbsorptionBlocks):
 
     def __init__(self, cloud: PointCloud, profile: KernelProfile | None,
                  config: VariantConfig):
-        if config.kind != "nonlinear":
-            raise ValueError(
-                f"nonlinear_solve needs a nonlinear config, not {config.kind!r}")
         if cloud.m > 2 and config.p >= cloud.m / (cloud.m - 2):
             warnings.warn(
                 f"exponent p = {config.p} is not subcritical for m = {cloud.m}"
@@ -301,7 +296,7 @@ def nonlinear_solve(cloud: PointCloud, *,
     inner_iterations and inner_misses report the inner CG solves and
     leave converged unaffected.
     """
-    config = config or VariantConfig(kind="nonlinear")
+    config = config or VariantConfig()
     work = _NonlinearWork(cloud, profile, config)
     rhs = work.rhs
     rnorm = float(np.linalg.norm(rhs))

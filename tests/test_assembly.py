@@ -288,8 +288,17 @@ def test_export_matrix(tmp_path, small_system):
 
 
 def test_smoothed_forcing_modes(medium_cloud, profile):
+    case_forcing = get_case(medium_cloud.case_name).forcing
+
     def forcing(mode):
-        system = assemble(medium_cloud, profile=profile, mode=mode)
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape[0])
+            return case_forcing(x)
+        system = assemble(medium_cloud, profile=profile, mode=mode, f=counted)
+        # one evaluation at the n0 points: the boundary values are their tail
+        assert calls == [medium_cloud.n0]
         fd = smoothed_forcing(medium_cloud, system.pairs, system.coupling)
         assert np.array_equal(fd, system.f_delta)
         return fd

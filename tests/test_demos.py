@@ -1,6 +1,7 @@
 """Every demo script, and every Python block of README.md, runs to
 completion against the package in src/."""
 
+import functools
 import os
 import re
 import subprocess
@@ -20,11 +21,24 @@ def test_all_six_demos_found():
     assert len(DEMOS) == 6
 
 
+@pytest.fixture(scope="session")
+def run_demo(tmp_path_factory):
+    """Run a demo once, in a directory of its own, for every test that
+    reads it; returns the finished process and that directory."""
+    @functools.cache
+    def run(stem):
+        cwd = tmp_path_factory.mktemp(stem)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        demo = ROOT / "demos" / f"{stem}.py"
+        proc = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+        return proc, cwd
+    return run
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+def test_demo_runs(demo, run_demo):
+    proc, _ = run_demo(demo.stem)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -37,15 +51,12 @@ DEMO_OUTPUTS = {
 
 
 @pytest.mark.parametrize("demo", DEMO_OUTPUTS)
-def test_demo_writes_under_working_directory(demo, tmp_path):
+def test_demo_writes_under_working_directory(demo, run_demo):
     """A demo's files land in the directory it runs in."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc, cwd = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
     for name in DEMO_OUTPUTS[demo]:
-        assert (tmp_path / name).exists(), name
+        assert (cwd / name).exists(), name
 
 
 def test_readme_has_python_blocks():

@@ -1,5 +1,7 @@
 """Point clouds: sampling recipes, weights, co-normals, serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -375,6 +377,11 @@ def test_cloud_csv_roundtrip(tmp_path):
     assert np.array_equal(back.A, cloud.A)
     assert np.array_equal(back.L, cloud.L)
     assert np.array_equal(back.normals, cloud.normals)
+    # a horizon set to a NumPy scalar is stored, written and read as a float
+    moved = replace(cloud, delta=np.float64(0.35))
+    save_cloud_csv(moved, path)
+    back = load_cloud_csv(path)
+    assert type(back.delta) is float and back.delta == 0.35
 
 
 def _edited_csv(cloud, tmp_path, edit):

@@ -89,6 +89,9 @@ def test_convergence_study_validation():
         HarnessOptions(mode="reduced", variant="lambda")
     with pytest.raises(ConfigurationError):
         HarnessOptions(variant="cubic")
+    for tol in (np.nan, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match="tol"):
+            HarnessOptions(tol=tol)
     with pytest.raises(ConfigurationError):
         run_single("hemisphere2", 5, 1,
                    HarnessOptions(variant="nonhomogeneous", g_case="missing"))
@@ -280,11 +283,12 @@ def test_cli_bad_t_list(tmp_path):
     ["solve", "--t", "5", "--variant", "lambda", "--lambda", "nan"],
     ["solve", "--t", "5", "--variant", "nonlinear", "--lambda", "inf"],
     ["solve", "--t", "5", "--variant", "nonlinear", "--p", "nan"],
+    ["solve", "--t", "5", "--p", "0.5"],
 ], ids=["solve_t", "converge_t", "lemmas_deltas", "nonlinear_p",
         "nonlinear_theta", "lambda_negative", "nonlinear_lambda_zero",
         "lambda_zero", "lemmas_delta_zero", "solve_seed", "lemmas_delta_nan",
         "lemmas_delta_inf", "lambda_nan", "nonlinear_lambda_inf",
-        "nonlinear_p_nan"])
+        "nonlinear_p_nan", "none_p"])
 def test_cli_out_of_range_is_a_configuration_error(argv, tmp_path, capsys):
     """Values outside a parameter's range exit 2 before anything is written."""
     out = tmp_path / "out"
@@ -339,7 +343,7 @@ def test_cli_variant_flags(tmp_path):
 
 
 def test_variant_table_keys_are_the_variant_kinds():
-    assert tuple(VARIANTS) == ("none",) + variants.VARIANT_KINDS
+    assert tuple(VARIANTS) == ("none", "lambda", "nonhomogeneous", "nonlinear")
 
 
 def _count_calls(monkeypatch, name):

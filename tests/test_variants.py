@@ -9,6 +9,7 @@ from nlpoisson import assembly, variants
 from nlpoisson.assembly import assemble, boundary_trace, interior_laplacian
 from nlpoisson.geometry import build_cloud, get_case
 from nlpoisson.harness import (
+    VARIANTS,
     ConfigurationError,
     HarnessOptions,
     e2_error,
@@ -17,7 +18,6 @@ from nlpoisson.harness import (
 from nlpoisson.kernels import cosine_profile
 from nlpoisson.solver import SolveResult, cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import (
-    VARIANT_KINDS,
     AbsorptionBlocks,
     AbsorptionOperator,
     VariantConfig,
@@ -548,20 +548,21 @@ def test_nonlinear_config_validation(small_cloud):
         nonlinear_solve(small_cloud,
                         config=VariantConfig(kind="nonlinear",
                                              lam=lambda x: x[:, 0]))
-    # a config checked for another kind is refused, not trusted
-    for other in (VariantConfig(kind="lambda", lam=1.0, p=0.5),
-                  VariantConfig(kind="lambda", lam=lambda x: 1.0 + x[:, 0])):
+    # the config configures the nonlinear model alone: another kind is
+    # refused when it is built
+    for other in (dict(kind="lambda", lam=1.0, p=0.5),
+                  dict(kind="lambda", lam=lambda x: 1.0 + x[:, 0])):
         with pytest.raises(ValueError, match="lambda"):
-            nonlinear_solve(small_cloud, config=other)
-    # the Newton loop's bounds are checked for every kind
-    for kind in VARIANT_KINDS:
+            VariantConfig(**other)
+    # the Newton loop's bounds are checked for every variant
+    for variant in VARIANTS:
         for bad in (dict(picard_max=0), dict(picard_max=-3),
                     dict(picard_max=2.5), dict(picard_tol=np.nan),
                     dict(picard_tol=np.inf), dict(picard_tol=0.0)):
             with pytest.raises(ValueError, match="picard"):
-                VariantConfig(kind=kind, **bad)
+                VariantConfig(**bad)
             with pytest.raises(ConfigurationError, match="picard"):
-                HarnessOptions(variant=kind, **bad)
+                HarnessOptions(variant=variant, **bad)
 
 
 def test_nonlinear_supercritical_warns():
