@@ -10,9 +10,11 @@ boundary 2-sphere).
 
 A cell is 1/(m+1) of the Delaunay star of a point in its projected k-NN
 window.  On 2-D tangent planes the stars come from a batched fan walk
-(gift wrapping around the point, a block of windows in lockstep); Qhull
-triangulates the 3-D windows, and the 2-D windows whose star the walk
-cannot settle (coincident or cocircular neighbours), one at a time.
+(gift wrapping around the point, a block of windows in lockstep); on 3-D
+tangent spaces from one convex hull per window of its neighbours
+inverted about the point.  Qhull triangulates the windows whose star
+neither can settle (coincident or cospherical neighbours), one at a
+time.
 
 Boundary points are stored as the tail of the point array: the k-th
 boundary point aliases point ``n0 - m0 + k``.
@@ -22,9 +24,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 
 @dataclass
@@ -294,7 +297,6 @@ def _simplex_measures(coords: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     m = coords.shape[1]
     verts = coords[simplices]                     # (ns, m+1, m)
     edges = verts[:, 1:, :] - verts[:, :1, :]     # (ns, m, m)
-    from math import factorial
     return np.abs(np.linalg.det(edges)) / factorial(m)
 
 
@@ -388,6 +390,39 @@ def _fan_areas(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * twice_area, degenerate
 
 
+def _hull_volumes(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measures of the Delaunay stars of row 0 in a batch of m-D windows.
+
+    local has shape (n, k+1, m), row 0 of each window at the origin; the
+    3-D windows come here.  The inversion p -> p / |p|^2 maps a sphere
+    through the origin to a plane and its inside to the far side of that
+    plane, so a simplex (0, a, b, c) is Delaunay exactly when the inverted
+    a, b, c span a facet of the inverted neighbours' convex hull with the
+    origin strictly on its inner side (K. Q. Brown, Inf. Process. Lett. 9,
+    1979).  One ConvexHull per window replaces its Delaunay triangulation,
+    and needs no point at infinity when row 0 lies on its window's hull.
+
+    Returns (volume, degenerate) as _fan_areas does: degenerate marks the
+    windows with a neighbour coincident with row 0, a hull Qhull cannot
+    build, or an empty star.  Their volumes are meaningless.
+    """
+    m = local.shape[2]
+    c = local[:, 1:, :]
+    r2 = (c * c).sum(axis=2)                      # (n, k)
+    degenerate = r2.min(axis=1) <= _COINCIDENT_RTOL**2 * r2.max(axis=1)
+    volume = np.zeros(len(local))
+    for j in np.flatnonzero(~degenerate):
+        try:
+            hull = ConvexHull(c[j] / r2[j, :, None])
+        except QhullError:
+            degenerate[j] = True
+            continue
+        star = hull.simplices[hull.equations[:, -1] < 0.0]
+        volume[j] = np.abs(np.linalg.det(c[j][star])).sum() / factorial(m)
+    degenerate |= volume == 0.0
+    return volume, degenerate
+
+
 def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
                           seed: int) -> np.ndarray:
     """Per-point simplex-cell weights on a curved patch.
@@ -396,9 +431,10 @@ def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
     onto the tangent space (frames[i] rows are the basis) and keep 1/(m+1)
     of the measure of the Delaunay simplices incident to the point.  On
     2-D tangent planes the stars come from a batched fan walk
-    (:func:`_fan_areas`) over blocks of windows; 3-D windows, and 2-D
-    windows the walk marks degenerate, are triangulated one by one by
-    Qhull (:func:`_cell_weight`).
+    (:func:`_fan_areas`) over blocks of windows, on 3-D tangent spaces
+    from inverted convex hulls (:func:`_hull_volumes`); the windows either
+    marks degenerate are triangulated one by one by Qhull
+    (:func:`_cell_weight`).
 
     Exact copies of a point share its one star, so that they add nothing
     to the total weight, and take no slot in any window.
@@ -425,7 +461,8 @@ def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
             area, redo = _fan_areas(local)
             weights[block] = area / 3.0
         else:
-            redo = np.ones(len(local), dtype=bool)
+            volume, redo = _hull_volumes(local)
+            weights[block] = volume / (frames.shape[1] + 1)
         for j in np.flatnonzero(redo):
             i = lo + int(j)
             weights[i] = _cell_weight(local[j], float(dists[i, 1]), seed + i)

@@ -45,7 +45,8 @@ class SolveResult:
     energy_history: list[float] | None = None
     energy_monotone: bool | None = None
     # CG iterations summed over the driver's linear solves (the start and
-    # one per Newton step), and how many of them missed their tolerance
+    # one per Newton step), and how many of them missed their own
+    # tolerance: START_TOL for the start, the forcing term's for a step
     inner_iterations: int | None = None
     inner_misses: int | None = None
 

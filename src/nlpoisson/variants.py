@@ -19,7 +19,13 @@ changes the right side and is built by assembly.assemble(..., g=g)):
 
   where H is the Hessian of J at U.  H and the absorption system, H at
   p = 1, are one AbsorptionOperator: B built once, applied matrix-free
-  with the model's weights, and solved by two-level PCG.
+  with the model's weights, and solved by two-level PCG.  Each Newton
+  system is solved only as far as its step needs (inexact Newton): to
+  the forcing term eta_k = min(FORCING_MAX, |g_k| / |A f_delta|) of the
+  gradient g_k of J at U, which keeps the convergence quadratic (Dembo,
+  Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat &
+  Walker, SIAM J. Sci. Comput. 17, 1996), and the start, the base
+  model's solution, only to START_TOL.
 
 The two-level preconditioner adds to Jacobi the Galerkin correction
 Z E^-1 Z^T on a fixed smooth coarse basis Z: the ambient polynomials of
@@ -55,7 +61,13 @@ from .kernels import KernelProfile
 from .solver import SolveResult, cg, solve_mean_zero, solve_spd  # noqa: F401
 
 THETA_MIN = 1.0 / 16.0
-INNER_TOL = 1e-12  # relative residual target of every inner CG solve
+# An inner CG solve stops once |r| <= max(INNER_TOL |b|, eta |g|): INNER_TOL
+# is the floor of every solve's relative residual, and the forcing term eta
+# of a Newton step is |g| / |A f_delta|, capped at FORCING_MAX.  The start
+# solve, whose result is only the first iterate, stops at START_TOL.
+INNER_TOL = 1e-12
+FORCING_MAX = 0.1
+START_TOL = 1e-3
 COARSE_DEGREE = 2  # degree of the ambient polynomials spanning the coarse space
 
 
@@ -150,8 +162,9 @@ class AbsorptionBlocks:
     Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j, omega2_j = sum_i Kbar(p_j, p_i)
     A_i, on the Kbar pattern base.pairs, and AZ = diag(A) zeta; measure =
     [omega2 A; omega_hat L] weighs the averages a = B^T U.  BT is a view
-    of B's arrays; S is read from base.  Z is the smooth coarse basis of
-    the two-level PCG, with its products Z^T S Z and B^T Z."""
+    of B's arrays; S is read from base, and its diagonal S_diagonal kept
+    once for the Jacobi part of every solve.  Z is the smooth coarse basis
+    of the two-level PCG, with its products Z^T S Z and B^T Z."""
 
     def __init__(self, base: NonlocalSystem):
         self.base = base
@@ -173,6 +186,7 @@ class AbsorptionBlocks:
         self.BT = self.B.T
         self.measure = np.concatenate([self.omega2 * base.A,
                                        base.coupling.omega_hat * base.coupling.L])
+        self.S_diagonal = base.S.diagonal()
         self.Z = smooth_basis(base.cloud.points)
         self.ZtSZ = self.Z.T @ (base.S @ self.Z)
         self.BtZ = self.BT @ self.Z
@@ -195,7 +209,7 @@ class AbsorptionOperator:
 
     def diagonal(self) -> np.ndarray:
         b = self.blocks
-        return b.base.S.diagonal() + b.B.power(2) @ self.w
+        return b.S_diagonal + b.B.power(2) @ self.w
 
     def coarse_space(self) -> tuple[np.ndarray, np.ndarray]:
         """The blocks' coarse basis Z and E = Z^T (S + B diag(w) B^T) Z,
@@ -253,11 +267,21 @@ class _NonlinearWork(AbsorptionBlocks):
         rhs = self.rhs + (2.0 * p - 2.0) * (self.B @ (w * a))
         return hessian, rhs
 
+    def gradient(self, U: np.ndarray) -> np.ndarray:
+        """The gradient of the energy at U."""
+        return self.frozen(U) @ U - self.rhs
+
     def frozen_solve(self, U: np.ndarray, tol: float) -> SolveResult:
-        """Two-level PCG on the Newton system at U, started from U."""
+        """Two-level PCG on the Newton system H U* = b at U, started from U.
+
+        It stops once |b - H U*| <= max(INNER_TOL |b|, tol): tol is an
+        absolute bound on the residual, and 0 solves to INNER_TOL.
+        """
         hessian, rhs = self.newton(U)
         system = replace(self.base, S=hessian, rhs=rhs, mean_shift=0.0)
-        return solve_spd(system, tol=tol, max_iter=20 * len(U), x0=U)
+        bnorm = float(np.linalg.norm(rhs))
+        rel = max(INNER_TOL, tol / bnorm) if bnorm > 0.0 else INNER_TOL
+        return solve_spd(system, tol=rel, max_iter=20 * len(U), x0=U)
 
     def energy(self, U: np.ndarray) -> float:
         """Discrete energy whose critical points solve the discrete model.
@@ -282,19 +306,26 @@ def nonlinear_solve(cloud: PointCloud, *,
                     config: VariantConfig | None = None) -> SolveResult:
     """Damped Newton iteration on the discrete energy J.
 
-    Each step solves the Newton system H U* = ... of the module docstring
-    by two-level PCG started from U, without forming H, and moves to
-    U + theta (U* - U).  theta starts at config.theta every step and is
-    halved while the energy would rise (not below 1/16, after which the
-    step is accepted and the result flagged).  At most config.picard_max
-    steps are taken.  The returned residual is the relative residual
-    |frozen(U) U - A f_delta| / |A f_delta| of the discrete nonlinear
-    system, the relative gradient of J, at the final iterate; converged
-    requires both the last step size and that residual to be at most
-    config.picard_tol, and reason says which held: "converged", "stalled"
-    (the step only) or "max_iter" (picard_max steps, the last one larger).
-    inner_iterations and inner_misses report the inner CG solves and
-    leave converged unaffected.
+    The start is the base model's mean-zero solution, solved to a relative
+    residual of START_TOL.  Each step solves the Newton system H U* = ...
+    of the module docstring by two-level PCG started from U, without
+    forming H, until its residual is at most eta |g| (or INNER_TOL |b|,
+    if larger), with g the gradient of J at U and the forcing term
+    eta = min(FORCING_MAX, |g| / |A f_delta|); a CG iterate started at U
+    lowers the Newton model, whose gradient at U is g, so every such step
+    descends.  It moves to U + theta (U* - U).  theta starts at
+    config.theta every step and is halved while the energy would rise (not
+    below 1/16, after which the step is accepted and the result flagged).
+    At most config.picard_max steps are taken.  The returned residual is
+    the relative residual |frozen(U) U - A f_delta| / |A f_delta| of the
+    discrete nonlinear system, the relative gradient of J, at the final
+    iterate; converged requires both the last step size and that residual
+    to be at most config.picard_tol, and reason says which held:
+    "converged", "stalled" (the step only) or "max_iter" (picard_max
+    steps, the last one larger).
+    inner_iterations and inner_misses report the inner CG solves (a miss
+    is a solve that ended above its own tolerance) and leave converged
+    unaffected.
     """
     config = config or VariantConfig()
     work = _NonlinearWork(cloud, profile, config)
@@ -312,14 +343,15 @@ def nonlinear_solve(cloud: PointCloud, *,
     # start from the base model's mean-zero solution (solve_mean_zero's
     # CG and shift, without the boundary trace it would add)
     U, _, inner_iterations, ok, _ = cg(work.base.S, work.base.rhs,
-                                       tol=INNER_TOL)
+                                       tol=START_TOL)
     U = U - float(U @ cloud.A / cloud.A.sum())
     inner_misses = int(not ok)
     energies = [work.energy(U)]
     monotone = True
     slack = 1e-12
     for steps in range(1, config.picard_max + 1):
-        inner = work.frozen_solve(U, INNER_TOL)
+        gnorm = float(np.linalg.norm(work.gradient(U)))
+        inner = work.frozen_solve(U, min(FORCING_MAX, gnorm / rnorm) * gnorm)
         inner_iterations += inner.iterations
         inner_misses += int(not inner.converged)
         Ustar = inner.U
@@ -339,7 +371,7 @@ def nonlinear_solve(cloud: PointCloud, *,
         if step_size <= config.picard_tol:
             break
 
-    residual = float(np.linalg.norm(work.frozen(U) @ U - rhs)) / rnorm
+    residual = float(np.linalg.norm(work.gradient(U))) / rnorm
     stopped = step_size <= config.picard_tol
     converged = stopped and residual <= config.picard_tol
     reason = "converged" if converged else "stalled" if stopped else "max_iter"

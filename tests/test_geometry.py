@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, cKDTree
 
 from nlpoisson.geometry import (
     PointCloud,
     _cell_weight,
     _fan_areas,
+    _hull_volumes,
     _segment_weights,
     _simplex_cell_weights,
     boundary_weights,
@@ -205,6 +206,27 @@ def test_fan_walk_matches_qhull_stars(name, t, seed):
     assert np.all(np.abs(area / 3.0 - ref) <= 1e-13 * ref)
     w = _simplex_cell_weights(points, frames, k, seed)
     assert np.all(np.abs(w - ref) <= 1e-13 * ref)
+
+
+@pytest.mark.parametrize("t", [4, 8])
+def test_inverted_hull_matches_qhull_stars(t):
+    """One convex hull of the inverted window reproduces every per-point
+    Qhull star of hemisphere3's 3-D volume windows, those whose centre
+    lies on the window's hull included.  No window of these clouds needs
+    the Qhull fallback."""
+    case = get_case("hemisphere3")
+    on_hull = False
+    for seed in (1, 2, 3):
+        points = sample_case(case, t, seed).points
+        frames = case.surface_frames(points)
+        local, ref = _qhull_windows(points, frames, case.k_volume, seed)
+        volume, degenerate = _hull_volumes(local)
+        assert not degenerate.any()
+        assert np.all(np.abs(volume / 4.0 - ref) <= 1e-13 * ref)
+        w = _simplex_cell_weights(points, frames, case.k_volume, seed)
+        assert np.all(np.abs(w - ref) <= 1e-13 * ref)
+        on_hull = on_hull or any(0 in ConvexHull(x).vertices for x in local)
+    assert on_hull
 
 
 def _square_lattice():
