@@ -98,6 +98,10 @@ class HarnessOptions:
                 "variants are defined for the full model only")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigurationError("tol must be finite and > 0")
+        if self.g_case not in G_CASES:
+            raise ConfigurationError(
+                f"unknown g-case {self.g_case!r}; "
+                f"available: {sorted(G_CASES)}")
         try:
             self.variant_config()
         except ValueError as exc:
@@ -138,12 +142,7 @@ class ConvergenceReport:
 
 def _g_case(case_name: str, options: HarnessOptions):
     """(exact_u, forcing, flux) of options.g_case, checked against the case."""
-    try:
-        gcase, exact, f, g = G_CASES[options.g_case]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown g-case {options.g_case!r}; "
-            f"available: {sorted(G_CASES)}") from None
+    gcase, exact, f, g = G_CASES[options.g_case]
     if gcase != case_name:
         raise ConfigurationError(
             f"g-case {options.g_case!r} is defined on {gcase}, "
@@ -335,11 +334,14 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
 
     Runs on the circle boundary of the spherical cap; the boundary sum
     uses an equally spaced circle fixture, the coupling normalization a
-    dense local surface quadrature around each probe point.
+    dense local surface quadrature around each of the probes (an integer
+    >= 1) equally spaced boundary points.
     """
     if case_name != "hemisphere2":
         raise ConfigurationError(
             "kernel-order diagnostics run on the hemisphere2 circle fixture")
+    if not (isinstance(probes, (int, np.integer)) and probes >= 1):
+        raise ConfigurationError(f"probes = {probes!r}: need an integer >= 1")
     profile = profile or cosine_profile()
     deltas = sorted((float(d) for d in deltas), reverse=True)
     if not all(np.isfinite(d) and d > 0.0 for d in deltas):

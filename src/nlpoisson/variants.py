@@ -17,15 +17,18 @@ changes the right side and is built by assembly.assemble(..., g=g)):
 
       H U* = A f_delta + (2p-2) B (w a),    H = S + B diag((2p-1) w) B^T,
 
-  where H is the Hessian of J at U.  H and the absorption system, H at
-  p = 1, are one AbsorptionOperator: B built once, applied matrix-free
-  with the model's weights, and solved by two-level PCG.  Each Newton
-  system is solved only as far as its step needs (inexact Newton): to
-  the forcing term eta_k = min(FORCING_MAX, |g_k| / |A f_delta|) of the
-  gradient g_k of J at U, which keeps the convergence quadratic (Dembo,
-  Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat &
-  Walker, SIAM J. Sci. Comput. 17, 1996), and the start, the base
-  model's solution, only to START_TOL.
+  where H is the Hessian of J at U, and the gradient of J at U is
+  g = S U + B (w a) - A f_delta.  Each iterate is evaluated once: one
+  S U and one a = B^T U give J, and one B (w a) from them gives g, H and
+  the right side.  H and the absorption system, H at p = 1, are one
+  AbsorptionOperator: B built once, applied matrix-free with the model's
+  weights, and solved by two-level PCG.  Each Newton system is solved
+  only as far as its step needs (inexact Newton): to the forcing term
+  eta_k = min(FORCING_MAX, |g_k| / |A f_delta|) of the gradient g_k of J
+  at U, which keeps the convergence quadratic (Dembo, Eisenstat &
+  Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J.
+  Sci. Comput. 17, 1996), and the start, the base model's solution, only
+  to START_TOL.
 
 The two-level preconditioner adds to Jacobi the Galerkin correction
 Z E^-1 Z^T on a fixed smooth coarse basis Z: the ambient polynomials of
@@ -225,8 +228,8 @@ class AbsorptionOperator:
 
 
 class _NonlinearWork(AbsorptionBlocks):
-    """The absorption blocks with the nonlinear model's Newton systems and
-    energy."""
+    """The absorption blocks with the nonlinear model's energy and Newton
+    system."""
 
     def __init__(self, cloud: PointCloud, profile: KernelProfile | None,
                  config: VariantConfig):
@@ -239,66 +242,43 @@ class _NonlinearWork(AbsorptionBlocks):
                                   f=config.f))
         self.rhs = cloud.A * self.base.f_delta
 
-    def _weights(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The averages a = B^T U and the absorption weights frozen at U."""
+    def energy(self, U: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The discrete energy J(U), whose critical points solve the
+        discrete model, with the two products it reads, S U and the
+        averages a = B^T U, for newton().
+
+        Three terms: U^T S U / 2, the absorption over the averages a,
+        minus the source pairing.
+        """
         lam, p = float(self.config.lam), self.config.p
+        SU = self.base.S @ U
         a = self.BT @ U
-        return a, lam * np.abs(a) ** (2.0 * p - 2.0) * self.measure
-
-    def frozen(self, U: np.ndarray) -> AbsorptionOperator:
-        """The system with lambda |u|^(2p-2) frozen at U.
-
-        frozen(U) @ U - rhs is the gradient of the energy at U.
-        """
-        return AbsorptionOperator(self, self._weights(U)[1])
-
-    def newton(self, U: np.ndarray) -> tuple[AbsorptionOperator, np.ndarray]:
-        """Hessian H of the energy at U and the Newton right side.
-
-        H is the frozen system with its weights scaled by 2p - 1; the
-        right side is rhs + (2p-2) B (w a), so H U* = rhs' puts the
-        Newton step at U* - U.  At p = 1 both are the frozen system and
-        rhs themselves.
-        """
-        p = self.config.p
-        a, w = self._weights(U)
-        hessian = AbsorptionOperator(self, (2.0 * p - 1.0) * w)
-        # scaling B (w a), not B, keeps the product a matvec
-        rhs = self.rhs + (2.0 * p - 2.0) * (self.B @ (w * a))
-        return hessian, rhs
-
-    def gradient(self, U: np.ndarray) -> np.ndarray:
-        """The gradient of the energy at U."""
-        return self.frozen(U) @ U - self.rhs
-
-    def frozen_solve(self, U: np.ndarray, tol: float) -> SolveResult:
-        """Two-level PCG on the Newton system H U* = b at U, started from U.
-
-        It stops once |b - H U*| <= max(INNER_TOL |b|, tol): tol is an
-        absolute bound on the residual, and 0 solves to INNER_TOL.
-        """
-        hessian, rhs = self.newton(U)
-        system = replace(self.base, S=hessian, rhs=rhs, mean_shift=0.0)
-        bnorm = float(np.linalg.norm(rhs))
-        rel = max(INNER_TOL, tol / bnorm) if bnorm > 0.0 else INNER_TOL
-        return solve_spd(system, tol=rel, max_iter=20 * len(U), x0=U)
-
-    def energy(self, U: np.ndarray) -> float:
-        """Discrete energy whose critical points solve the discrete model.
-
-        Three terms: U^T S U / 2, the absorption over the averages
-        a = B^T U, minus the source pairing.  Its gradient is exactly
-        (S + frozen absorption) U - A f_delta.
-        """
-        lam, p = float(self.config.lam), self.config.p
         # the diffusion (1/4 delta^2) sum_ij (u_i - u_j)^2 K A A plus
         # V^T RbarL V is U^T S U / 2: S = RA / delta^2 + 2 AZ RbarL AZ^T
         # and V = AZ^T U
-        quad = 0.5 * float(U @ (self.base.S @ U))
+        quad = 0.5 * float(U @ SU)
         absorption = lam / (2.0 * p) * float(
-            self.measure @ np.abs(self.BT @ U) ** (2.0 * p))
+            self.measure @ np.abs(a) ** (2.0 * p))
         source = -float((U * self.base.f_delta) @ self.base.A)
-        return quad + absorption + source
+        return quad + absorption + source, SU, a
+
+    def newton(self, SU: np.ndarray, a: np.ndarray
+               ) -> tuple[np.ndarray, AbsorptionOperator, np.ndarray]:
+        """The gradient g of J at U, its Hessian H and the Newton right
+        side, from energy(U)'s products S U and a = B^T U.
+
+        With the weights w = lambda |a|^(2p-2) measure frozen at U,
+        g = S U + B (w a) - rhs, H is the absorption operator with weights
+        (2p-1) w, and the right side is rhs + (2p-2) B (w a), so H U* = b
+        puts the Newton step at U* - U.  At p = 1, H is the frozen system
+        and b is rhs.
+        """
+        lam, p = float(self.config.lam), self.config.p
+        w = lam * np.abs(a) ** (2.0 * p - 2.0) * self.measure
+        Bwa = self.B @ (w * a)
+        hessian = AbsorptionOperator(self, (2.0 * p - 1.0) * w)
+        # scaling B (w a), not B, keeps the product a matvec
+        return SU + Bwa - self.rhs, hessian, self.rhs + (2.0 * p - 2.0) * Bwa
 
 
 def nonlinear_solve(cloud: PointCloud, *,
@@ -316,11 +296,13 @@ def nonlinear_solve(cloud: PointCloud, *,
     descends.  It moves to U + theta (U* - U).  theta starts at
     config.theta every step and is halved while the energy would rise (not
     below 1/16, after which the step is accepted and the result flagged).
-    At most config.picard_max steps are taken.  The returned residual is
-    the relative residual |frozen(U) U - A f_delta| / |A f_delta| of the
-    discrete nonlinear system, the relative gradient of J, at the final
-    iterate; converged requires both the last step size and that residual
-    to be at most config.picard_tol, and reason says which held:
+    At most config.picard_max steps are taken.  Each iterate is evaluated
+    once: J, S U and B^T U at every line-search trial, and the gradient,
+    H and the right side from the accepted trial's products.  The
+    returned residual is |g| / |A f_delta| at the final iterate, the
+    relative residual of the discrete nonlinear system; converged
+    requires both the last step size and that residual to be at most
+    config.picard_tol, and reason says which held:
     "converged", "stalled" (the step only) or "max_iter" (picard_max
     steps, the last one larger).
     inner_iterations and inner_misses report the inner CG solves (a miss
@@ -329,14 +311,14 @@ def nonlinear_solve(cloud: PointCloud, *,
     """
     config = config or VariantConfig()
     work = _NonlinearWork(cloud, profile, config)
-    rhs = work.rhs
-    rnorm = float(np.linalg.norm(rhs))
+    rnorm = float(np.linalg.norm(work.rhs))
 
     if rnorm == 0.0:
         U = np.zeros(cloud.n0)
         V = np.zeros(cloud.m0)
         return SolveResult(U=U, V=V, residual=0.0, iterations=0, converged=True,
-                           reason="converged", energy_history=[work.energy(U)],
+                           reason="converged",
+                           energy_history=[work.energy(U)[0]],
                            energy_monotone=True, inner_iterations=0,
                            inner_misses=0)
 
@@ -346,20 +328,26 @@ def nonlinear_solve(cloud: PointCloud, *,
                                        tol=START_TOL)
     U = U - float(U @ cloud.A / cloud.A.sum())
     inner_misses = int(not ok)
-    energies = [work.energy(U)]
+    J, SU, a = work.energy(U)
+    energies = [J]
     monotone = True
     slack = 1e-12
     for steps in range(1, config.picard_max + 1):
-        gnorm = float(np.linalg.norm(work.gradient(U)))
-        inner = work.frozen_solve(U, min(FORCING_MAX, gnorm / rnorm) * gnorm)
+        g, hessian, b = work.newton(SU, a)
+        gnorm = float(np.linalg.norm(g))
+        # stop once |b - H U*| <= max(INNER_TOL |b|, eta |g|)
+        tol = min(FORCING_MAX, gnorm / rnorm) * gnorm
+        bnorm = float(np.linalg.norm(b))
+        rel = max(INNER_TOL, tol / bnorm) if bnorm > 0.0 else INNER_TOL
+        inner = solve_spd(replace(work.base, S=hessian, rhs=b, mean_shift=0.0),
+                          tol=rel, max_iter=20 * len(U), x0=U)
         inner_iterations += inner.iterations
         inner_misses += int(not inner.converged)
-        Ustar = inner.U
         theta = config.theta
         while True:
-            trial = (1.0 - theta) * U + theta * Ustar
-            J_trial = work.energy(trial)
-            if J_trial <= energies[-1] + slack * max(1.0, abs(energies[-1])):
+            trial = (1.0 - theta) * U + theta * inner.U
+            J, SU, a = work.energy(trial)
+            if J <= energies[-1] + slack * max(1.0, abs(energies[-1])):
                 break
             if theta <= THETA_MIN:
                 monotone = False
@@ -367,11 +355,11 @@ def nonlinear_solve(cloud: PointCloud, *,
             theta = 0.5 * theta
         step_size = float(np.max(np.abs(trial - U)))
         U = trial
-        energies.append(J_trial)
+        energies.append(J)
         if step_size <= config.picard_tol:
             break
 
-    residual = float(np.linalg.norm(work.gradient(U))) / rnorm
+    residual = float(np.linalg.norm(work.newton(SU, a)[0])) / rnorm
     stopped = step_size <= config.picard_tol
     converged = stopped and residual <= config.picard_tol
     reason = "converged" if converged else "stalled" if stopped else "max_iter"

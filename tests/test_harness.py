@@ -92,9 +92,10 @@ def test_convergence_study_validation():
     for tol in (np.nan, 0.0, -1.0):
         with pytest.raises(ConfigurationError, match="tol"):
             HarnessOptions(tol=tol)
-    with pytest.raises(ConfigurationError):
-        run_single("hemisphere2", 5, 1,
-                   HarnessOptions(variant="nonhomogeneous", g_case="missing"))
+    # an unknown g-case is refused whatever the variant
+    for variant in VARIANTS:
+        with pytest.raises(ConfigurationError, match="hemisphere2_zsq"):
+            HarnessOptions(variant=variant, g_case="missing")
     with pytest.raises(ConfigurationError):
         run_single("hemisphere3", 4, 1,
                    HarnessOptions(variant="nonhomogeneous"))
@@ -181,6 +182,10 @@ def test_lemma_diagnostics_validation():
         lemma_diagnostics("hemisphere2", [0.4, 0.3, 0.25, 0.2])
     with pytest.raises(ConfigurationError):
         lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05], n_boundary=50)
+    for probes in (0, -2, 2.5):
+        with pytest.raises(ConfigurationError, match="probes"):
+            lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05],
+                              probes=probes)
 
 
 def test_emit_lemma_report(tmp_path):
@@ -284,11 +289,12 @@ def test_cli_bad_t_list(tmp_path):
     ["solve", "--t", "5", "--variant", "nonlinear", "--lambda", "inf"],
     ["solve", "--t", "5", "--variant", "nonlinear", "--p", "nan"],
     ["solve", "--t", "5", "--p", "0.5"],
+    ["solve", "--t", "5", "--g-case", "bogus"],
 ], ids=["solve_t", "converge_t", "lemmas_deltas", "nonlinear_p",
         "nonlinear_theta", "lambda_negative", "nonlinear_lambda_zero",
         "lambda_zero", "lemmas_delta_zero", "solve_seed", "lemmas_delta_nan",
         "lemmas_delta_inf", "lambda_nan", "nonlinear_lambda_inf",
-        "nonlinear_p_nan", "none_p"])
+        "nonlinear_p_nan", "none_p", "none_g_case"])
 def test_cli_out_of_range_is_a_configuration_error(argv, tmp_path, capsys):
     """Values outside a parameter's range exit 2 before anything is written."""
     out = tmp_path / "out"

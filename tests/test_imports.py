@@ -7,11 +7,13 @@ imported on a line marked ``# noqa: F401`` are exempt from the import
 check.  Such a kept-alive import must be one of the names that
 ``perfbench/bench.py::_variant_probes`` wraps on ``variants``, so the
 exemptions cannot grow beyond them.  A module-level private function,
-class or constant (``_name``) must be read somewhere in the package
+class or constant (``_name``), a private method and any method of a
+private class (dunders aside) must be read somewhere in the package
 outside its own definition.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,26 +96,47 @@ def _defined_names(stmt: ast.stmt) -> list[str]:
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def _read_names(node: ast.AST) -> set[str]:
-    """Names read under ``node``, as bare names or as attributes."""
-    return ({n.id for n in ast.walk(node)
-             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+def _read_names(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``, as a bare name or as an
+    attribute."""
+    return Counter(
+        [n.id for n in ast.walk(node)
+         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        + [n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)])
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module):
+    """(label, name, defining node) for each module-level private name, each
+    private method and each method of a private class, dunders aside."""
+    for stmt in tree.body:
+        for name in _defined_names(stmt):
+            if _private(name):
+                yield name, name, stmt
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not fn.name.startswith("__")
+                    and (_private(fn.name) or _private(cls.name))):
+                yield f"{cls.name}.{fn.name}", fn.name, fn
 
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private names of ``sources`` (module name -> source)
-    that nothing in them reads outside the defining statement."""
-    statements = [(module, stmt) for module, source in sorted(sources.items())
-                  for stmt in ast.parse(source).body]
-    reads = [_read_names(stmt) for _, stmt in statements]
-    dead = []
-    for k, (module, stmt) in enumerate(statements):
-        for name in _defined_names(stmt):
-            if name.startswith("_") and not name.startswith("__") and not any(
-                    name in r for j, r in enumerate(reads) if j != k):
-                dead.append(f"{module}.{name} (line {stmt.lineno})")
-    return dead
+    """Private names of ``sources`` (module name -> source), module-level
+    or methods, that nothing in them reads outside the defining
+    statement."""
+    trees = {module: ast.parse(source)
+             for module, source in sorted(sources.items())}
+    reads = sum((_read_names(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{label} (line {node.lineno})"
+            for module, tree in trees.items()
+            for label, name, node in _private_definitions(tree)
+            if reads[name] == _read_names(node)[name]]
 
 
 def test_checker_flags_dead_private_names():
@@ -123,6 +146,23 @@ def test_checker_flags_dead_private_names():
                "b": "from . import a\nX = a._LIMIT\nY = a._Used()\n"}
     assert dead_private_names(sources) == ["a._unused (line 2)",
                                            "a._helper (line 4)"]
+
+
+def test_checker_flags_dead_methods():
+    """A private method, or a method of a private class, that nothing but
+    its own body reads is dead; dunders and public classes' public methods
+    are not checked."""
+    sources = {"a": ("class _Work:\n"
+                     "    def __init__(self):\n        self.n = 0\n"
+                     "    def energy(self):\n        return self._scale()\n"
+                     "    def _scale(self):\n        return 2.0\n"
+                     "    def frozen(self):\n        return self.frozen()\n"
+                     "class Public:\n"
+                     "    def materialize(self):\n        return 1\n"
+                     "    def _dead(self):\n        return 0\n"
+                     "def run():\n    return _Work().energy()\n")}
+    assert dead_private_names(sources) == ["a._Work.frozen (line 8)",
+                                           "a.Public._dead (line 13)"]
 
 
 def test_no_dead_private_names():
