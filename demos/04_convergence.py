@@ -15,16 +15,15 @@ full = convergence_study("hemisphere2", T_LIST, seeds=3,
 reduced = convergence_study("hemisphere2", T_LIST, seeds=3,
                             options=HarnessOptions(mode="reduced"))
 
+reduced_median = {t: median for t, _, median in reduced.medians()}
 print("t      delta    e2 (full, median)   e2 (reduced, median)")
-for t in T_LIST:
-    rf = sorted(r.e2 for r in full.rows if r.t == t)[1]
-    rr = sorted(r.e2 for r in reduced.rows if r.t == t)[1]
-    delta = next(r.delta for r in full.rows if r.t == t)
-    print(f"{t:3d}  {delta:8.4f}   {rf:12.5f}        {rr:12.5f}")
+for t, delta, median in full.medians():
+    print(f"{t:3d}  {delta:8.4f}   {median:12.5f}        "
+          f"{reduced_median[t]:12.5f}")
 
 print(f"\nfitted slopes: full {full.slope:.3f}, reduced {reduced.slope:.3f}")
 print(f"error ratio at the finest resolution: "
-      f"{sorted(r.e2 for r in full.rows if r.t == T_LIST[-1])[1] / sorted(r.e2 for r in reduced.rows if r.t == T_LIST[-1])[1]:.3f}")
+      f"{median / reduced_median[t]:.3f}")
 
 paths = emit_report(full, "nlpoisson_demo_converge")
 print(f"\nwrote {paths[0]} and {paths[1]}")

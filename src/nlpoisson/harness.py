@@ -131,13 +131,31 @@ class ReportRow:
 
 @dataclass
 class ConvergenceReport:
+    """A sweep's rows, and the medians, fit and partial flag they give."""
+
     case: str
     mode: str
     variant: str
     rows: list[ReportRow]
-    slope: float
-    intercept: float
-    partial: bool
+
+    def medians(self) -> list[tuple[int, float, float]]:
+        """(t, delta, median e2) over each t's converged rows, t ascending."""
+        groups: dict[int, list[ReportRow]] = {}
+        for r in self.rows:
+            if r.converged:
+                groups.setdefault(r.t, []).append(r)
+        return [(t, g[0].delta, float(np.median([r.e2 for r in g])))
+                for t, g in sorted(groups.items())]
+
+    def fit(self) -> tuple[float, float]:
+        """Slope and intercept of log median e2 against log delta."""
+        _, deltas, medians = zip(*self.medians())
+        return fit_loglog(deltas, medians)
+
+    slope = property(lambda self: self.fit()[0])
+    intercept = property(lambda self: self.fit()[1])
+    # some solve did not converge, and its row is not fitted
+    partial = property(lambda self: not all(r.converged for r in self.rows))
 
 
 def _g_case(case_name: str, options: HarnessOptions):
@@ -238,7 +256,7 @@ def run_single(case_name: str, t: int, seed: int,
 def convergence_study(case_name: str, t_list: Sequence[int],
                       seeds: int | Sequence[int] = 3,
                       options: HarnessOptions | None = None) -> ConvergenceReport:
-    """Sweep resolutions and seeds, fit the median-error slope.
+    """Sweep resolutions and seeds; the report fits the median-error slope.
 
     ``seeds`` is either a count (seeds 1..n) or an explicit list.  Rows
     whose solve did not converge stay in the report flagged, are excluded
@@ -258,21 +276,11 @@ def convergence_study(case_name: str, t_list: Sequence[int],
             row, _ = run_single(case_name, t, seed, options)
             rows.append(row)
 
-    deltas, medians = [], []
-    partial = False
-    for t in t_list:
-        group = [r for r in rows if r.t == t and r.converged]
-        if any(not r.converged for r in rows if r.t == t):
-            partial = True
-        if group:
-            deltas.append(group[0].delta)
-            medians.append(float(np.median([r.e2 for r in group])))
-    if len(deltas) < 4:
+    report = ConvergenceReport(case=case_name, mode=options.mode,
+                               variant=options.variant, rows=rows)
+    if len(report.medians()) < 4:
         raise ConfigurationError("fewer than 4 resolutions converged")
-    slope, intercept = fit_loglog(deltas, medians)
-    return ConvergenceReport(case=case_name, mode=options.mode,
-                             variant=options.variant, rows=rows, slope=slope,
-                             intercept=intercept, partial=partial)
+    return report
 
 
 @dataclass
@@ -285,11 +293,19 @@ class LemmaRow:
 
 @dataclass
 class LemmaReport:
+    """The fixtures' rows, and the deviation orders they give."""
+
     case: str
     CR: float
     rows: list[LemmaRow]
-    boundary_order: float
-    omega_order: float
+
+    def fit(self, column: str) -> tuple[float, float]:
+        """Slope and intercept of log column against log delta."""
+        return fit_loglog([r.delta for r in self.rows],
+                          [getattr(r, column) for r in self.rows])
+
+    boundary_order = property(lambda self: self.fit("boundary_dev")[0])
+    omega_order = property(lambda self: self.fit("omega_dev")[0])
 
 
 def _circle_fixture(n: int) -> tuple[np.ndarray, float]:
@@ -343,11 +359,11 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
     if not (isinstance(probes, (int, np.integer)) and probes >= 1):
         raise ConfigurationError(f"probes = {probes!r}: need an integer >= 1")
     profile = profile or cosine_profile()
-    deltas = sorted((float(d) for d in deltas), reverse=True)
+    deltas = sorted({float(d) for d in deltas}, reverse=True)
     if not all(np.isfinite(d) and d > 0.0 for d in deltas):
         raise ConfigurationError("horizons must be finite and > 0")
     if len(deltas) < 4:
-        raise ConfigurationError("need at least 4 horizons")
+        raise ConfigurationError("need at least 4 distinct horizons")
     if deltas[0] / deltas[-1] < 4.0:
         raise ConfigurationError("horizons must span at least a factor of 4")
     circumference = 2.0 * np.pi * np.sqrt(3.0) / 2.0
@@ -362,25 +378,18 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
     probe_idx = np.linspace(0, n_boundary, probes, endpoint=False).astype(int)
     rows = []
     for delta in deltas:
-        bsums = []
+        bsums, odevs = [], []
         for k in probe_idx:
             sq = ((pts - pts[k]) ** 2).sum(axis=1)
             dbar = pair_eval(profile, "dbar", sq, delta, 2)
             bsums.append(2.0 * delta * float(dbar.sum()) * seg)
-        odevs = []
-        for k in probe_idx:
-            phi0 = 2.0 * np.pi * k / n_boundary
-            omega = _cap_patch_omega(delta, phi0, profile)
+            omega = _cap_patch_omega(delta, 2.0 * np.pi * k / n_boundary,
+                                     profile)
             odevs.append(abs(omega - delta * CR))
-        bdev = float(max(abs(b - CR) for b in bsums))
         rows.append(LemmaRow(delta=delta, boundary_sum=float(np.mean(bsums)),
-                             boundary_dev=bdev, omega_dev=max(odevs)))
-    border, _ = fit_loglog([r.delta for r in rows],
-                           [r.boundary_dev for r in rows])
-    oorder, _ = fit_loglog([r.delta for r in rows],
-                           [r.omega_dev for r in rows])
-    return LemmaReport(case=case_name, CR=CR, rows=rows,
-                       boundary_order=border, omega_order=oorder)
+                             boundary_dev=float(max(abs(b - CR) for b in bsums)),
+                             omega_dev=max(odevs)))
+    return LemmaReport(case=case_name, CR=CR, rows=rows)
 
 
 def _svg_loglog(path, xlabel: str, ylabel: str,
@@ -470,14 +479,9 @@ def emit_report(report: ConvergenceReport, out_dir) -> tuple[Path, Path]:
     lines.append(f"#slope={report.slope!r}")
     csv_path.write_text("\n".join(lines) + "\n")
 
-    med = {}
-    for r in rows:
-        if r.converged:
-            med.setdefault(r.delta, []).append(r.e2)
-    pts = [(d, float(np.median(v))) for d, v in sorted(med.items())]
     svg_path = out / "converge.svg"
-    _svg_loglog(svg_path, "horizon delta", "relative L2 error e2", pts,
-                (report.slope, report.intercept),
+    _svg_loglog(svg_path, "horizon delta", "relative L2 error e2",
+                sorted((d, m) for _, d, m in report.medians()), report.fit(),
                 f"{report.case} {report.mode}"
                 + (f" / {report.variant}" if report.variant != "none" else "")
                 + " convergence")
@@ -502,9 +506,7 @@ def emit_lemma_report(report: LemmaReport, out_dir) -> tuple[Path, Path]:
     svg_path = out / "lemmas.svg"
     pts = [(r.delta, r.boundary_dev) for r in report.rows]
     _svg_loglog(svg_path, "horizon delta", "|boundary sum - C_R|", pts,
-                (report.boundary_order,
-                 float(np.log(report.rows[0].boundary_dev)
-                       - report.boundary_order * np.log(report.rows[0].delta))),
+                report.fit("boundary_dev"),
                 f"boundary kernel sum deviation (omega order "
                 f"{report.omega_order:.2f})")
     return csv_path, svg_path

@@ -41,9 +41,9 @@ class SolveResult:
     # (p^T S p <= 0) or from nonlinear_solve "stalled" (a step below
     # tolerance, the residual above it)
     reason: str | None = None
-    # populated by the nonlinear driver only
+    # from the nonlinear driver only: the energy J at the start and after
+    # each accepted step; its line search accepts no rise
     energy_history: list[float] | None = None
-    energy_monotone: bool | None = None
     # CG iterations summed over the driver's linear solves (the start and
     # one per Newton step), and how many of them missed their own
     # tolerance: START_TOL for the start, the forcing term's for a step

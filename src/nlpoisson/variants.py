@@ -9,11 +9,12 @@ changes the right side and is built by assembly.assemble(..., g=g)):
   becomes strictly positive definite and the mean-zero constraint is
   dropped;
 * a nonlinear absorption lambda u |u|^(2p-2), whose discrete energy J
-  is strictly convex and is minimized by damped Newton iteration with
-  energy backtracking.  The averages a = B^T U, B = [Pbar^T | AZ], stack
-  the smoothed values ubar = Pbar U and the boundary trace
-  uhat = (AZ)^T U.  With the weights w = lambda |a|^(2p-2) [omega2 A;
-  omega_hat L] frozen at the iterate U, each step solves the Newton system
+  is strictly convex and is minimized by damped Newton iteration whose
+  backtracking takes no step that raises J.  The averages a = B^T U,
+  B = [Pbar^T | AZ], stack the smoothed values ubar = Pbar U and the
+  boundary trace uhat = (AZ)^T U.  With the weights w = lambda |a|^(2p-2)
+  [omega2 A; omega_hat L] frozen at the iterate U, each step solves the
+  Newton system
 
       H U* = A f_delta + (2p-2) B (w a),    H = S + B diag((2p-1) w) B^T,
 
@@ -63,7 +64,6 @@ from .kernels import KernelProfile
 # names that perfbench's traced runs wrap
 from .solver import SolveResult, cg, solve_mean_zero, solve_spd  # noqa: F401
 
-THETA_MIN = 1.0 / 16.0
 # An inner CG solve stops once |r| <= max(INNER_TOL |b|, eta |g|): INNER_TOL
 # is the floor of every solve's relative residual, and the forcing term eta
 # of a Newton step is |g| / |A f_delta|, capped at FORCING_MAX.  The start
@@ -289,25 +289,22 @@ def nonlinear_solve(cloud: PointCloud, *,
     The start is the base model's mean-zero solution, solved to a relative
     residual of START_TOL.  Each step solves the Newton system H U* = ...
     of the module docstring by two-level PCG started from U, without
-    forming H, until its residual is at most eta |g| (or INNER_TOL |b|,
-    if larger), with g the gradient of J at U and the forcing term
-    eta = min(FORCING_MAX, |g| / |A f_delta|); a CG iterate started at U
-    lowers the Newton model, whose gradient at U is g, so every such step
-    descends.  It moves to U + theta (U* - U).  theta starts at
-    config.theta every step and is halved while the energy would rise (not
-    below 1/16, after which the step is accepted and the result flagged).
-    At most config.picard_max steps are taken.  Each iterate is evaluated
-    once: J, S U and B^T U at every line-search trial, and the gradient,
-    H and the right side from the accepted trial's products.  The
-    returned residual is |g| / |A f_delta| at the final iterate, the
-    relative residual of the discrete nonlinear system; converged
-    requires both the last step size and that residual to be at most
-    config.picard_tol, and reason says which held:
-    "converged", "stalled" (the step only) or "max_iter" (picard_max
-    steps, the last one larger).
-    inner_iterations and inner_misses report the inner CG solves (a miss
-    is a solve that ended above its own tolerance) and leave converged
-    unaffected.
+    forming H, to a residual of at most max(INNER_TOL |b|, eta |g|), with
+    g the gradient of J at U and eta = min(FORCING_MAX, |g| / |A f_delta|);
+    a CG iterate started at U lowers the Newton model, so the step
+    descends.  It moves to U + theta (U* - U), theta starting at
+    config.theta and halved until J does not rise; should J still rise
+    once theta max|U* - U| <= config.picard_tol, U stays and the
+    iteration stops.  So energy_history never rises.  At most
+    config.picard_max steps are taken.  Each iterate is evaluated once:
+    J, S U and B^T U at every trial, and the gradient, H and the right
+    side from the accepted trial's products.  The returned residual is
+    |g| / |A f_delta| at the final iterate; converged requires both the
+    last step size and that residual to be at most config.picard_tol,
+    and reason says which held: "converged", "stalled" (the step only) or
+    "max_iter" (picard_max steps, the last one larger).  inner_iterations
+    and inner_misses report the inner CG solves (a miss ended above its
+    own tolerance) and leave converged unaffected.
     """
     config = config or VariantConfig()
     work = _NonlinearWork(cloud, profile, config)
@@ -315,12 +312,10 @@ def nonlinear_solve(cloud: PointCloud, *,
 
     if rnorm == 0.0:
         U = np.zeros(cloud.n0)
-        V = np.zeros(cloud.m0)
-        return SolveResult(U=U, V=V, residual=0.0, iterations=0, converged=True,
-                           reason="converged",
+        return SolveResult(U=U, V=np.zeros(cloud.m0), residual=0.0,
+                           iterations=0, converged=True, reason="converged",
                            energy_history=[work.energy(U)[0]],
-                           energy_monotone=True, inner_iterations=0,
-                           inner_misses=0)
+                           inner_iterations=0, inner_misses=0)
 
     # start from the base model's mean-zero solution (solve_mean_zero's
     # CG and shift, without the boundary trace it would add)
@@ -330,7 +325,6 @@ def nonlinear_solve(cloud: PointCloud, *,
     inner_misses = int(not ok)
     J, SU, a = work.energy(U)
     energies = [J]
-    monotone = True
     slack = 1e-12
     for steps in range(1, config.picard_max + 1):
         g, hessian, b = work.newton(SU, a)
@@ -343,19 +337,22 @@ def nonlinear_solve(cloud: PointCloud, *,
                           tol=rel, max_iter=20 * len(U), x0=U)
         inner_iterations += inner.iterations
         inner_misses += int(not inner.converged)
+        full_step = float(np.max(np.abs(inner.U - U)))
         theta = config.theta
         while True:
             trial = (1.0 - theta) * U + theta * inner.U
-            J, SU, a = work.energy(trial)
-            if J <= energies[-1] + slack * max(1.0, abs(energies[-1])):
+            with np.errstate(over="ignore"):  # an infinite J is rejected
+                evaluated = work.energy(trial)
+            if evaluated[0] <= energies[-1] + slack * max(1.0, abs(energies[-1])):
+                step_size = float(np.max(np.abs(trial - U)))
+                U, (J, SU, a) = trial, evaluated
+                energies.append(J)
                 break
-            if theta <= THETA_MIN:
-                monotone = False
+            # J rises on a step below tolerance: U stays, and the loop ends
+            step_size = theta * full_step
+            if step_size <= config.picard_tol:
                 break
             theta = 0.5 * theta
-        step_size = float(np.max(np.abs(trial - U)))
-        U = trial
-        energies.append(J)
         if step_size <= config.picard_tol:
             break
 
@@ -366,6 +363,6 @@ def nonlinear_solve(cloud: PointCloud, *,
     V = boundary_trace(work.base.coupling, cloud.A, U)
     return SolveResult(U=U, V=V, residual=residual, iterations=steps,
                        converged=converged, reason=reason,
-                       energy_history=energies, energy_monotone=monotone,
+                       energy_history=energies,
                        inner_iterations=inner_iterations,
                        inner_misses=inner_misses)

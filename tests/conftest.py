@@ -3,6 +3,7 @@ import pytest
 
 from nlpoisson.assembly import assemble
 from nlpoisson.geometry import build_cloud
+from nlpoisson.harness import HarnessOptions, convergence_study
 from nlpoisson.kernels import cosine_profile
 
 
@@ -36,3 +37,11 @@ def medium_system(medium_cloud):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240613)
+
+
+@pytest.fixture(scope="session")
+def lambda_study():
+    """Criterion 8's sweep: the absorption model (lambda = 1) with its
+    manufactured forcing on hemisphere2, t in {5, 10, 20, 40}, seeds 1-5."""
+    return convergence_study("hemisphere2", [5, 10, 20, 40], seeds=5,
+                             options=HarnessOptions(variant="lambda", tol=1e-11))

@@ -1,24 +1,24 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` or ``-rA`` to
-see them on success).  The expensive sweeps are shared module fixtures;
-the whole module is sized for a laptop core.
+see them on success).  The expensive sweeps are shared fixtures, criterion
+8's the session's ``lambda_study``; the whole module is sized for a
+laptop core.
 """
 
 import numpy as np
 import pytest
 
-from nlpoisson.assembly import assemble, boundary_trace
+from nlpoisson.assembly import assemble
 from nlpoisson.geometry import build_cloud, get_case
 from nlpoisson.harness import (
+    VARIANTS,
     HarnessOptions,
     convergence_study,
-    e2_error,
     lemma_diagnostics,
 )
-from nlpoisson.kernels import compute_CR, cosine_profile, normalization, profile_eval
-from nlpoisson.solver import solve_mean_zero, solve_spd
-from nlpoisson.variants import VariantConfig, assemble_lambda, nonlinear_solve
+from nlpoisson.kernels import compute_CR, cosine_profile, profile_eval
+from nlpoisson.variants import assemble_lambda, nonlinear_solve
 from test_assembly import reference_apply
 
 H2_T_LIST = [5, 10, 15, 20, 30, 40]
@@ -43,8 +43,7 @@ def h2_reduced():
 
 
 def _median_at_t(report, t):
-    vals = [r.e2 for r in report.rows if r.t == t and r.converged]
-    return float(np.median(vals))
+    return next(median for s, _, median in report.medians() if s == t)
 
 
 def test_criterion_1_hemisphere2_slope(h2_full):
@@ -126,41 +125,25 @@ def test_criterion_7_second_order_surrogate(h2_full):
             f"same sweep as criterion 1, slope {h2_full.slope:.3f}")
 
 
-def test_criterion_8_lambda_variant():
+def test_criterion_8_lambda_variant(lambda_study):
     cloud = build_cloud("hemisphere2", 5, 1)
     system = assemble_lambda(cloud, lam=1.0)
     vals = np.linalg.eigvalsh(system.S.materialize().toarray())
-    case = get_case("hemisphere2")
-
-    def f_man(x):
-        return case.forcing(x) + case.exact_u(x)
-
-    meds = []
-    for t in (5, 10, 20, 40):
-        errs = []
-        for seed in (1, 2, 3, 4, 5):
-            cl = build_cloud("hemisphere2", t, seed)
-            res = solve_spd(assemble_lambda(cl, lam=1.0, f=f_man), tol=1e-11)
-            errs.append(e2_error(res.U, cl))
-        meds.append(float(np.median(errs)))
+    converged = all(r.converged for r in lambda_study.rows)
+    meds = [median for _, _, median in lambda_study.medians()]
     decreasing = all(a > b for a, b in zip(meds, meds[1:]))
-    ok = vals[0] > 0.0 and decreasing
+    ok = vals[0] > 0.0 and converged and decreasing
     _report("criterion 8 (absorption variant)", ok,
             f"min eigenvalue {vals[0]:.3e} > 0; e2 medians (5 seeds) "
-            + " > ".join(f"{m:.4f}" for m in meds))
+            + " > ".join(f"{m:.4f}" for m in meds)
+            + f"; every solve converged: {converged}")
 
 
 def test_criterion_9_nonlinear_model():
-    lam, p = 1.0, 1.5
-    case = get_case("hemisphere2")
-
-    def f_man(x):
-        u = case.exact_u(x)
-        return case.forcing(x) + lam * u * np.abs(u) ** (2.0 * p - 2.0)
-
+    options = HarnessOptions(variant="nonlinear", lam=1.0, p=1.5)
+    _, f_man, _ = VARIANTS["nonlinear"].data(get_case("hemisphere2"), options)
     cloud = build_cloud("hemisphere2", 20, 1)
-    config = VariantConfig(kind="nonlinear", lam=lam, p=p, f=f_man)
-    res = nonlinear_solve(cloud, config=config)
+    res = nonlinear_solve(cloud, config=options.variant_config(f_man))
     J = np.array(res.energy_history)
     mono = bool(np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1]))))
     ok = res.converged and res.residual < 1e-8 and mono

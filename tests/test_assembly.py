@@ -26,7 +26,7 @@ from nlpoisson.assembly import (
     zeta_entry,
 )
 from nlpoisson.geometry import PointCloud, build_cloud, get_case, sample_case
-from nlpoisson.kernels import compute_CR, cosine_profile, normalization, pair_eval
+from nlpoisson.kernels import compute_CR, normalization, pair_eval
 
 
 def _cos(level, r):

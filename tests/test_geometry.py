@@ -7,7 +7,6 @@ import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
 from nlpoisson.geometry import (
-    PointCloud,
     _cell_weight,
     _fan_areas,
     _hull_volumes,

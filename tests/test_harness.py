@@ -1,7 +1,6 @@
 """Error metric, sweeps, kernel-order diagnostics, reports, and the CLI."""
 
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,9 @@ from nlpoisson.harness import (
     G_CASES,
     VARIANTS,
     ConfigurationError,
+    ConvergenceReport,
     HarnessOptions,
+    ReportRow,
     convergence_study,
     e2_error,
     emit_lemma_report,
@@ -143,12 +144,33 @@ def test_convergence_study_all_failed_raises():
 
 
 def test_emit_report_empty_rows(tmp_path):
-    from nlpoisson.harness import ConvergenceReport
     empty = ConvergenceReport(case="hemisphere2", mode="full", variant="none",
-                              rows=[], slope=0.0, intercept=0.0, partial=False)
+                              rows=[])
     with pytest.raises(ValueError):
         emit_report(empty, tmp_path)
     assert not (tmp_path / "converge.csv").exists()
+
+
+def test_report_fits_its_rows():
+    """Medians, fit and partial flag follow the rows: e2 = 3 delta^2 on
+    converged rows fits slope 2, and a row that stops converging leaves
+    the medians and marks the report partial."""
+    rows = [ReportRow(t=t, delta=t ** -0.5, n0=0, m0=0, seed=seed,
+                      e2=3.0 / t * (1.0 + 0.1 * seed), iters=1, wall_ms=0.0,
+                      converged=True)
+            for t in (4, 9, 16, 25) for seed in (-1, 0, 1)]
+    report = ConvergenceReport(case="hemisphere2", mode="full",
+                               variant="none", rows=rows)
+    assert [(t, m) for t, _, m in report.medians()] == [
+        (4, 0.75), (9, 3.0 / 9), (16, 3.0 / 16), (25, 3.0 / 25)]
+    slope, intercept = report.fit()
+    assert (report.slope, report.intercept) == (slope, intercept)
+    assert slope == pytest.approx(2.0, rel=1e-12)
+    assert intercept == pytest.approx(np.log(3.0), rel=1e-12)
+    assert not report.partial
+    rows[0].converged = False
+    assert report.partial
+    assert report.medians()[0] == (4, 0.5, pytest.approx(0.75 * 1.05))
 
 
 def _mask_wall(text: str) -> str:
@@ -180,6 +202,9 @@ def test_lemma_diagnostics_validation():
         lemma_diagnostics("hemisphere2", [0.4, 0.2])
     with pytest.raises(ConfigurationError):
         lemma_diagnostics("hemisphere2", [0.4, 0.3, 0.25, 0.2])
+    # a repeated horizon counts once: two distinct horizons are too few
+    with pytest.raises(ConfigurationError, match="distinct"):
+        lemma_diagnostics("hemisphere2", [0.4, 0.4, 0.4, 0.1])
     with pytest.raises(ConfigurationError):
         lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05], n_boundary=50)
     for probes in (0, -2, 2.5):

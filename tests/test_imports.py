@@ -1,5 +1,6 @@
-"""Every import in the package is used, every private name is read, and
-the package exports what it imports.
+"""Every import in the package, the tests and the demos is used, every
+private name of the package is read, and the package exports what it
+imports.
 
 The repository runs no linter, so this walks each module's syntax tree.
 Package ``__init__`` modules (whose imports are re-exports) and names
@@ -20,6 +21,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nlpoisson"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the tests and demos are held to the import check too
+SCRIPTS = sorted(p for folder in ("tests", "demos")
+                 for p in (PACKAGE.parents[1] / folder).glob("*.py"))
 # the names perfbench's traced runs wrap; they go when it reads a trace
 PROBED = frozenset({"assemble", "bar_matrix", "interior_laplacian", "cg",
                     "solve_mean_zero"})
@@ -66,7 +70,9 @@ def test_checker_flags_unused_and_honours_noqa():
     assert unused_imports(source) == ["field (line 4)", "os (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=lambda p: (p.name if p in MODULES
+                                        else f"{p.parent.name}/{p.name}"))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

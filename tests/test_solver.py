@@ -7,6 +7,7 @@ from scipy import sparse
 
 from nlpoisson.assembly import assemble
 from nlpoisson.geometry import build_cloud, get_case
+from nlpoisson.harness import VARIANTS, HarnessOptions
 from nlpoisson.solver import cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import assemble_lambda
 
@@ -93,11 +94,8 @@ def test_determinism_repeat_solve(small_system):
 
 def _lambda_system(t=5, lam=1.0):
     cloud = build_cloud("hemisphere2", t, 1)
-    case = get_case("hemisphere2")
-
-    def f_man(x):
-        return case.forcing(x) + lam * case.exact_u(x)
-
+    _, f_man, _ = VARIANTS["lambda"].data(
+        get_case("hemisphere2"), HarnessOptions(variant="lambda", lam=lam))
     return assemble_lambda(cloud, lam=lam, f=f_man)
 
 

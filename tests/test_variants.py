@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from nlpoisson import assembly, variants
-from nlpoisson.assembly import assemble, boundary_trace, interior_laplacian
+from nlpoisson.assembly import assemble, boundary_trace
 from nlpoisson.geometry import build_cloud, get_case
 from nlpoisson.harness import (
+    G_CASES,
     VARIANTS,
     ConfigurationError,
     HarnessOptions,
-    e2_error,
+    convergence_study,
     run_single,
 )
 from nlpoisson.kernels import cosine_profile
@@ -30,30 +31,20 @@ from nlpoisson.variants import (
 CASE = get_case("hemisphere2")
 
 
-def manufactured_lambda_forcing(lam):
-    def f(x):
-        return CASE.forcing(x) + lam * CASE.exact_u(x)
-    return f
+def manufactured_forcing(variant, **options):
+    """The forcing a variant is scored with on hemisphere2."""
+    return VARIANTS[variant].data(
+        CASE, HarnessOptions(variant=variant, **options))[1]
 
 
-def manufactured_nonlinear_forcing(lam, p):
-    def f(x):
-        u = CASE.exact_u(x)
-        return CASE.forcing(x) + lam * u * np.abs(u) ** (2.0 * p - 2.0)
-    return f
+def manufactured_config(**options):
+    """The nonlinear model's VariantConfig with its manufactured forcing."""
+    return HarnessOptions(variant="nonlinear", **options).variant_config(
+        manufactured_forcing("nonlinear", **options))
 
 
 # manufactured flux data: u = z^2 - 7/12 has du/dn = -sqrt(3)/2 on the rim
-def _nh_u(x):
-    return x[:, 2] ** 2 - 7.0 / 12.0
-
-
-def _nh_f(x):
-    return 6.0 * x[:, 2] ** 2 - 2.0
-
-
-def _nh_g(q):
-    return np.full(q.shape[0], -np.sqrt(3.0) / 2.0)
+_, _, _nh_f, _nh_g = G_CASES["hemisphere2_zsq"]
 
 
 def test_lambda_zero_is_identity(small_cloud):
@@ -102,10 +93,10 @@ def test_lambda_strictly_positive_definite(small_cloud):
 def test_lambda_rhs_keeps_mean(small_cloud):
     """The absorption system drops the mean-zero projection of the source."""
     system = assemble_lambda(small_cloud, lam=1.0,
-                             f=manufactured_lambda_forcing(1.0))
+                             f=manufactured_forcing("lambda", lam=1.0))
     assert system.mean_shift == 0.0
     base = assemble(small_cloud, mode="full",
-                    f=manufactured_lambda_forcing(1.0))
+                    f=manufactured_forcing("lambda", lam=1.0))
     assert np.array_equal(system.rhs, small_cloud.A * base.f_delta)
     assert abs(float(system.rhs.sum())) > 0.0
 
@@ -122,19 +113,11 @@ def test_lambda_field_variant(small_cloud):
     assert res.converged
 
 
-def test_lambda_manufactured_convergence():
-    lam = 1.0
-    meds = []
-    for t in (5, 10, 20, 40):
-        errs = []
-        for seed in (1, 2, 3, 4, 5):
-            cloud = build_cloud("hemisphere2", t, seed)
-            system = assemble_lambda(cloud, lam=lam,
-                                     f=manufactured_lambda_forcing(lam))
-            res = solve_spd(system, tol=1e-11)
-            assert res.converged
-            errs.append(e2_error(res.U, cloud))
-        meds.append(float(np.median(errs)))
+def test_lambda_manufactured_convergence(lambda_study):
+    """Criterion 8's sweep: every solve converges and the e2 medians
+    strictly decrease."""
+    assert all(r.converged for r in lambda_study.rows)
+    meds = [median for _, _, median in lambda_study.medians()]
     assert all(a > b for a, b in zip(meds, meds[1:]))
 
 
@@ -152,8 +135,7 @@ def test_energy_gradient_matches_finite_differences(small_cloud, rng):
                            f=lambda x: np.zeros(x.shape[0]))
     p_one = _NonlinearWork(small_cloud, cosine_profile(), config)
     system = AbsorptionOperator(p_one, lam * p_one.measure)
-    config = VariantConfig(kind="nonlinear", lam=lam, p=1.5,
-                           f=manufactured_nonlinear_forcing(lam, 1.5))
+    config = manufactured_config(lam=lam)
     p_nonlinear = _NonlinearWork(small_cloud, cosine_profile(), config)
     U = rng.standard_normal(small_cloud.n0)
     h = 1e-6
@@ -302,7 +284,6 @@ def test_nonhomogeneous_compatibility_warning(small_cloud):
 
 
 def test_nonhomogeneous_mean_zero_rhs(small_cloud):
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         nh = assemble(small_cloud, f=_nh_f, g=_nh_g)
@@ -316,22 +297,14 @@ def test_nonhomogeneous_mean_zero_rhs(small_cloud):
 
 def test_nonhomogeneous_manufactured_trend():
     """Flux-driven manufactured case: error trend decreasing in delta."""
-    import warnings
-    meds, deltas = [], []
-    for t in (5, 10, 20, 40):
-        errs = []
-        for seed in (1, 2, 3):
-            cloud = build_cloud("hemisphere2", t, seed)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                system = assemble(cloud, f=_nh_f, g=_nh_g)
-            res = solve_mean_zero(system, tol=1e-11)
-            assert res.converged
-            errs.append(e2_error(res.U, cloud, _nh_u))
-        meds.append(float(np.median(errs)))
-        deltas.append(cloud.delta)
-    slope = np.polyfit(np.log(deltas), np.log(meds), 1)[0]
-    assert slope >= 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = convergence_study(
+            "hemisphere2", [5, 10, 20, 40], seeds=3,
+            options=HarnessOptions(variant="nonhomogeneous", tol=1e-11))
+    assert all(r.converged for r in report.rows)
+    meds = [median for _, _, median in report.medians()]
+    assert report.slope >= 1.0
     assert meds[-1] < 0.25 * meds[0]
 
 
@@ -348,7 +321,7 @@ def test_nonlinear_zero_forcing_fixed_point(small_cloud):
 
 def test_nonlinear_p_one_matches_lambda(small_cloud):
     lam = 1.3
-    f = manufactured_lambda_forcing(lam)
+    f = manufactured_forcing("lambda", lam=lam)
     config = VariantConfig(kind="nonlinear", lam=lam, p=1.0, f=f)
     res = nonlinear_solve(small_cloud, config=config)
     assert res.converged and res.reason == "converged"
@@ -356,17 +329,19 @@ def test_nonlinear_p_one_matches_lambda(small_cloud):
     assert np.abs(res.U - linear.U).max() <= 1e-8 * max(1.0, np.abs(linear.U).max())
 
 
+def energy_non_increasing(res):
+    """Whether res.energy_history never rises by more than rounding."""
+    J = np.array(res.energy_history)
+    return bool(np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1]))))
+
+
 def test_nonlinear_manufactured_residual():
-    lam, p = 1.0, 1.5
     cloud = build_cloud("hemisphere2", 20, 1)
-    config = VariantConfig(kind="nonlinear", lam=lam, p=p,
-                           f=manufactured_nonlinear_forcing(lam, p))
+    config = manufactured_config()
     res = nonlinear_solve(cloud, config=config)
     assert res.converged and res.reason == "converged"
     assert res.residual < 1e-8
-    J = np.array(res.energy_history)
-    assert np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1])))
-    assert res.energy_monotone
+    assert energy_non_increasing(res)
     assert res.iterations == 6
     assert res.inner_misses == 0
     assert res.inner_iterations > res.iterations
@@ -393,17 +368,25 @@ def test_newton_hessian_matches_finite_differences(small_cloud, rng):
 def test_nonlinear_newton_converges_where_picard_stalled():
     """hemisphere2 t=40 cloud 15: damped Picard stopped at 50 steps with
     residual 1.2e-3; damped Newton converges with a monotone energy."""
-    lam, p = 1.0, 1.5
     cloud = build_cloud("hemisphere2", 40, 15)
-    config = VariantConfig(kind="nonlinear", lam=lam, p=p,
-                           f=manufactured_nonlinear_forcing(lam, p))
+    config = manufactured_config()
     res = nonlinear_solve(cloud, config=config)
     assert res.converged and res.reason == "converged"
     assert res.residual <= 1e-10
-    J = np.array(res.energy_history)
-    assert np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1])))
-    assert res.energy_monotone
+    assert energy_non_increasing(res)
     assert res.inner_misses == 0
+
+
+@pytest.mark.parametrize("p", [4.0, 15.0])
+def test_nonlinear_large_exponent_converges(p):
+    """hemisphere2 t=5 cloud 1 with the manufactured forcing: the line
+    search rejects every trial that raises the energy.  Accepting the
+    rising step at theta = 1/16 ended p = 4 at the step limit with
+    residual 4.9e5, and overflowed at p = 15."""
+    _, res = run_single("hemisphere2", 5, 1,
+                        HarnessOptions(variant="nonlinear", p=p))
+    assert res.converged and res.reason == "converged"
+    assert energy_non_increasing(res)
 
 
 @pytest.mark.parametrize("t, seed", [(20, 1), (40, 15)])
@@ -412,17 +395,15 @@ def test_inexact_newton_matches_tight_inner_solves(t, seed, monkeypatch):
     START_TOL, give the solve with every inner system solved to INNER_TOL
     (forcing cap 0): the same steps and U, for at most 60% of its inner
     CG iterations."""
-    lam, p = 1.0, 1.5
     cloud = build_cloud("hemisphere2", t, seed)
-    config = VariantConfig(kind="nonlinear", lam=lam, p=p,
-                           f=manufactured_nonlinear_forcing(lam, p))
+    config = manufactured_config()
     res = nonlinear_solve(cloud, config=config)
     monkeypatch.setattr(variants, "FORCING_MAX", 0.0)
     monkeypatch.setattr(variants, "START_TOL", variants.INNER_TOL)
     ref = nonlinear_solve(cloud, config=config)
     for r in (res, ref):
         assert r.reason == "converged"
-        assert r.energy_monotone and r.inner_misses == 0
+        assert energy_non_increasing(r) and r.inner_misses == 0
     assert res.iterations == ref.iterations
     assert np.linalg.norm(res.U - ref.U) <= 1e-10 * np.linalg.norm(ref.U)
     assert res.inner_iterations <= 0.6 * ref.inner_iterations
@@ -435,9 +416,7 @@ def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
                            residual=0.0, iterations=0, converged=True)
 
     monkeypatch.setattr(variants, "solve_spd", no_step)
-    lam, p = 1.0, 1.5
-    config = VariantConfig(kind="nonlinear", lam=lam, p=p,
-                           f=manufactured_nonlinear_forcing(lam, p))
+    config = manufactured_config()
     res = nonlinear_solve(small_cloud, config=config)
     assert res.iterations == 1
     assert res.residual > config.picard_tol
@@ -448,10 +427,8 @@ def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
 def test_nonlinear_reason_max_iter():
     """One Newton step on criterion 9's cloud leaves the iteration moving:
     the step limit, not convergence, ends it."""
-    lam, p = 1.0, 1.5
     cloud = build_cloud("hemisphere2", 20, 1)
-    config = VariantConfig(kind="nonlinear", lam=lam, p=p, picard_max=1,
-                           f=manufactured_nonlinear_forcing(lam, p))
+    config = manufactured_config(picard_max=1)
     res = nonlinear_solve(cloud, config=config)
     assert res.iterations == 1
     assert res.converged is False
@@ -521,10 +498,8 @@ def plain_cg(S, b, x0, tol, max_iter):
 def first_newton_system():
     """Criterion 9's cloud, hemisphere2 t=20 seed 1, and the Newton system
     at the base model's solution, where the nonlinear solve starts."""
-    lam, p = 1.0, 1.5
     cloud = build_cloud("hemisphere2", 20, 1)
-    config = VariantConfig(kind="nonlinear", lam=lam, p=p,
-                           f=manufactured_nonlinear_forcing(lam, p))
+    config = manufactured_config()
     work = _NonlinearWork(cloud, cosine_profile(), config)
     U0 = solve_mean_zero(work.base, tol=1e-12).U
     _, hessian, rhs = work.newton(*work.energy(U0)[1:])
