@@ -294,17 +294,17 @@ def nonlinear_solve(cloud: PointCloud, *,
     a CG iterate started at U lowers the Newton model, so the step
     descends.  It moves to U + theta (U* - U), theta starting at
     config.theta and halved until J does not rise; should J still rise
-    once theta max|U* - U| <= config.picard_tol, U stays and the
-    iteration stops.  So energy_history never rises.  At most
-    config.picard_max steps are taken.  Each iterate is evaluated once:
-    J, S U and B^T U at every trial, and the gradient, H and the right
-    side from the accepted trial's products.  The returned residual is
-    |g| / |A f_delta| at the final iterate; converged requires both the
-    last step size and that residual to be at most config.picard_tol,
-    and reason says which held: "converged", "stalled" (the step only) or
-    "max_iter" (picard_max steps, the last one larger).  inner_iterations
-    and inner_misses report the inner CG solves (a miss ended above its
-    own tolerance) and leave converged unaffected.
+    once theta max|U* - U| <= config.picard_tol, or the step be
+    non-finite, U stays and the iteration stops, so energy_history never
+    rises.  At most config.picard_max steps are taken.  Each iterate is
+    evaluated once: J, S U and B^T U at every trial, and the gradient, H
+    and the right side from the accepted trial's products.  The returned
+    residual is |g| / |A f_delta| at the final iterate; converged requires
+    both the last step size and that residual to be at most config.picard_tol,
+    and reason says which held: "converged", "stalled" (the step only, or a
+    non-finite one) or "max_iter" (picard_max steps, the last one larger).
+    inner_iterations and inner_misses report the inner CG solves (a miss ended
+    above its own tolerance) and leave converged unaffected.
     """
     config = config or VariantConfig()
     work = _NonlinearWork(cloud, profile, config)
@@ -348,16 +348,16 @@ def nonlinear_solve(cloud: PointCloud, *,
                 U, (J, SU, a) = trial, evaluated
                 energies.append(J)
                 break
-            # J rises on a step below tolerance: U stays, and the loop ends
+            # J rises on a step below tolerance, or one not finite: U stays
             step_size = theta * full_step
-            if step_size <= config.picard_tol:
+            if not step_size > config.picard_tol:
                 break
             theta = 0.5 * theta
-        if step_size <= config.picard_tol:
+        if not step_size > config.picard_tol:
             break
 
     residual = float(np.linalg.norm(work.newton(SU, a)[0])) / rnorm
-    stopped = step_size <= config.picard_tol
+    stopped = not step_size > config.picard_tol
     converged = stopped and residual <= config.picard_tol
     reason = "converged" if converged else "stalled" if stopped else "max_iter"
     V = boundary_trace(work.base.coupling, cloud.A, U)

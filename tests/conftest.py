@@ -40,6 +40,13 @@ def rng():
 
 
 @pytest.fixture(scope="session")
+def energy_non_increasing():
+    """Whether a solve's energy_history never rises by more than rounding."""
+    return lambda res: all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in
+                           zip(res.energy_history, res.energy_history[1:]))
+
+
+@pytest.fixture(scope="session")
 def lambda_study():
     """Criterion 8's sweep: the absorption model (lambda = 1) with its
     manufactured forcing on hemisphere2, t in {5, 10, 20, 40}, seeds 1-5."""

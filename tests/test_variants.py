@@ -298,7 +298,7 @@ def test_nonhomogeneous_mean_zero_rhs(small_cloud):
 def test_nonhomogeneous_manufactured_trend():
     """Flux-driven manufactured case: error trend decreasing in delta."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.filterwarnings("ignore", "discrete compatibility", UserWarning)
         report = convergence_study(
             "hemisphere2", [5, 10, 20, 40], seeds=3,
             options=HarnessOptions(variant="nonhomogeneous", tol=1e-11))
@@ -329,13 +329,7 @@ def test_nonlinear_p_one_matches_lambda(small_cloud):
     assert np.abs(res.U - linear.U).max() <= 1e-8 * max(1.0, np.abs(linear.U).max())
 
 
-def energy_non_increasing(res):
-    """Whether res.energy_history never rises by more than rounding."""
-    J = np.array(res.energy_history)
-    return bool(np.all(np.diff(J) <= 1e-12 * np.maximum(1.0, np.abs(J[:-1]))))
-
-
-def test_nonlinear_manufactured_residual():
+def test_nonlinear_manufactured_residual(energy_non_increasing):
     cloud = build_cloud("hemisphere2", 20, 1)
     config = manufactured_config()
     res = nonlinear_solve(cloud, config=config)
@@ -365,7 +359,7 @@ def test_newton_hessian_matches_finite_differences(small_cloud, rng):
     assert np.linalg.norm(hessian @ U - rhs - grad) <= 1e-12 * np.linalg.norm(rhs)
 
 
-def test_nonlinear_newton_converges_where_picard_stalled():
+def test_nonlinear_newton_converges_where_picard_stalled(energy_non_increasing):
     """hemisphere2 t=40 cloud 15: damped Picard stopped at 50 steps with
     residual 1.2e-3; damped Newton converges with a monotone energy."""
     cloud = build_cloud("hemisphere2", 40, 15)
@@ -378,7 +372,7 @@ def test_nonlinear_newton_converges_where_picard_stalled():
 
 
 @pytest.mark.parametrize("p", [4.0, 15.0])
-def test_nonlinear_large_exponent_converges(p):
+def test_nonlinear_large_exponent_converges(p, energy_non_increasing):
     """hemisphere2 t=5 cloud 1 with the manufactured forcing: the line
     search rejects every trial that raises the energy.  Accepting the
     rising step at theta = 1/16 ended p = 4 at the step limit with
@@ -390,7 +384,8 @@ def test_nonlinear_large_exponent_converges(p):
 
 
 @pytest.mark.parametrize("t, seed", [(20, 1), (40, 15)])
-def test_inexact_newton_matches_tight_inner_solves(t, seed, monkeypatch):
+def test_inexact_newton_matches_tight_inner_solves(t, seed, monkeypatch,
+                                                  energy_non_increasing):
     """Newton systems solved to the forcing term, and the start to
     START_TOL, give the solve with every inner system solved to INNER_TOL
     (forcing cap 0): the same steps and U, for at most 60% of its inner
@@ -410,18 +405,27 @@ def test_inexact_newton_matches_tight_inner_solves(t, seed, monkeypatch):
 
 
 def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
-    """A step of size zero is not convergence while the residual is large."""
-    def no_step(system, tol, max_iter, x0):
-        return SolveResult(U=x0.copy(), V=np.zeros(small_cloud.m0),
-                           residual=0.0, iterations=0, converged=True)
+    """A step of size zero is not convergence while the residual is large,
+    and a NaN step stops the line search, where theta used to halve
+    without end: either way U stays at the start and the solve stalls."""
+    energy, trials = variants._NonlinearWork.energy, []
 
-    monkeypatch.setattr(variants, "solve_spd", no_step)
+    def bounded(work, U):
+        trials.append(U)
+        assert len(trials) <= 100, "the line search does not end"
+        return energy(work, U)
+
+    monkeypatch.setattr(variants._NonlinearWork, "energy", bounded)
     config = manufactured_config()
-    res = nonlinear_solve(small_cloud, config=config)
-    assert res.iterations == 1
-    assert res.residual > config.picard_tol
-    assert res.converged is False
-    assert res.reason == "stalled"
+    for scale in (1.0, np.nan):
+        monkeypatch.setattr(variants, "solve_spd", lambda system, tol, max_iter, x0:
+                            SolveResult(U=scale * x0, V=None, residual=0.0,
+                                        iterations=0, converged=True))
+        trials.clear()
+        res = nonlinear_solve(small_cloud, config=config)
+        assert res.iterations == 1 and res.reason == "stalled"
+        assert res.converged is False and res.residual > config.picard_tol
+        assert np.array_equal(res.U, trials[0])
 
 
 def test_nonlinear_reason_max_iter():
@@ -545,16 +549,9 @@ def test_nonlinear_config_validation(small_cloud):
         VariantConfig(kind="sublinear")
     with pytest.raises(ValueError):
         VariantConfig(kind="nonlinear", theta=0.0)
-    with pytest.raises(ValueError):
-        nonlinear_solve(small_cloud,
-                        config=VariantConfig(kind="nonlinear", p=0.5))
-    with pytest.raises(ValueError):
-        nonlinear_solve(small_cloud,
-                        config=VariantConfig(kind="nonlinear", lam=0.0))
-    with pytest.raises(ValueError):
-        nonlinear_solve(small_cloud,
-                        config=VariantConfig(kind="nonlinear",
-                                             lam=lambda x: x[:, 0]))
+    for bad in (dict(p=0.5), dict(lam=0.0), dict(lam=lambda x: x[:, 0])):
+        with pytest.raises(ValueError):
+            nonlinear_solve(small_cloud, config=VariantConfig(kind="nonlinear", **bad))
     # the config configures the nonlinear model alone: another kind is
     # refused when it is built
     for other in (dict(kind="lambda", lam=1.0, p=0.5),
