@@ -65,44 +65,55 @@ class PointCloud:
 
 
 class ManifoldCase:
-    """Base class for the benchmark manifolds; subclasses fill in recipes."""
+    """The cap {|x| = 1, x_d >= height} of the unit m-sphere in R^(m+1).
+
+    Its boundary is the (m-1)-sphere of radius rho = sqrt(1 - height^2)
+    in the plane x_d = height; the frames, co-normals and membership tests
+    below follow from m and height.  Subclasses give the recipe: counts(t)
+    -> (n0, m0), sample_points(rng, n0, m0), exact_u(x) and forcing(x),
+    the window sizes and the measures.
+    """
 
     name: str
     m: int
-    d: int
+    height: float
     k_volume: int
     volume: float
     boundary_measure: float
 
-    def counts(self, t: int) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def sample_points(self, B: np.ndarray, n0: int, m0: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def exact_u(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def forcing(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self):
+        self.d = self.m + 1
+        self.rho = np.sqrt(1.0 - self.height**2)
 
     def conormal(self, q: np.ndarray) -> np.ndarray:
-        """Outward unit co-normal at boundary points q (rows)."""
-        raise NotImplementedError
+        """Outward unit co-normal (height q'/rho, -rho) at boundary points
+        q = (q', height) (rows)."""
+        q = np.atleast_2d(q)
+        n = np.empty_like(q)
+        # + 0.0: a zero height gives 0.0, not -0.0, where q' is negative
+        n[:, :-1] = q[:, :-1] * (self.height / self.rho) + 0.0
+        n[:, -1] = -self.rho
+        return n
 
     def surface_frames(self, x: np.ndarray) -> np.ndarray:
         """Orthonormal tangent bases of the manifold, shape (n, m, d)."""
-        raise NotImplementedError
+        return _householder_tangent_frames(np.atleast_2d(x))
 
     def boundary_frames(self, q: np.ndarray) -> np.ndarray:
-        """Orthonormal tangent bases of the boundary manifold."""
-        raise NotImplementedError
+        """Orthonormal tangent bases of the boundary, shape (n, m-1, d)."""
+        q = np.atleast_2d(q)
+        frames = np.zeros((q.shape[0], self.m - 1, self.d))
+        frames[:, :, :-1] = _householder_tangent_frames(q[:, :-1] / self.rho)
+        return frames
 
     def on_manifold(self, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        raise NotImplementedError
+        x = np.atleast_2d(x)
+        radial = np.abs((x * x).sum(axis=1) - 1.0) <= 2 * tol
+        return radial & (x[:, -1] >= self.height - tol)
 
     def on_boundary(self, q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        raise NotImplementedError
+        q = np.atleast_2d(q)
+        return self.on_manifold(q, tol) & (np.abs(q[:, -1] - self.height) <= tol)
 
 
 def _householder_tangent_frames(normals: np.ndarray) -> np.ndarray:
@@ -131,17 +142,16 @@ class Hemisphere2(ManifoldCase):
 
     name = "hemisphere2"
     m = 2
-    d = 3
+    height = 0.5
     k_volume = 20
     volume = np.pi                      # cap area 2*pi*(1 - 1/2)
-    boundary_rho = np.sqrt(3.0) / 2.0
-    boundary_z = 0.5
-    boundary_measure = 2.0 * np.pi * boundary_rho
+    boundary_measure = property(lambda self: 2.0 * np.pi * self.rho)
 
     def counts(self, t):
         return t * t + 3 * t, 3 * t
 
-    def sample_points(self, B, n0, m0):
+    def sample_points(self, rng, n0, m0):
+        B = rng.random((n0, 2))
         pts = np.empty((n0, 3))
         ni = n0 - m0
         z = (B[:ni, 1] + 1.0) / 2.0
@@ -151,9 +161,9 @@ class Hemisphere2(ManifoldCase):
         pts[:ni, 1] = r * np.sin(phi)
         pts[:ni, 2] = z
         bphi = 2.0 * np.pi * B[ni:, 0]
-        pts[ni:, 0] = self.boundary_rho * np.cos(bphi)
-        pts[ni:, 1] = self.boundary_rho * np.sin(bphi)
-        pts[ni:, 2] = self.boundary_z
+        pts[ni:, 0] = self.rho * np.cos(bphi)
+        pts[ni:, 1] = self.rho * np.sin(bphi)
+        pts[ni:, 2] = self.height
         return pts
 
     def exact_u(self, x):
@@ -165,34 +175,13 @@ class Hemisphere2(ManifoldCase):
         z = x[:, 2]
         return 6.0 * z * z - 2.0 * z - 2.0
 
-    def conormal(self, q):
-        q = np.atleast_2d(q)
-        n = np.empty_like(q)
-        scale = self.boundary_z / self.boundary_rho
-        n[:, 0] = q[:, 0] * scale
-        n[:, 1] = q[:, 1] * scale
-        n[:, 2] = -self.boundary_rho
-        return n
-
-    def surface_frames(self, x):
-        return _householder_tangent_frames(np.atleast_2d(x))
-
-    def on_manifold(self, x, tol=1e-10):
-        x = np.atleast_2d(x)
-        radial = np.abs((x * x).sum(axis=1) - 1.0) <= 2 * tol
-        return radial & (x[:, 2] >= 0.5 - tol)
-
-    def on_boundary(self, q, tol=1e-10):
-        q = np.atleast_2d(q)
-        return self.on_manifold(q, tol) & (np.abs(q[:, 2] - 0.5) <= tol)
-
 
 class Hemisphere3(ManifoldCase):
     """Half 3-sphere x^2 + y^2 + z^2 + w^2 = 1, w >= 0, 2-sphere boundary."""
 
     name = "hemisphere3"
     m = 3
-    d = 4
+    height = 0.0
     k_volume = 50
     k_boundary = 20
     volume = np.pi**2                   # half of the 3-sphere volume 2*pi^2
@@ -201,7 +190,8 @@ class Hemisphere3(ManifoldCase):
     def counts(self, t):
         return 3 * t**3 + 4 * t**2, 4 * t**2
 
-    def sample_points(self, B, n0, m0):
+    def sample_points(self, rng, n0, m0):
+        B = rng.random((n0, 3))
         pts = np.empty((n0, 4))
         ni = n0 - m0
         a, b, c = B[:ni, 0], B[:ni, 1], B[:ni, 2]
@@ -216,7 +206,7 @@ class Hemisphere3(ManifoldCase):
         pts[ni:, 0] = rb * np.cos(2.0 * np.pi * a)
         pts[ni:, 1] = rb * np.sin(2.0 * np.pi * a)
         pts[ni:, 2] = zb
-        pts[ni:, 3] = 0.0
+        pts[ni:, 3] = self.height
         return pts
 
     def exact_u(self, x):
@@ -226,32 +216,6 @@ class Hemisphere3(ManifoldCase):
     def forcing(self, x):
         x = np.atleast_2d(x)
         return 15.0 * x[:, 0] * x[:, 1] * x[:, 2]
-
-    def conormal(self, q):
-        q = np.atleast_2d(q)
-        n = np.zeros_like(q)
-        n[:, 3] = -1.0
-        return n
-
-    def surface_frames(self, x):
-        return _householder_tangent_frames(np.atleast_2d(x))
-
-    def boundary_frames(self, q):
-        # boundary is the unit 2-sphere inside w = 0; frame its 3-D normal
-        q = np.atleast_2d(q)
-        sub = _householder_tangent_frames(q[:, :3])
-        frames = np.zeros((q.shape[0], 2, 4))
-        frames[:, :, :3] = sub
-        return frames
-
-    def on_manifold(self, x, tol=1e-10):
-        x = np.atleast_2d(x)
-        radial = np.abs((x * x).sum(axis=1) - 1.0) <= 2 * tol
-        return radial & (x[:, 3] >= -tol)
-
-    def on_boundary(self, q, tol=1e-10):
-        q = np.atleast_2d(q)
-        return self.on_manifold(q, tol) & (np.abs(q[:, 3]) <= tol)
 
 
 CASES: dict[str, ManifoldCase] = {
@@ -284,10 +248,7 @@ def sample_case(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:
     if t < T_MIN:
         raise ValueError(f"resolution parameter t must be >= {T_MIN}")
     n0, m0 = case.counts(t)
-    rng = np.random.default_rng(seed)
-    ncols = 2 if case.m == 2 else 3
-    B = rng.random((n0, ncols))
-    points = case.sample_points(B, n0, m0)
+    points = case.sample_points(np.random.default_rng(seed), n0, m0)
     return PointCloud(case_name=case.name, m=case.m, d=case.d, t=t, seed=seed,
                       delta=float(np.sqrt(1.0 / t)), points=points, m0=m0)
 
@@ -547,7 +508,14 @@ def conormal(case: ManifoldCase | str, q) -> np.ndarray:
 
 
 def save_cloud_csv(cloud: PointCloud, path) -> None:
-    """Write a cloud as CSV: kind,x0..,weight,n0.. with metadata comments."""
+    """Write a cloud as CSV: kind,x0..,weight,n0.. with metadata comments.
+
+    Raises ValueError, before writing, if A, L or normals is missing.
+    """
+    missing = [k for k in ("A", "L", "normals") if getattr(cloud, k) is None]
+    if missing:
+        raise ValueError(f"cloud has no {', '.join(missing)}; "
+                         "weight it with build_cloud before saving")
     d = cloud.d
     buf = io.StringIO()
     buf.write("# nlpoisson point cloud\n")

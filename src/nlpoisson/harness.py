@@ -66,7 +66,8 @@ def _zsq_f(x):
 
 
 def _zsq_g(q):
-    return np.full(q.shape[0], -np.sqrt(3.0) / 2.0)
+    # du/dn = 2 z n_z = -rho on hemisphere2's rim
+    return np.full(q.shape[0], -get_case("hemisphere2").rho)
 
 
 G_CASES = {
@@ -308,23 +309,22 @@ class LemmaReport:
     omega_order = property(lambda self: self.fit("omega_dev")[0])
 
 
-def _circle_fixture(n: int) -> tuple[np.ndarray, float]:
-    rho = np.sqrt(3.0) / 2.0
+def _circle_fixture(case: ManifoldCase, n: int) -> tuple[np.ndarray, float]:
     phi = 2.0 * np.pi * np.arange(n) / n
-    pts = np.stack([rho * np.cos(phi), rho * np.sin(phi),
-                    np.full(n, 0.5)], axis=1)
-    return pts, 2.0 * np.pi * rho / n
+    pts = np.stack([case.rho * np.cos(phi), case.rho * np.sin(phi),
+                    np.full(n, case.height)], axis=1)
+    return pts, case.boundary_measure / n
 
 
-def _cap_patch_omega(delta: float, phi0: float,
+def _cap_patch_omega(case: ManifoldCase, delta: float, phi0: float,
                      profile: KernelProfile) -> float:
     """Midpoint quadrature of the displacement coupling over the cap patch
     within kernel range of the boundary probe at angle phi0, 40 cells per
     delta."""
-    rho, zb = np.sqrt(3.0) / 2.0, 0.5
-    q = np.array([rho * np.cos(phi0), rho * np.sin(phi0), zb])
-    nq = np.array([0.5 * np.cos(phi0), 0.5 * np.sin(phi0), -rho])
-    th_max = np.pi / 3.0
+    q = np.array([case.rho * np.cos(phi0), case.rho * np.sin(phi0),
+                  case.height])
+    nq = case.conormal(q)[0]
+    th_max = np.arccos(case.height)
     geo = 2.0 * np.arcsin(min(delta, 1.0)) + 0.05 * delta
     th_lo = max(0.0, th_max - geo)
     h = delta / 40
@@ -366,7 +366,8 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
         raise ConfigurationError("need at least 4 distinct horizons")
     if deltas[0] / deltas[-1] < 4.0:
         raise ConfigurationError("horizons must span at least a factor of 4")
-    circumference = 2.0 * np.pi * np.sqrt(3.0) / 2.0
+    case = get_case(case_name)
+    circumference = case.boundary_measure
     if n_boundary is None:
         n_boundary = max(4096, int(np.ceil(64.0 * circumference / deltas[-1])))
     if n_boundary * deltas[-1] / circumference < 10.0:
@@ -374,7 +375,7 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
             f"boundary fixture too coarse: {n_boundary} points give fewer "
             f"than 10 per delta = {deltas[-1]}")
     CR = compute_CR(profile, 2)
-    pts, seg = _circle_fixture(n_boundary)
+    pts, seg = _circle_fixture(case, n_boundary)
     probe_idx = np.linspace(0, n_boundary, probes, endpoint=False).astype(int)
     rows = []
     for delta in deltas:
@@ -383,8 +384,8 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
             sq = ((pts - pts[k]) ** 2).sum(axis=1)
             dbar = pair_eval(profile, "dbar", sq, delta, 2)
             bsums.append(2.0 * delta * float(dbar.sum()) * seg)
-            omega = _cap_patch_omega(delta, 2.0 * np.pi * k / n_boundary,
-                                     profile)
+            omega = _cap_patch_omega(case, delta,
+                                     2.0 * np.pi * k / n_boundary, profile)
             odevs.append(abs(omega - delta * CR))
         rows.append(LemmaRow(delta=delta, boundary_sum=float(np.mean(bsums)),
                              boundary_dev=float(max(abs(b - CR) for b in bsums)),

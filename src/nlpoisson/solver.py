@@ -73,8 +73,8 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     The preconditioner is 1 / S.diagonal(), with 1 for non-positive
     entries, plus W W^T = Z E^+ Z^T when S offers S.coarse_space().
     reason says why the loop stopped: "converged", "max_iter" or
-    "breakdown" (p^T S p <= 0); ok is whether the true relative residual
-    is at most tol.
+    "breakdown" (p^T S p <= 0 or NaN); ok is whether the true relative
+    residual is at most tol.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -108,7 +108,7 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             break
         Sp = S @ p
         pSp = float(p @ Sp)
-        if pSp <= 0.0:
+        if not pSp > 0.0:
             reason = "breakdown"
             break
         alpha = rz / pSp

@@ -8,8 +8,10 @@ laptop core.
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import eigsh
 
-from nlpoisson.assembly import assemble
+from nlpoisson.assembly import MODES, assemble
 from nlpoisson.geometry import build_cloud, get_case
 from nlpoisson.harness import (
     VARIANTS,
@@ -69,6 +71,40 @@ def test_criterion_3_hemisphere3_slope():
     ok = report.slope >= 2.0
     _report("criterion 3 (S^3 half-sphere convergence)", ok,
             f"fitted slope {report.slope:.3f} >= 2.0, t = {H3_T_LIST}, 3 seeds")
+
+
+def test_neumann_spectrum_hemisphere3():
+    """PAPER.md's results (2) and (3) with no forcing, on the half 3-sphere.
+
+    The pencil S v = mu M v takes the lumped mass M = diag(A F(1)), F(1)
+    the model's smoothed source of f = 1.  The first non-zero Neumann
+    eigenvalue there is mu = 3 with multiplicity 3 (x, y and z); the score
+    is the relative error of the mean of the three eigenvalues after the
+    zero one.  Full medians over seeds 1-3 must strictly decrease in t,
+    and the full median at t=8 be at most half the reduced one.
+    """
+    ts = (4, 6, 8)
+    errors = {mode: {t: [] for t in ts} for mode in MODES}
+    for t in ts:
+        for seed in (1, 2, 3):
+            cloud = build_cloud("hemisphere3", t, seed)
+            for mode in MODES:
+                system = assemble(cloud, mode=mode,
+                                  f=lambda x: np.ones(len(x)))
+                mass = cloud.A * system.f_delta
+                assert np.all(mass > 0.0)
+                mu = np.sort(eigsh(system.S, k=4, M=sparse.diags(mass),
+                                   sigma=-0.5, return_eigenvectors=False))
+                errors[mode][t].append(abs(mu[1:].mean() - 3.0) / 3.0)
+    full = [float(np.median(errors["full"][t])) for t in ts]
+    reduced = [float(np.median(errors["reduced"][t])) for t in ts]
+    ok = (all(b < a for a, b in zip(full, full[1:]))
+          and full[-1] <= 0.5 * reduced[-1])
+    _report("Neumann spectrum (S^3 half-sphere, mu = 3)", ok,
+            f"full medians {', '.join(f'{e:.4f}' for e in full)} strictly "
+            f"decrease, t = {list(ts)}; reduced "
+            f"{', '.join(f'{e:.4f}' for e in reduced)}; full <= 0.5 x reduced "
+            f"at t={ts[-1]}")
 
 
 def test_criterion_4_system_structure():

@@ -86,6 +86,25 @@ def test_conormal_field(name, t):
     assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() < 1e-12
     # tangent to the manifold: orthogonal to the ambient surface normal q
     assert np.abs((n * cloud.boundary).sum(axis=1)).max() < 1e-10
+    # zero components are +0.0, as written to cloud.csv
+    assert not np.any((n == 0.0) & np.signbit(n))
+
+
+@pytest.mark.parametrize("name,t", [("hemisphere2", 10), ("hemisphere3", 4)])
+def test_tangent_frames(name, t):
+    """Surface frames span the tangent space at x (orthogonal to x);
+    boundary frames span that of the boundary at q (orthogonal to q and
+    to the co-normal)."""
+    cloud = sample_case(name, t, 5)
+    case = get_case(name)
+    q = cloud.boundary
+    for frames, normals in ((case.surface_frames(cloud.points),
+                             [cloud.points]),
+                            (case.boundary_frames(q), [q, case.conormal(q)])):
+        gram = frames @ frames.transpose(0, 2, 1)
+        assert np.abs(gram - np.eye(frames.shape[1])).max() < 1e-12
+        for nu in normals:
+            assert np.abs((frames @ nu[:, :, None])).max() < 1e-12
 
 
 def test_conormal_smoothness():
@@ -403,6 +422,19 @@ def test_cloud_csv_roundtrip(tmp_path):
     save_cloud_csv(moved, path)
     back = load_cloud_csv(path)
     assert type(back.delta) is float and back.delta == 0.35
+
+
+def test_cloud_csv_needs_weights(tmp_path):
+    """An unweighted cloud is refused with the missing fields named, and
+    nothing is written."""
+    path = tmp_path / "cloud.csv"
+    cloud = sample_case("hemisphere2", 5, 1)
+    with pytest.raises(ValueError, match="no A, L, normals"):
+        save_cloud_csv(cloud, path)
+    weighted = replace(build_cloud("hemisphere2", 5, 1), normals=None)
+    with pytest.raises(ValueError, match="no normals;"):
+        save_cloud_csv(weighted, path)
+    assert not path.exists()
 
 
 def _edited_csv(cloud, tmp_path, edit):

@@ -139,3 +139,12 @@ def test_reason_breakdown_on_indefinite_system():
     _, _, it, ok, reason = cg(S, np.array([1.0, 2.0]))
     assert reason == "breakdown"
     assert it == 0 and not ok
+
+
+def test_reason_breakdown_on_nan_rhs():
+    """A NaN in b makes p^T S p NaN: the loop stops there, not at max_iter."""
+    b = np.ones(50)
+    b[7] = np.nan
+    _, _, it, ok, reason = cg(sparse.identity(50, format="csr") * 2.0, b)
+    assert reason == "breakdown"
+    assert it == 0 and not ok
