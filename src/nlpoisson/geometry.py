@@ -6,15 +6,16 @@ Two parametrized benchmark manifolds are provided: the upper spherical cap
 clouds with the prescribed interior/boundary counts, computes per-point
 volume weights by local tangent-plane Delaunay cells, and computes
 boundary weights (arc segments on the circle, triangle cells on the
-boundary 2-sphere).
+boundary 2-sphere).  Beyond the points, the weights read only the
+case's window sizes.
 
-A cell is 1/(m+1) of the Delaunay star of a point in its projected k-NN
-window.  On 2-D tangent planes the stars come from a batched fan walk
-(gift wrapping around the point, a block of windows in lockstep); on 3-D
-tangent spaces from one convex hull per window of its neighbours
-inverted about the point.  Qhull triangulates the windows whose star
-neither can settle (coincident or cospherical neighbours), one at a
-time.
+A cell is 1/(m+1) of the Delaunay star of a point in its k-NN window,
+projected on the window's top-m principal directions.  On 2-D tangent
+planes the stars come from a batched fan walk (gift wrapping around the
+point, a block of windows in lockstep); on 3-D tangent spaces from one
+convex hull per window of its neighbours inverted about the point.
+Qhull triangulates the windows whose star neither can settle
+(coincident or cospherical neighbours), one at a time.
 
 Boundary points are stored as the tail of the point array: the k-th
 boundary point aliases point ``n0 - m0 + k``.
@@ -68,8 +69,8 @@ class ManifoldCase:
     """The cap {|x| = 1, x_d >= height} of the unit m-sphere in R^(m+1).
 
     Its boundary is the (m-1)-sphere of radius rho = sqrt(1 - height^2)
-    in the plane x_d = height; the frames, co-normals and membership tests
-    below follow from m and height.  Subclasses give the recipe: counts(t)
+    in the plane x_d = height; the co-normals and membership tests below
+    follow from m and height.  Subclasses give the recipe: counts(t)
     -> (n0, m0), sample_points(rng, n0, m0), exact_u(x) and forcing(x),
     the window sizes and the measures.
     """
@@ -95,17 +96,6 @@ class ManifoldCase:
         n[:, -1] = -self.rho
         return n
 
-    def surface_frames(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal tangent bases of the manifold, shape (n, m, d)."""
-        return _householder_tangent_frames(np.atleast_2d(x))
-
-    def boundary_frames(self, q: np.ndarray) -> np.ndarray:
-        """Orthonormal tangent bases of the boundary, shape (n, m-1, d)."""
-        q = np.atleast_2d(q)
-        frames = np.zeros((q.shape[0], self.m - 1, self.d))
-        frames[:, :, :-1] = _householder_tangent_frames(q[:, :-1] / self.rho)
-        return frames
-
     def on_manifold(self, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         x = np.atleast_2d(x)
         radial = np.abs((x * x).sum(axis=1) - 1.0) <= 2 * tol
@@ -114,27 +104,6 @@ class ManifoldCase:
     def on_boundary(self, q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         q = np.atleast_2d(q)
         return self.on_manifold(q, tol) & (np.abs(q[:, -1] - self.height) <= tol)
-
-
-def _householder_tangent_frames(normals: np.ndarray) -> np.ndarray:
-    """Tangent frames orthogonal to unit ``normals`` via Householder maps.
-
-    For each unit vector nu in R^d, reflect e_d onto +-nu; the images of
-    e_1..e_{d-1} form a deterministic orthonormal basis of nu-perp.
-    Returns shape (n, d-1, d).
-    """
-    nu = np.atleast_2d(normals)
-    n, d = nu.shape
-    sign = np.where(nu[:, -1] >= 0, 1.0, -1.0)
-    v = nu.copy()
-    v[:, -1] += sign  # reflect onto -sign * e_d, |v|^2 = 2 (1 + |nu_d|)
-    vsq = (v * v).sum(axis=1)
-    frames = np.empty((n, d - 1, d))
-    for i in range(d - 1):
-        e = np.zeros(d)
-        e[i] = 1.0
-        frames[:, i, :] = e - (2.0 * v[:, i] / vsq)[:, None] * v
-    return frames
 
 
 class Hemisphere2(ManifoldCase):
@@ -384,18 +353,28 @@ def _hull_volumes(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return volume, degenerate
 
 
-def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
+def _tangent_frames(rel: np.ndarray, m: int) -> np.ndarray:
+    """Top-m principal directions (n, m, d) of windows of displacements
+    rel (n, k+1, d), from the scatter about each window's mean (about its
+    point, the mean's offset from it would tilt the frames)."""
+    c = rel - rel.mean(axis=1, keepdims=True)
+    _, vecs = np.linalg.eigh(c.transpose(0, 2, 1) @ c)
+    return vecs[:, :, -m:].transpose(0, 2, 1)
+
+
+def _simplex_cell_weights(points: np.ndarray, m: int, k: int,
                           seed: int) -> np.ndarray:
-    """Per-point simplex-cell weights on a curved patch.
+    """Per-point simplex-cell weights on a curved m-dimensional patch.
 
     For each point: gather the k nearest neighbors, project the k+1 points
-    onto the tangent space (frames[i] rows are the basis) and keep 1/(m+1)
-    of the measure of the Delaunay simplices incident to the point.  On
-    2-D tangent planes the stars come from a batched fan walk
-    (:func:`_fan_areas`) over blocks of windows, on 3-D tangent spaces
-    from inverted convex hulls (:func:`_hull_volumes`); the windows either
-    marks degenerate are triangulated one by one by Qhull
-    (:func:`_cell_weight`).
+    on the window's top-m principal directions (:func:`_tangent_frames`)
+    and keep 1/(m+1) of the measure of the Delaunay simplices incident to
+    the point.  On 2-D tangent planes the stars come from a batched fan
+    walk (:func:`_fan_areas`) over blocks of windows, on 3-D tangent
+    spaces from inverted convex hulls (:func:`_hull_volumes`); the windows
+    either marks degenerate are triangulated one by one by Qhull
+    (:func:`_cell_weight`).  Under a similarity x -> s Q x + b of the
+    cloud the weights scale by s^m.
 
     Exact copies of a point share its one star, so that they add nothing
     to the total weight, and take no slot in any window.
@@ -411,19 +390,19 @@ def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
             return_counts=True)
         if len(first) < n:
             keep = np.sort(first)
-            weights = _simplex_cell_weights(points[keep], frames[keep], k, seed)
+            weights = _simplex_cell_weights(points[keep], m, k, seed)
             return weights[np.searchsorted(keep, first)[inverse]] / counts[inverse]
     weights = np.empty(n)
     for lo in range(0, n, _WINDOW_BATCH):
         block = slice(lo, lo + _WINDOW_BATCH)
         rel = points[idx[block]] - points[block, None, :]  # row 0: the point
-        local = rel @ frames[block].transpose(0, 2, 1)     # (batch, k+1, m)
-        if frames.shape[1] == 2:
+        local = rel @ _tangent_frames(rel, m).transpose(0, 2, 1)
+        if m == 2:
             area, redo = _fan_areas(local)
             weights[block] = area / 3.0
         else:
             volume, redo = _hull_volumes(local)
-            weights[block] = volume / (frames.shape[1] + 1)
+            weights[block] = volume / (m + 1)
         for j in np.flatnonzero(redo):
             i = lo + int(j)
             weights[i] = _cell_weight(local[j], float(dists[i, 1]), seed + i)
@@ -432,21 +411,19 @@ def _simplex_cell_weights(points: np.ndarray, frames: np.ndarray, k: int,
 
 def volume_weights(cloud: PointCloud) -> np.ndarray:
     """Volume weights by tangent-plane Delaunay cells around each point."""
-    case = get_case(cloud.case_name)
-    frames = case.surface_frames(cloud.points)
-    return _simplex_cell_weights(cloud.points, frames, case.k_volume, cloud.seed)
+    k = get_case(cloud.case_name).k_volume
+    return _simplex_cell_weights(cloud.points, cloud.m, k, cloud.seed)
 
 
 def boundary_weights(cloud: PointCloud) -> np.ndarray:
     """Boundary weights: arc segments (m=2) or triangle cells (m=3)."""
     if cloud.m0 < 3:
         raise ValueError("need at least 3 boundary points")
-    case = get_case(cloud.case_name)
     q = cloud.boundary
     if cloud.m == 2:
         return _segment_weights(q)
-    frames = case.boundary_frames(q)
-    return _simplex_cell_weights(q, frames, case.k_boundary, cloud.seed)
+    k = get_case(cloud.case_name).k_boundary
+    return _simplex_cell_weights(q, cloud.m - 1, k, cloud.seed)
 
 
 def _segment_weights(q: np.ndarray) -> np.ndarray:

