@@ -80,14 +80,15 @@ class NonlocalSystem:
     S: sparse.csr_matrix         # or an operator with @, diagonal(), materialize()
     rhs: np.ndarray
     coupling: BoundaryCoupling
-    A: np.ndarray
-    delta: float
     mode: str
     cloud: PointCloud
     f_delta: np.ndarray          # smoothed source before mean removal
     mean_shift: float            # constant removed from f_delta
     pairs: sparse.csr_matrix     # Kbar on the 2 delta pattern of every block
     variant: str = "none"        # model variant this system discretizes
+
+    A = property(lambda self: self.cloud.A)
+    delta = property(lambda self: self.cloud.delta)
 
 
 def zeta_entry(p, q, n_q, delta: float, profile: KernelProfile,
@@ -287,9 +288,8 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
     fd = smoothed_forcing(cloud, pairs, coupling, f, g)
     shift = float(fd @ cloud.A / cloud.A.sum())
     rhs = cloud.A * (fd - shift)
-    return NonlocalSystem(S=S, rhs=rhs, coupling=coupling, A=cloud.A,
-                          delta=cloud.delta, mode=mode, cloud=cloud,
-                          f_delta=fd, mean_shift=shift, pairs=pairs,
+    return NonlocalSystem(S=S, rhs=rhs, coupling=coupling, mode=mode,
+                          cloud=cloud, f_delta=fd, mean_shift=shift, pairs=pairs,
                           variant="none" if g is None else "nonhomogeneous")
 
 

@@ -6,11 +6,12 @@ Two parametrized benchmark manifolds are provided: the upper spherical cap
 clouds with the prescribed interior/boundary counts, computes per-point
 volume weights by local tangent-plane Delaunay cells, and computes
 boundary weights (arc segments on the circle, triangle cells on the
-boundary 2-sphere).  Beyond the points, the weights read only the
-case's window sizes.
+boundary 2-sphere).  The weights read nothing but the points and the
+dimension m of the patch they sample, which sets the k-NN window.
 
 A cell is 1/(m+1) of the Delaunay star of a point in its k-NN window,
-projected on the window's top-m principal directions.  On 2-D tangent
+projected on the window's top-m principal directions; on a curve it is
+half the chords to the nearest point on either side.  On 2-D tangent
 planes the stars come from a batched fan walk (gift wrapping around the
 point, a block of windows in lockstep); on 3-D tangent spaces from one
 convex hull per window of its neighbours inverted about the point.
@@ -42,7 +43,6 @@ class PointCloud:
 
     case_name: str
     m: int
-    d: int
     t: int
     seed: int
     delta: float
@@ -56,13 +56,9 @@ class PointCloud:
         # a NumPy scalar would be written as np.float64(...) by repr
         self.delta = float(self.delta)
 
-    @property
-    def n0(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def boundary(self) -> np.ndarray:
-        return self.points[self.n0 - self.m0:]
+    n0 = property(lambda self: self.points.shape[0])
+    d = property(lambda self: self.points.shape[1])
+    boundary = property(lambda self: self.points[self.n0 - self.m0:])
 
 
 class ManifoldCase:
@@ -72,19 +68,15 @@ class ManifoldCase:
     in the plane x_d = height; the co-normals and membership tests below
     follow from m and height.  Subclasses give the recipe: counts(t)
     -> (n0, m0), sample_points(rng, n0, m0), exact_u(x) and forcing(x),
-    the window sizes and the measures.
+    and the measures.
     """
 
     name: str
     m: int
     height: float
-    k_volume: int
     volume: float
     boundary_measure: float
-
-    def __init__(self):
-        self.d = self.m + 1
-        self.rho = np.sqrt(1.0 - self.height**2)
+    rho = property(lambda self: np.sqrt(1.0 - self.height**2))
 
     def conormal(self, q: np.ndarray) -> np.ndarray:
         """Outward unit co-normal (height q'/rho, -rho) at boundary points
@@ -112,7 +104,6 @@ class Hemisphere2(ManifoldCase):
     name = "hemisphere2"
     m = 2
     height = 0.5
-    k_volume = 20
     volume = np.pi                      # cap area 2*pi*(1 - 1/2)
     boundary_measure = property(lambda self: 2.0 * np.pi * self.rho)
 
@@ -151,8 +142,6 @@ class Hemisphere3(ManifoldCase):
     name = "hemisphere3"
     m = 3
     height = 0.0
-    k_volume = 50
-    k_boundary = 20
     volume = np.pi**2                   # half of the 3-sphere volume 2*pi^2
     boundary_measure = 4.0 * np.pi
 
@@ -218,7 +207,7 @@ def sample_case(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:
         raise ValueError(f"resolution parameter t must be >= {T_MIN}")
     n0, m0 = case.counts(t)
     points = case.sample_points(np.random.default_rng(seed), n0, m0)
-    return PointCloud(case_name=case.name, m=case.m, d=case.d, t=t, seed=seed,
+    return PointCloud(case_name=case.name, m=case.m, t=t, seed=seed,
                       delta=float(np.sqrt(1.0 / t)), points=points, m0=m0)
 
 
@@ -259,6 +248,9 @@ _TIE_RTOL = 1e-10
 # Windows projected and walked together: keeps the walk's arrays to a few
 # hundred KB whatever the size of the cloud.
 _WINDOW_BATCH = 256
+# Neighbours in the k-NN window of a point, by the dimension m of the
+# patch; a cloud of n points caps it at n - 1.
+_WINDOW_SIZE = {1: 15, 2: 20, 3: 50}
 
 
 def _fan_areas(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,45 +345,76 @@ def _hull_volumes(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return volume, degenerate
 
 
+def _segment_weights(q: np.ndarray, dists: np.ndarray,
+                     idx: np.ndarray) -> np.ndarray:
+    """Half the distance to each of the two neighbors along the curve.
+
+    dists and idx are the k-NN query of q on itself, row 0 the point.
+    The neighbors are the nearest curve point on each side of q_k
+    (tangentially opposite signs), so the weights tile the curve like
+    trapezoid segments; for equally spaced points both are simply the two
+    nearest neighbors.
+    """
+    m0 = len(q)
+    u = q[idx[:, 1]] - q                           # toward the nearest
+    rel = q[idx[:, 2:]] - q[:, None, :]            # (m0, k-1, d)
+    opposite = (rel * u[:, None, :]).sum(axis=2) < 0.0
+    first = opposite.argmax(axis=1)
+    d2 = dists[np.arange(m0), first + 2]
+    for k in np.flatnonzero(~opposite.any(axis=1)):   # scan the whole curve
+        rel_k = q - q[k]
+        behind = np.nonzero(rel_k @ u[k] < 0.0)[0]
+        if behind.size:
+            d2[k] = np.sqrt((rel_k[behind] ** 2).sum(axis=1)).min()
+        else:
+            d2[k] = dists[k, 2]  # degenerate cluster: fall back to 2nd nearest
+    return 0.5 * (dists[:, 1] + d2)
+
+
 def _tangent_frames(rel: np.ndarray, m: int) -> np.ndarray:
     """Top-m principal directions (n, m, d) of windows of displacements
     rel (n, k+1, d), from the scatter about each window's mean (about its
-    point, the mean's offset from it would tilt the frames)."""
-    c = rel - rel.mean(axis=1, keepdims=True)
+    point, the mean's offset from it would tilt the frames); a matmul
+    takes the means faster than rel.mean on windows this small."""
+    kp1 = rel.shape[1]
+    c = rel - np.full((1, kp1), 1.0 / kp1) @ rel
     _, vecs = np.linalg.eigh(c.transpose(0, 2, 1) @ c)
     return vecs[:, :, -m:].transpose(0, 2, 1)
 
 
-def _simplex_cell_weights(points: np.ndarray, m: int, k: int,
-                          seed: int) -> np.ndarray:
-    """Per-point simplex-cell weights on a curved m-dimensional patch.
+def _simplex_cell_weights(points: np.ndarray, m: int, seed: int) -> np.ndarray:
+    """Per-point cell weights on a curved m-dimensional patch.
 
-    For each point: gather the k nearest neighbors, project the k+1 points
+    For each point: gather its k = min(_WINDOW_SIZE[m], n - 1) nearest
+    neighbors.  On a curve the cell is the segment rule of the window's
+    chords (:func:`_segment_weights`).  Otherwise project the k+1 points
     on the window's top-m principal directions (:func:`_tangent_frames`)
     and keep 1/(m+1) of the measure of the Delaunay simplices incident to
-    the point.  On 2-D tangent planes the stars come from a batched fan
-    walk (:func:`_fan_areas`) over blocks of windows, on 3-D tangent
-    spaces from inverted convex hulls (:func:`_hull_volumes`); the windows
-    either marks degenerate are triangulated one by one by Qhull
+    the point: 2-D stars from a batched fan walk (:func:`_fan_areas`), 3-D
+    ones from inverted convex hulls (:func:`_hull_volumes`), and the
+    windows either marks degenerate triangulated one by one by Qhull
     (:func:`_cell_weight`).  Under a similarity x -> s Q x + b of the
     cloud the weights scale by s^m.
 
-    Exact copies of a point share its one star, so that they add nothing
+    Exact copies of a point share its one cell, so that they add nothing
     to the total weight, and take no slot in any window.
     """
     n = points.shape[0]
-    if n < k + 1:
-        raise ValueError(f"need at least {k + 1} points for {k}-neighbor cells")
-    tree = cKDTree(points)
-    dists, idx = tree.query(points, k=k + 1)
+    if m not in _WINDOW_SIZE:
+        raise ValueError(f"no k-NN window for m = {m}: not in {list(_WINDOW_SIZE)}")
+    if n < m + 2:
+        raise ValueError(f"need at least {m + 2} points for m = {m}, got {n}")
+    dists, idx = cKDTree(points).query(points, k=min(_WINDOW_SIZE[m], n - 1) + 1)
     if dists[:, 1].min() == 0.0:
         _, first, inverse, counts = np.unique(
             points, axis=0, return_index=True, return_inverse=True,
             return_counts=True)
         if len(first) < n:
             keep = np.sort(first)
-            weights = _simplex_cell_weights(points[keep], m, k, seed)
+            weights = _simplex_cell_weights(points[keep], m, seed)
             return weights[np.searchsorted(keep, first)[inverse]] / counts[inverse]
+    if m == 1:
+        return _segment_weights(points, dists, idx)
     weights = np.empty(n)
     for lo in range(0, n, _WINDOW_BATCH):
         block = slice(lo, lo + _WINDOW_BATCH)
@@ -411,46 +434,14 @@ def _simplex_cell_weights(points: np.ndarray, m: int, k: int,
 
 def volume_weights(cloud: PointCloud) -> np.ndarray:
     """Volume weights by tangent-plane Delaunay cells around each point."""
-    k = get_case(cloud.case_name).k_volume
-    return _simplex_cell_weights(cloud.points, cloud.m, k, cloud.seed)
+    return _simplex_cell_weights(cloud.points, cloud.m, cloud.seed)
 
 
 def boundary_weights(cloud: PointCloud) -> np.ndarray:
     """Boundary weights: arc segments (m=2) or triangle cells (m=3)."""
     if cloud.m0 < 3:
         raise ValueError("need at least 3 boundary points")
-    q = cloud.boundary
-    if cloud.m == 2:
-        return _segment_weights(q)
-    k = get_case(cloud.case_name).k_boundary
-    return _simplex_cell_weights(q, cloud.m - 1, k, cloud.seed)
-
-
-def _segment_weights(q: np.ndarray) -> np.ndarray:
-    """Half the distance to each of the two neighbors along the curve.
-
-    The neighbors are the nearest boundary point on each side of q_k
-    (tangentially opposite signs), so the weights tile the curve like
-    trapezoid segments; for equally spaced points both are simply the two
-    nearest neighbors.
-    """
-    m0 = len(q)
-    tree = cKDTree(q)
-    kq = min(m0, 16)
-    dists, idx = tree.query(q, k=kq)
-    u = q[idx[:, 1]] - q                           # toward the nearest
-    rel = q[idx[:, 2:]] - q[:, None, :]            # (m0, kq-2, d)
-    opposite = (rel * u[:, None, :]).sum(axis=2) < 0.0
-    first = opposite.argmax(axis=1)
-    d2 = dists[np.arange(m0), first + 2]
-    for k in np.flatnonzero(~opposite.any(axis=1)):   # scan the whole curve
-        rel_k = q - q[k]
-        behind = np.nonzero(rel_k @ u[k] < 0.0)[0]
-        if behind.size:
-            d2[k] = np.sqrt((rel_k[behind] ** 2).sum(axis=1)).min()
-        else:
-            d2[k] = dists[k, 2]  # degenerate cluster: fall back to 2nd nearest
-    return 0.5 * (dists[:, 1] + d2)
+    return _simplex_cell_weights(cloud.boundary, cloud.m - 1, cloud.seed)
 
 
 def build_cloud(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:
@@ -519,17 +510,16 @@ def save_cloud_csv(cloud: PointCloud, path) -> None:
 def load_cloud_csv(path) -> PointCloud:
     """Read a cloud written by :func:`save_cloud_csv`.
 
-    Raises ValueError on a missing metadata key, a boundary row count
-    other than m0, or boundary coordinates that differ from the tail of
-    the point rows.
+    Raises ValueError on a missing metadata key, a d unlike the header's
+    count of coordinate columns, a boundary row count other than m0, or
+    boundary coordinates that differ from the tail of the point rows.
     """
     meta: dict[str, str] = {}
     rows: dict[str, list[list[str]]] = {"interior": [], "boundary": []}
+    ncoords = 0
     with open(path) as fh:
         for line in fh:
             line = line.strip()
-            if not line or line.startswith("kind,"):
-                continue
             if line.startswith("#"):
                 for tok in line[1:].split():
                     if "=" in tok:
@@ -537,13 +527,19 @@ def load_cloud_csv(path) -> PointCloud:
                         meta[key] = val
                 continue
             kind, *fields = line.split(",")
-            if kind not in rows:
+            if kind == "kind":
+                ncoords = sum(col.startswith("x") for col in fields)
+            elif kind in rows:
+                rows[kind].append(fields)
+            elif line:
                 raise ValueError(f"unknown row kind {kind!r}")
-            rows[kind].append(fields)
     for key in ("case", "t", "seed", "delta", "m", "d", "m0"):
         if key not in meta:
             raise ValueError(f"{path}: missing metadata key {key!r}")
     d, m0 = int(meta["d"]), int(meta["m0"])
+    if ncoords != d:
+        raise ValueError(f"{path}: metadata d = {d}, but the header has "
+                         f"{ncoords} coordinate columns")
     if len(rows["boundary"]) != m0:
         raise ValueError(f"{path}: {len(rows['boundary'])} boundary rows, "
                          f"expected m0 = {m0}")
@@ -554,7 +550,7 @@ def load_cloud_csv(path) -> PointCloud:
     if not np.array_equal(boundary[:, :d], points[len(points) - m0:]):
         raise ValueError(f"{path}: boundary coordinates differ from the "
                          f"last {m0} point rows")
-    return PointCloud(case_name=meta["case"], m=int(meta["m"]), d=d,
+    return PointCloud(case_name=meta["case"], m=int(meta["m"]),
                       t=int(meta["t"]), seed=int(meta["seed"]),
                       delta=float(meta["delta"]), points=points, m0=m0,
                       A=interior[:, d], L=boundary[:, d],

@@ -84,7 +84,7 @@ def test_zeta_entry_values(profile):
 def _two_point_cloud(profile):
     pts = np.array([[0.0, 0.0, 1.0], [0.05, 0.0, 0.99874921777190884]])
     pts[1] /= np.linalg.norm(pts[1])
-    return PointCloud(case_name="hemisphere2", m=2, d=3, t=5, seed=0,
+    return PointCloud(case_name="hemisphere2", m=2, t=5, seed=0,
                       delta=0.2, points=pts, m0=0,
                       A=np.array([0.3, 0.4]), L=np.zeros(0),
                       normals=np.zeros((0, 3)))
@@ -119,7 +119,7 @@ def test_boundary_laplacian_three_points(profile):
     rho, delta = 0.6, 0.5
     phi = np.array([0.0, 0.25, 0.5])
     q = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), np.full(3, 0.5)])
-    cloud = PointCloud(case_name="hemisphere2", m=2, d=3, t=5, seed=0,
+    cloud = PointCloud(case_name="hemisphere2", m=2, t=5, seed=0,
                        delta=delta, points=q, m0=3,
                        A=np.ones(3), L=np.array([0.1, 0.2, 0.3]),
                        normals=np.zeros((3, 3)))
@@ -164,6 +164,16 @@ def test_assemble_structure(small_system):
         assert float(x @ (S @ x)) >= -1e-12 * float(x @ x) * np.abs(S.data).max()
 
 
+def test_system_reads_its_cloud(small_cloud, small_system):
+    """A and delta are the cloud's own, also in a system replaced with
+    another cloud."""
+    assert small_system.A is small_cloud.A
+    assert small_system.delta == small_cloud.delta
+    moved = replace(small_cloud, delta=0.5, A=2.0 * small_cloud.A)
+    other = replace(small_system, cloud=moved)
+    assert other.A is moved.A and other.delta == 0.5
+
+
 def test_assemble_dense_spectrum(small_system):
     dense = small_system.S.toarray()
     vals = np.linalg.eigvalsh(dense)
@@ -193,7 +203,7 @@ def test_omega_degenerate_raises(profile):
     # a single cloud point on the wrong side of the co-normal
     q = np.array([[np.sqrt(3) / 2, 0.0, 0.5]])
     p_out = q[0] + 0.1 * np.array([0.5, 0.0, -np.sqrt(3) / 2])
-    cloud = PointCloud(case_name="hemisphere2", m=2, d=3, t=5, seed=0,
+    cloud = PointCloud(case_name="hemisphere2", m=2, t=5, seed=0,
                        delta=0.3, points=np.vstack([p_out, q]), m0=1,
                        A=np.array([1.0, 1.0]), L=np.array([0.1]),
                        normals=np.array([[0.5, 0.0, -np.sqrt(3) / 2]]))

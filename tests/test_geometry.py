@@ -7,10 +7,10 @@ import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
 from nlpoisson.geometry import (
+    _WINDOW_SIZE,
     _cell_weight,
     _fan_areas,
     _hull_volumes,
-    _segment_weights,
     _simplex_cell_weights,
     _tangent_frames,
     boundary_weights,
@@ -91,16 +91,17 @@ def test_conormal_field(name, t):
     assert not np.any((n == 0.0) & np.signbit(n))
 
 
-def _windows(points, k):
-    """Each point's k-NN window as displacements from it, (n, k+1, d)."""
-    dists, idx = cKDTree(points).query(points, k=k + 1)
+def _windows(points, m):
+    """Each point's k-NN window for an m-dimensional patch as
+    displacements from it, (n, k+1, d)."""
+    dists, idx = cKDTree(points).query(points, k=_WINDOW_SIZE[m] + 1)
     return points[idx] - points[:, None, :], dists
 
 
-def _frame_tilt(points, m, k, normals):
+def _frame_tilt(points, m, normals):
     """Worst |frame . nu| of the estimated frames over the exact normals
     nu (rows of each array in normals), after checking orthonormality."""
-    frames = _tangent_frames(_windows(points, k)[0], m)
+    frames = _tangent_frames(_windows(points, m)[0], m)
     gram = frames @ frames.transpose(0, 2, 1)
     assert np.abs(gram - np.eye(m)).max() < 1e-12
     return max(np.abs(frames @ nu[:, :, None]).max() for nu in normals)
@@ -113,7 +114,7 @@ def test_tangent_frames(name, t):
     at x is x; hemisphere3's boundary 2-sphere also has the normal e_d."""
     case = get_case(name)
     if name == "hemisphere2":
-        tilt = [_frame_tilt(p, 2, case.k_volume, [p])
+        tilt = [_frame_tilt(p, 2, [p])
                 for p in (sample_case(case, s, 1).points
                           for s in (t, 2 * t, 4 * t))]
         assert tilt[0] > tilt[1] > tilt[2] and tilt[2] <= 0.1
@@ -122,9 +123,9 @@ def test_tangent_frames(name, t):
     for s in (t, 2 * t):
         cloud = sample_case(case, s, 1)
         p, q = cloud.points, cloud.boundary
-        volume.append(_frame_tilt(p, 3, case.k_volume, [p]))
+        volume.append(_frame_tilt(p, 3, [p]))
         e_d = np.tile(np.eye(4)[-1], (len(q), 1))
-        boundary.append(_frame_tilt(q, 2, case.k_boundary, [q, e_d]))
+        boundary.append(_frame_tilt(q, 2, [q, e_d]))
     assert volume[0] > volume[1] and boundary[0] > boundary[1]
 
 
@@ -191,7 +192,7 @@ def test_flat_patch_cell_weights():
         rows.append(np.column_stack(
             [xs, np.full(22, j * h * SQ3 / 2.0), np.zeros(22)]))
     pts = np.concatenate(rows)
-    w = _simplex_cell_weights(pts, m=2, k=12, seed=0)
+    w = _simplex_cell_weights(pts, m=2, seed=0)
     cell = h * h * SQ3 / 2.0
     lo, hi = 3 * h, 18 * h
     interior = ((pts[:, 0] > lo) & (pts[:, 0] < hi)
@@ -208,10 +209,10 @@ def test_degenerate_collinear_perturbation():
     assert np.isfinite(w) and w >= 0.0
 
 
-def _qhull_windows(points, m, k, seed):
+def _qhull_windows(points, m, seed):
     """Per-point windows projected on their principal directions, and
     their Qhull cell weights."""
-    rel, dists = _windows(points, k)
+    rel, dists = _windows(points, m)
     frames = _tangent_frames(rel, m)
     local = np.stack([rel[i] @ frames[i].T for i in range(len(points))])
     ref = np.array([_cell_weight(local[i], float(dists[i, 1]), seed + i)
@@ -244,18 +245,14 @@ def test_fan_walk_matches_qhull_stars(name, t, seed):
     a closed 2-sphere, so every fan closes.  No window of these clouds
     needs the Qhull fallback.
     """
-    case = get_case(name)
     cloud = sample_case(name, t, seed)
-    if name == "hemisphere2":
-        points, k = cloud.points, case.k_volume
-    else:
-        points, k = cloud.boundary, case.k_boundary
-    local, ref = _qhull_windows(points, 2, k, seed)
+    points = cloud.points if name == "hemisphere2" else cloud.boundary
+    local, ref = _qhull_windows(points, 2, seed)
     area, degenerate = _fan_areas(local)
     assert not degenerate.any()
     assert _on_window_hull(local).any() == (name == "hemisphere2")
     assert np.all(np.abs(area / 3.0 - ref) <= 1e-13 * ref)
-    w = _simplex_cell_weights(points, 2, k, seed)
+    w = _simplex_cell_weights(points, 2, seed)
     assert np.all(np.abs(w - ref) <= 1e-13 * ref)
 
 
@@ -269,11 +266,11 @@ def test_inverted_hull_matches_qhull_stars(t):
     on_hull = False
     for seed in (1, 2, 3):
         points = sample_case(case, t, seed).points
-        local, ref = _qhull_windows(points, 3, case.k_volume, seed)
+        local, ref = _qhull_windows(points, 3, seed)
         volume, degenerate = _hull_volumes(local)
         assert not degenerate.any()
         assert np.all(np.abs(volume / 4.0 - ref) <= 1e-13 * ref)
-        w = _simplex_cell_weights(points, 3, case.k_volume, seed)
+        w = _simplex_cell_weights(points, 3, seed)
         assert np.all(np.abs(w - ref) <= 1e-13 * ref)
         on_hull = on_hull or any(0 in ConvexHull(x).vertices for x in local)
     assert on_hull
@@ -307,7 +304,7 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
     has in the cloud without the copy.
     """
     points = _planar(make())
-    local, ref = _qhull_windows(points, 2, 12, 5)
+    local, ref = _qhull_windows(points, 2, 5)
     _, degenerate = _fan_areas(local)
     if make is _duplicated_neighbour:
         dists = cKDTree(points).query(points, k=2)[0][:, 1]
@@ -316,10 +313,10 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
     else:
         must = np.ones(len(points), dtype=bool)
     assert np.all(degenerate[must])
-    w = _simplex_cell_weights(points, 2, 12, 5)
+    w = _simplex_cell_weights(points, 2, 5)
     if make is _duplicated_neighbour:
         kept = np.delete(np.arange(len(points)), 60)   # row 60 copies row 17
-        local, ref_kept = _qhull_windows(points[kept], 2, 12, 5)
+        local, ref_kept = _qhull_windows(points[kept], 2, 5)
         ref[kept] = ref_kept
         ref[[17, 60]] = ref_kept[17] / 2
         degenerate[kept] = _fan_areas(local)[1]
@@ -328,20 +325,56 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
     assert np.all(np.abs(w - ref) <= 1e-13 * ref)
 
 
-@pytest.mark.parametrize("name,t", [("hemisphere2", 10), ("hemisphere3", 4)])
+def _uneven_circle(n):
+    """n points at sorted uniform angles on hemisphere2's rim circle."""
+    phi = np.sort(2.0 * np.pi * np.random.default_rng(3).random(n))
+    rho = SQ3 / 2.0
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi),
+                            np.full(n, 0.5)])
+
+
+@pytest.mark.parametrize("name,t", [("hemisphere2", 10), ("hemisphere3", 4),
+                                    ("circle", 40)])
 @pytest.mark.parametrize("copies", [1, 2])
 def test_duplicated_points_share_one_star(name, t, copies):
-    """Exact copies of point 37 split its star: the total weight and every
-    other point's weight are those of the cloud without the copies."""
-    cloud = sample_case(name, t, 1)
-    plain = volume_weights(cloud)
-    cloud.points = np.insert(cloud.points, [38] * copies, cloud.points[37],
-                             axis=0)
-    w = volume_weights(cloud)
-    shared = slice(37, 38 + copies)
-    assert np.array_equal(np.delete(w, shared), np.delete(plain, 37))
-    assert np.all(w[shared] == plain[37] / (copies + 1))
+    """Exact copies of a point split its star (on the uneven circle of t
+    points, its segment): the total weight and every other point's weight
+    are those of the cloud without the copies."""
+    if name == "circle":
+        points, m, i = _uneven_circle(t), 1, 17
+    else:
+        cloud = sample_case(name, t, 1)
+        points, m, i = cloud.points, cloud.m, 37
+    plain = _simplex_cell_weights(points, m, 1)
+    w = _simplex_cell_weights(
+        np.insert(points, [i + 1] * copies, points[i], axis=0), m, 1)
+    shared = slice(i, i + 1 + copies)
+    assert np.array_equal(np.delete(w, shared), np.delete(plain, i))
+    assert np.all(w[shared] == plain[i] / (copies + 1))
     assert abs(w.sum() - plain.sum()) <= 1e-12 * plain.sum()
+
+
+@pytest.mark.parametrize("name,t", [("hemisphere2", 10), ("hemisphere3", 4)])
+def test_weights_read_no_case(name, t):
+    """A cloud whose case is not registered is weighted bit for bit as
+    the registered one: the weights read only the points and m."""
+    cloud = sample_case(name, t, 1)
+    stray = replace(cloud, case_name="unregistered")
+    assert np.array_equal(volume_weights(stray), volume_weights(cloud))
+    assert np.array_equal(boundary_weights(stray), boundary_weights(cloud))
+
+
+def test_cell_weights_refuse_small_or_unknown_dimension():
+    """Fewer than m + 2 points, or an m with no window size, is refused
+    with the value named; m + 2 points are enough."""
+    points = _uneven_circle(5)
+    with pytest.raises(ValueError, match="m = 4"):
+        _simplex_cell_weights(points, 4, 0)
+    with pytest.raises(ValueError, match="at least 4 points .* got 3"):
+        _simplex_cell_weights(points[:3], 2, 0)
+    with pytest.raises(ValueError, match="at least 3 points .* got 2"):
+        _simplex_cell_weights(np.vstack([points[:2], points[:1]]), 1, 0)
+    assert np.all(_simplex_cell_weights(points[:3], 1, 0) > 0.0)
 
 
 def test_volume_weights_cap_area():
@@ -364,7 +397,7 @@ def test_boundary_weights_equispaced_circle():
     phi = 2.0 * np.pi * np.arange(m0) / m0
     rho = SQ3 / 2.0
     q = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), np.full(m0, 0.5)])
-    L = _segment_weights(q)
+    L = _simplex_cell_weights(q, 1, 0)
     # equal chords; chord vs arc differs by O(1/m0^2)
     arc = 2.0 * np.pi * rho / m0
     assert np.abs(L - arc).max() < 2e-3 * arc
@@ -418,7 +451,8 @@ def _ray():
     _ray(),
 ], ids=["cap8", "cap40", "cluster", "ray"])
 def test_segment_weights_match_loop(q):
-    assert np.array_equal(_segment_weights(q), _segment_weights_loop(q))
+    assert np.array_equal(_simplex_cell_weights(q, 1, 0),
+                          _segment_weights_loop(q))
 
 
 def test_boundary_weights_modes():
@@ -454,6 +488,26 @@ def test_cloud_csv_roundtrip(tmp_path):
     save_cloud_csv(moved, path)
     back = load_cloud_csv(path)
     assert type(back.delta) is float and back.delta == 0.35
+
+
+def test_cloud_dimension_follows_points():
+    """d is read from the points, as n0 is, so it cannot disagree with
+    them."""
+    cloud = sample_case("hemisphere2", 5, 1)
+    assert cloud.d == 3
+    assert replace(cloud, points=cloud.points[:, :2]).d == 2
+    with pytest.raises(TypeError):
+        replace(cloud, d=4)
+
+
+def test_cloud_csv_dimension_matches_header(small_cloud, tmp_path):
+    """A file whose d metadata disagrees with its header's coordinate
+    columns is refused with both numbers named."""
+    def edit(lines):
+        return [l.replace(" d=3 ", " d=4 ") for l in lines]
+    path = _edited_csv(small_cloud, tmp_path, edit)
+    with pytest.raises(ValueError, match="d = 4, but the header has 3"):
+        load_cloud_csv(path)
 
 
 def test_cloud_csv_needs_weights(tmp_path):
