@@ -103,11 +103,18 @@ def zeta_entry(p, q, n_q, delta: float, profile: KernelProfile,
 
 
 def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i < j, lexicographically sorted) within ``radius``, as int32."""
+    """Index pairs (i < j, lexicographically sorted) within ``radius``, as int32.
+
+    The pairs are sorted as the keys i n + j, which are distinct, so
+    sorting the keys and splitting them back gives the order an argsort
+    would, without its gathers."""
+    n = len(points)
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    order = np.argsort(i.astype(np.int64) * len(points) + j)
-    return i[order].astype(np.int32), j[order].astype(np.int32)
+    key = pairs[:, 0].astype(np.int64) * n
+    key += pairs[:, 1]
+    key.sort()
+    i = key // n
+    return i.astype(np.int32), (key - i * n).astype(np.int32)
 
 
 def pair_graph(cloud: PointCloud, *, profile: KernelProfile | None = None
@@ -119,12 +126,21 @@ def pair_graph(cloud: PointCloud, *, profile: KernelProfile | None = None
     itself, Kbar at distance zero.  Also returns the base kernel
     K(p_i, p_j) in the pattern's entry order, which only R_A reads (its
     Laplacian ignores the diagonal).
+
+    The squared pair distances add up one coordinate at a time, each a
+    1-D gather of that coordinate, in the order a row sum over the
+    coordinate axis takes, so they round as that sum does.
     """
     profile = profile or cosine_profile()
     points, m, n, delta = cloud.points, cloud.m, cloud.n0, cloud.delta
     i, j = _sym_pairs(points, 2.0 * delta)
     p = len(i)
-    sq = np.append(((points[i] - points[j]) ** 2).sum(axis=1), 0.0)
+    sq = np.zeros(p + 1)
+    for x in points.T:
+        dx = x.take(i)
+        dx -= x.take(j)
+        dx *= dx
+        sq[:p] += dx
     ids, own = np.arange(p, dtype=np.int32), np.arange(n, dtype=np.int32)
     # entry p is a point with itself; fed as [lower triangle, diagonal,
     # upper triangle] with the pairs in order, the conversion's stable row

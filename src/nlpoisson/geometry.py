@@ -245,8 +245,9 @@ def _cell_weight(local: np.ndarray, spacing: float, seed: int) -> float:
 # either sends the window to Qhull.
 _COINCIDENT_RTOL = 1e-10
 _TIE_RTOL = 1e-10
-# Windows projected and walked together: keeps the walk's arrays to a few
-# hundred KB whatever the size of the cloud.
+# Windows projected and walked together, whatever the size of the cloud:
+# at k = 20 a block's windows take about 130 KB, and each of the walk's
+# per-coordinate (block, k) arrays 40 KB.
 _WINDOW_BATCH = 256
 # Neighbours in the k-NN window of a point, by the dimension m of the
 # patch; a cloud of n points caps it at n - 1.
@@ -271,10 +272,17 @@ def _fan_areas(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the walk cannot settle: a neighbour coincident with row 0, a near-tie
     in s, an empty star, or a fan still open after k+1 steps.  Their
     areas are meaningless.
+
+    The walk keeps each coordinate of the live windows' neighbours as its
+    own contiguous (live, k) array, so cross(a, c) = a0 c1 - a1 c0 and
+    a.c = a0 c0 + a1 c1 are elementwise products of those arrays, not
+    reductions over a 2-long axis, and round as such a reduction does.
+    The arrays shrink only on a step where some window leaves the walk.
     """
     n, kp1, _ = local.shape
-    c = local[:, 1:, :]
-    r2 = (c * c).sum(axis=2)                      # (n, k)
+    x = np.ascontiguousarray(local[:, 1:, 0])     # (n, k)
+    y = np.ascontiguousarray(local[:, 1:, 1])
+    r2 = x * x + y * y
     first = r2.argmin(axis=1)
     degenerate = r2.min(axis=1) <= _COINCIDENT_RTOL**2 * r2.max(axis=1)
     twice_area = np.zeros(n)
@@ -282,13 +290,18 @@ def _fan_areas(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     closed = np.zeros(n, dtype=bool)
     for sense in (1.0, -1.0):
         live = np.flatnonzero(~(closed | degenerate))
-        cur = first[live]
+        xl, yl, r2l, first_l = x[live], y[live], r2[live], first[live]
+        cur = first_l
+        j = np.arange(live.size)
         while live.size:
-            j = np.arange(live.size)
-            cl = c[live]                          # (nl, k, 2)
-            a = cl[j, cur]                        # (nl, 2)
-            cross = sense * (a[:, :1] * cl[:, :, 1] - a[:, 1:] * cl[:, :, 0])
-            lift = r2[live] - (a[:, None, :] * cl).sum(axis=2)
+            a0, a1 = xl[j, cur][:, None], yl[j, cur][:, None]
+            cross = a0 * yl
+            cross -= a1 * xl
+            if sense < 0.0:
+                np.negative(cross, out=cross)
+            lift = a0 * xl
+            lift += a1 * yl
+            np.subtract(r2l, lift, out=lift)
             s = np.full(cross.shape, np.inf)
             np.divide(lift, cross, out=s, where=cross > 0.0)
             nxt = s.argmin(axis=1)
@@ -302,12 +315,16 @@ def _fan_areas(local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             taken = live[step]
             twice_area[taken] += cross[j, nxt][step]
             steps[taken] += 1
-            closes = step & (nxt == first[live])
+            closes = step & (nxt == first_l)
             stuck = tie | (step & ~closes & (steps[live] >= kp1))
             closed[live[closes]] = True
             degenerate[live[stuck]] = True
             go = step & ~closes & ~stuck
-            live, cur = live[go], nxt[go]
+            cur = nxt
+            if not go.all():
+                live, cur, first_l = live[go], cur[go], first_l[go]
+                xl, yl, r2l = xl[go], yl[go], r2l[go]
+                j = j[:live.size]
     degenerate |= steps == 0
     return 0.5 * twice_area, degenerate
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -255,11 +256,12 @@ def run_single(case_name: str, t: int, seed: int,
 
 
 def convergence_study(case_name: str, t_list: Sequence[int],
-                      seeds: int | Sequence[int] = 3,
+                      seeds: Integral | Sequence[int] = 3,
                       options: HarnessOptions | None = None) -> ConvergenceReport:
     """Sweep resolutions and seeds; the report fits the median-error slope.
 
-    ``seeds`` is a count (seeds 1..n) or a list, a repeat counted once.
+    ``seeds`` is a count (seeds 1..n), any integral value such as a NumPy
+    integer, or a list, a repeat counted once.
     Rows whose solve did not converge stay in the report flagged, are
     excluded from the fit, and mark the report as partial.
     """
@@ -267,7 +269,7 @@ def convergence_study(case_name: str, t_list: Sequence[int],
     t_list = sorted(set(int(t) for t in t_list))
     if len(t_list) < 4:
         raise ConfigurationError("need at least 4 distinct resolutions to fit")
-    seed_list = (list(range(1, seeds + 1)) if isinstance(seeds, int)
+    seed_list = (list(range(1, int(seeds) + 1)) if isinstance(seeds, Integral)
                  else sorted(set(int(s) for s in seeds)))
     if not seed_list or seed_list[0] < 0:
         raise ConfigurationError(f"seeds {seeds!r}: need at least one, "

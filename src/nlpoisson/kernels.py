@@ -46,12 +46,19 @@ class KernelProfile:
 
 
 def _masked(fn: Callable[[np.ndarray], np.ndarray]):
-    """Wrap ``fn`` so it evaluates to exactly 0 outside [0, 1]."""
+    """Wrap ``fn`` so it evaluates to exactly 0 outside [0, 1].
+
+    ``fn`` acts entrywise, so when every r lies inside (the pair
+    distances of a 2 delta search nearly always do) it runs on r itself,
+    with no mask, compressed copy or masked store.
+    """
 
     def wrapped(r):
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
         inside = r <= 1.0
+        if inside.all():
+            return np.asarray(fn(r), dtype=float)
+        out = np.zeros_like(r)
         if np.any(inside):
             out[inside] = fn(r[inside])
         return out

@@ -7,6 +7,8 @@ import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
 from nlpoisson.geometry import (
+    _COINCIDENT_RTOL,
+    _TIE_RTOL,
     _WINDOW_SIZE,
     _cell_weight,
     _fan_areas,
@@ -209,12 +211,17 @@ def test_degenerate_collinear_perturbation():
     assert np.isfinite(w) and w >= 0.0
 
 
-def _qhull_windows(points, m, seed):
+def _projected_windows(points, m):
     """Per-point windows projected on their principal directions, and
-    their Qhull cell weights."""
+    the k-NN distances."""
     rel, dists = _windows(points, m)
     frames = _tangent_frames(rel, m)
-    local = np.stack([rel[i] @ frames[i].T for i in range(len(points))])
+    return np.stack([rel[i] @ frames[i].T for i in range(len(points))]), dists
+
+
+def _qhull_windows(points, m, seed):
+    """Per-point projected windows and their Qhull cell weights."""
+    local, dists = _projected_windows(points, m)
     ref = np.array([_cell_weight(local[i], float(dists[i, 1]), seed + i)
                     for i in range(len(points))])
     return local, ref
@@ -323,6 +330,57 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
         degenerate[60] = degenerate[17]
     assert np.array_equal(w[degenerate], ref[degenerate])
     assert np.all(np.abs(w - ref) <= 1e-13 * ref)
+
+
+def _fan_walk_one(window):
+    """Reference for _fan_areas: one window (k+1, 2) walked alone with
+    plain 2-vectors, by the same s, tie and closure rules, counter-clockwise
+    then clockwise."""
+    c = [(float(u), float(v)) for u, v in window[1:]]
+    r2 = [u * u + v * v for u, v in c]
+    first = min(range(len(c)), key=lambda i: (r2[i], i))
+    degenerate = r2[first] <= _COINCIDENT_RTOL**2 * max(r2)
+    twice_area, steps, closed = 0.0, 0, False
+    for sense in (1.0, -1.0):
+        cur = first
+        while not (closed or degenerate):
+            a0, a1 = c[cur]
+            cross = [sense * (a0 * v - a1 * u) for u, v in c]
+            s = [(r2[i] - (a0 * u + a1 * v)) / cross[i] if cross[i] > 0.0
+                 else np.inf for i, (u, v) in enumerate(c)]
+            nxt = min(range(len(c)), key=lambda i: (s[i], i))
+            s1 = s[nxt]
+            if s1 == np.inf:
+                break                                 # fan open this side
+            s2 = min(s[:nxt] + s[nxt + 1:])
+            twice_area += cross[nxt]
+            steps += 1
+            closed = nxt == first
+            degenerate = ((s2 < np.inf and s2 - s1
+                           <= _TIE_RTOL * max(1.0, abs(s1)))
+                          or (not closed and steps >= len(window)))
+            cur = nxt
+    return 0.5 * twice_area, degenerate or steps == 0
+
+
+@pytest.mark.parametrize("points,cap", [
+    pytest.param(lambda t=t: sample_case("hemisphere2", t, 1).points, True,
+                 id=f"hemisphere2-{t}") for t in (10, 40)] + [
+    pytest.param(lambda make=make: _planar(make()), False, id=make.__name__)
+    for make in (_square_lattice, _duplicated_neighbour, _collinear)])
+def test_fan_walk_matches_one_window_walk(points, cap):
+    """The batched fan walk gives every window's area and degenerate flag
+    bit for bit as a walk of that window alone: closed fans inside the
+    cap, open ones at its rim, and the windows it hands to Qhull."""
+    local = _projected_windows(points(), 2)[0]
+    area, degenerate = _fan_areas(local)
+    ref = [_fan_walk_one(window) for window in local]
+    assert np.array_equal(area, [a for a, _ in ref])
+    assert np.array_equal(degenerate, [d for _, d in ref])
+    if cap:
+        assert not degenerate.any() and _on_window_hull(local).any()
+    else:
+        assert degenerate.any()
 
 
 def _uneven_circle(n):

@@ -111,6 +111,16 @@ def test_convergence_study_seed_list():
         convergence_study("hemisphere2", [5, 6, 8, 10], seeds=[1, -1])
 
 
+def test_convergence_study_numpy_seed_count():
+    """A NumPy integer counts seeds as an int does."""
+    t = [5, 6, 8, 10]
+    rows = convergence_study("hemisphere2", t, seeds=2).rows
+    np_rows = convergence_study("hemisphere2", t, seeds=np.int64(2)).rows
+    assert len(rows) == 8
+    assert ([(r.t, r.seed, r.e2, r.iters) for r in np_rows]
+            == [(r.t, r.seed, r.e2, r.iters) for r in rows])
+
+
 def test_convergence_study_small_sweep(tmp_path):
     report = convergence_study("hemisphere2", [5, 6, 7, 8], seeds=2)
     assert len(report.rows) == 8

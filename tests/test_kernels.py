@@ -63,6 +63,20 @@ def test_support_is_compact(any_profile):
     assert profile_eval(any_profile, "base", 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_support_fast_path_matches_masked(any_profile, rng):
+    """Each level of an array inside the support equals, bit for bit, the
+    same entries set among r = 1.0, the next float past it and 1.5; those
+    past 1 give exactly 0."""
+    inside = np.concatenate([[0.0, 1.0], rng.random(201)])
+    past = np.array([np.nextafter(1.0, 2.0), 1.5])
+    mixed = np.insert(inside, [3, 150], past)
+    outside = mixed > 1.0
+    for level, fn in any_profile.levels.items():
+        vals = fn(mixed)
+        assert np.array_equal(fn(inside), vals[~outside]), level
+        assert np.array_equal(vals[outside], [0.0, 0.0]), level
+
+
 def test_nondegeneracy_floor(profile):
     r = np.linspace(0.0, 0.5, 257)
     assert np.all(profile.levels["base"](r) >= profile.nondegeneracy_floor - 1e-12)
