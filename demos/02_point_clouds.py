@@ -8,7 +8,7 @@ surface measures.
 
 import numpy as np
 
-from nlpoisson import build_cloud, get_case, save_cloud_csv
+from nlpoisson import build_cloud, get_case, load_cloud_csv, save_cloud_csv
 
 for name, t in (("hemisphere2", 20), ("hemisphere3", 6)):
     case = get_case(name)
@@ -31,4 +31,7 @@ print("same (case, t, seed) twice -> identical clouds:",
       np.array_equal(a.points, b.points) and np.array_equal(a.A, b.A))
 
 save_cloud_csv(a, "nlpoisson_demo_cloud.csv")
-print("wrote nlpoisson_demo_cloud.csv (round-trips exactly)")
+back = load_cloud_csv("nlpoisson_demo_cloud.csv")
+print("wrote nlpoisson_demo_cloud.csv; read back, points, A, L and normals "
+      "are bit-identical:", all(np.array_equal(getattr(back, k), getattr(a, k))
+                                for k in ("points", "A", "L", "normals")))

@@ -13,11 +13,9 @@ from .assembly import (
     BoundaryCoupling,
     NonlocalSystem,
     assemble,
-    boundary_laplacian,
     boundary_trace,
     export_matrix,
     interior_laplacian,
-    zeta_entry,
 )
 from .geometry import (
     CASES,
@@ -25,8 +23,6 @@ from .geometry import (
     PointCloud,
     boundary_weights,
     build_cloud,
-    conormal,
-    exact_fields,
     get_case,
     load_cloud_csv,
     sample_case,
@@ -78,19 +74,16 @@ __all__ = [
     "VariantConfig",
     "assemble",
     "assemble_lambda",
-    "boundary_laplacian",
     "boundary_trace",
     "boundary_weights",
     "build_cloud",
     "build_integrated",
     "compute_CR",
-    "conormal",
     "convergence_study",
     "cosine_profile",
     "e2_error",
     "emit_lemma_report",
     "emit_report",
-    "exact_fields",
     "export_matrix",
     "fit_loglog",
     "get_case",
@@ -107,7 +100,6 @@ __all__ = [
     "solve_mean_zero",
     "solve_spd",
     "volume_weights",
-    "zeta_entry",
 ]
 
 __version__ = "0.1.0"

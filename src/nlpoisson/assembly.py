@@ -77,29 +77,20 @@ class BoundaryCoupling:
 
 @dataclass
 class NonlocalSystem:
+    """S U = rhs on one cloud: rhs = A (f_delta - f_delta @ A / sum(A)),
+    orthogonal to the constants, except the absorption models' A f_delta."""
+
     S: sparse.csr_matrix         # or an operator with @, diagonal(), materialize()
     rhs: np.ndarray
     coupling: BoundaryCoupling
     mode: str
     cloud: PointCloud
     f_delta: np.ndarray          # smoothed source before mean removal
-    mean_shift: float            # constant removed from f_delta
     pairs: sparse.csr_matrix     # Kbar on the 2 delta pattern of every block
     variant: str = "none"        # model variant this system discretizes
 
     A = property(lambda self: self.cloud.A)
     delta = property(lambda self: self.cloud.delta)
-
-
-def zeta_entry(p, q, n_q, delta: float, profile: KernelProfile,
-               m: int) -> float:
-    """Displacement coupling -(p - q) . n(q) * Kbar(p, q) for one pair."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n_q = np.asarray(n_q, dtype=float)
-    sq = float(np.dot(p - q, p - q))
-    bar = pair_eval(profile, "bar", sq, delta, m)
-    return float(-(p - q) @ n_q * bar)
 
 
 def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -182,12 +173,6 @@ def interior_laplacian(cloud: PointCloud, *,
                        profile: KernelProfile | None = None) -> sparse.csr_matrix:
     """Diffusion graph Laplacian R_A over all cloud points."""
     return _laplacian(*pair_graph(cloud, profile=profile), cloud.A)
-
-
-def boundary_laplacian(cloud: PointCloud, *,
-                       profile: KernelProfile | None = None) -> sparse.csr_matrix:
-    """Boundary graph Laplacian with Kbar L L weights (C_R cancelled form)."""
-    return _boundary_block(pair_graph(cloud, profile=profile)[0], cloud.L)
 
 
 def boundary_coupling(cloud: PointCloud,
@@ -305,7 +290,7 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
     shift = float(fd @ cloud.A / cloud.A.sum())
     rhs = cloud.A * (fd - shift)
     return NonlocalSystem(S=S, rhs=rhs, coupling=coupling, mode=mode,
-                          cloud=cloud, f_delta=fd, mean_shift=shift, pairs=pairs,
+                          cloud=cloud, f_delta=fd, pairs=pairs,
                           variant="none" if g is None else "nonhomogeneous")
 
 

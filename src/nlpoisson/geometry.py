@@ -2,12 +2,14 @@
 
 Two parametrized benchmark manifolds are provided: the upper spherical cap
 (z >= 1/2 on the unit sphere in R^3) and the upper half of the unit
-3-sphere (w >= 0 in R^4).  For each, this module draws seeded random
+3-sphere (w >= 0 in R^4).  Each case gives its exact solution, forcing
+and rim co-normal as methods.  For each, this module draws seeded random
 clouds with the prescribed interior/boundary counts, computes per-point
 volume weights by local tangent-plane Delaunay cells, and computes
 boundary weights (arc segments on the circle, triangle cells on the
 boundary 2-sphere).  The weights read nothing but the points and the
-dimension m of the patch they sample, which sets the k-NN window.
+dimension m of the patch they sample, which sets the k-NN window: not
+the case, and not the seed.
 
 A cell is 1/(m+1) of the Delaunay star of a point in its k-NN window,
 projected on the window's top-m principal directions; on a curve it is
@@ -16,7 +18,8 @@ planes the stars come from a batched fan walk (gift wrapping around the
 point, a block of windows in lockstep); on 3-D tangent spaces from one
 convex hull per window of its neighbours inverted about the point.
 Qhull triangulates the windows whose star neither can settle
-(coincident or cospherical neighbours), one at a time.
+(coincident or cospherical neighbours), one at a time, and joggles a
+window it cannot triangulate as given (collinear or coplanar points).
 
 Boundary points are stored as the tail of the point array: the k-th
 boundary point aliases point ``n0 - m0 + k``.
@@ -65,10 +68,10 @@ class ManifoldCase:
     """The cap {|x| = 1, x_d >= height} of the unit m-sphere in R^(m+1).
 
     Its boundary is the (m-1)-sphere of radius rho = sqrt(1 - height^2)
-    in the plane x_d = height; the co-normals and membership tests below
-    follow from m and height.  Subclasses give the recipe: counts(t)
-    -> (n0, m0), sample_points(rng, n0, m0), exact_u(x) and forcing(x),
-    and the measures.
+    in the plane x_d = height; the co-normal below follows from m and
+    height.  Subclasses give the recipe: counts(t) -> (n0, m0),
+    sample_points(rng, n0, m0), exact_u(x) and forcing(x), and the
+    measures.
     """
 
     name: str
@@ -87,15 +90,6 @@ class ManifoldCase:
         n[:, :-1] = q[:, :-1] * (self.height / self.rho) + 0.0
         n[:, -1] = -self.rho
         return n
-
-    def on_manifold(self, x: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        x = np.atleast_2d(x)
-        radial = np.abs((x * x).sum(axis=1) - 1.0) <= 2 * tol
-        return radial & (x[:, -1] >= self.height - tol)
-
-    def on_boundary(self, q: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-        q = np.atleast_2d(q)
-        return self.on_manifold(q, tol) & (np.abs(q[:, -1] - self.height) <= tol)
 
 
 class Hemisphere2(ManifoldCase):
@@ -219,19 +213,18 @@ def _simplex_measures(coords: np.ndarray, simplices: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(edges)) / factorial(m)
 
 
-def _cell_weight(local: np.ndarray, spacing: float, seed: int) -> float:
+def _cell_weight(local: np.ndarray) -> float:
     """1/(m+1) of the total measure of Delaunay simplices incident to row 0.
 
-    Degenerate configurations are retried once after a deterministic
-    perturbation of 1e-12 * spacing in a seed-derived direction.
+    A window Qhull cannot triangulate (collinear or coplanar points) is
+    retried once with Qhull's deterministic joggle (option QJ); the
+    simplices are measured at the unjoggled points.
     """
     m = local.shape[1]
     try:
         tri = Delaunay(local)
     except QhullError:
-        rng = np.random.default_rng(seed)
-        direction = rng.standard_normal(local.shape)
-        tri = Delaunay(local + 1e-12 * spacing * direction)
+        tri = Delaunay(local, qhull_options="QJ")
     incident = np.any(tri.simplices == 0, axis=1)
     if not np.any(incident):
         return 0.0
@@ -399,8 +392,9 @@ def _tangent_frames(rel: np.ndarray, m: int) -> np.ndarray:
     return vecs[:, :, -m:].transpose(0, 2, 1)
 
 
-def _simplex_cell_weights(points: np.ndarray, m: int, seed: int) -> np.ndarray:
-    """Per-point cell weights on a curved m-dimensional patch.
+def _simplex_cell_weights(points: np.ndarray, m: int) -> np.ndarray:
+    """Per-point cell weights on a curved m-dimensional patch, from the
+    points and m alone.
 
     For each point: gather its k = min(_WINDOW_SIZE[m], n - 1) nearest
     neighbors.  On a curve the cell is the segment rule of the window's
@@ -428,7 +422,7 @@ def _simplex_cell_weights(points: np.ndarray, m: int, seed: int) -> np.ndarray:
             return_counts=True)
         if len(first) < n:
             keep = np.sort(first)
-            weights = _simplex_cell_weights(points[keep], m, seed)
+            weights = _simplex_cell_weights(points[keep], m)
             return weights[np.searchsorted(keep, first)[inverse]] / counts[inverse]
     if m == 1:
         return _segment_weights(points, dists, idx)
@@ -444,21 +438,20 @@ def _simplex_cell_weights(points: np.ndarray, m: int, seed: int) -> np.ndarray:
             volume, redo = _hull_volumes(local)
             weights[block] = volume / (m + 1)
         for j in np.flatnonzero(redo):
-            i = lo + int(j)
-            weights[i] = _cell_weight(local[j], float(dists[i, 1]), seed + i)
+            weights[lo + j] = _cell_weight(local[j])
     return weights
 
 
 def volume_weights(cloud: PointCloud) -> np.ndarray:
     """Volume weights by tangent-plane Delaunay cells around each point."""
-    return _simplex_cell_weights(cloud.points, cloud.m, cloud.seed)
+    return _simplex_cell_weights(cloud.points, cloud.m)
 
 
 def boundary_weights(cloud: PointCloud) -> np.ndarray:
     """Boundary weights: arc segments (m=2) or triangle cells (m=3)."""
     if cloud.m0 < 3:
         raise ValueError("need at least 3 boundary points")
-    return _simplex_cell_weights(cloud.boundary, cloud.m - 1, cloud.seed)
+    return _simplex_cell_weights(cloud.boundary, cloud.m - 1)
 
 
 def build_cloud(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:
@@ -470,26 +463,6 @@ def build_cloud(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:
     cloud.L = boundary_weights(cloud)
     cloud.normals = case.conormal(cloud.boundary)
     return cloud
-
-
-def exact_fields(case: ManifoldCase | str, x) -> tuple[np.ndarray, np.ndarray]:
-    """Exact solution and forcing at on-manifold points (rows of x)."""
-    if isinstance(case, str):
-        case = get_case(case)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(case.on_manifold(x)):
-        raise ValueError("points are not on the case manifold")
-    return case.exact_u(x), case.forcing(x)
-
-
-def conormal(case: ManifoldCase | str, q) -> np.ndarray:
-    """Outward unit co-normal at boundary points (rows of q)."""
-    if isinstance(case, str):
-        case = get_case(case)
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    if not np.all(case.on_boundary(q)):
-        raise ValueError("points are not on the case boundary")
-    return case.conormal(q)
 
 
 def save_cloud_csv(cloud: PointCloud, path) -> None:

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,7 +261,8 @@ def convergence_study(case_name: str, t_list: Sequence[int],
     """Sweep resolutions and seeds; the report fits the median-error slope.
 
     ``seeds`` is a count (seeds 1..n), any integral value such as a NumPy
-    integer, or a list, a repeat counted once.
+    integer but not a bool, or a list of integral seeds, a repeat counted
+    once; a float or a string is neither.
     Rows whose solve did not converge stay in the report flagged, are
     excluded from the fit, and mark the report as partial.
     """
@@ -269,8 +270,13 @@ def convergence_study(case_name: str, t_list: Sequence[int],
     t_list = sorted(set(int(t) for t in t_list))
     if len(t_list) < 4:
         raise ConfigurationError("need at least 4 distinct resolutions to fit")
-    seed_list = (list(range(1, int(seeds) + 1)) if isinstance(seeds, Integral)
-                 else sorted(set(int(s) for s in seeds)))
+    listed = not isinstance(seeds, (Integral, str)) and isinstance(seeds, Iterable)
+    given = list(seeds) if listed else [seeds]
+    if any(isinstance(s, bool) or not isinstance(s, Integral) for s in given):
+        raise ConfigurationError(f"seeds {seeds!r}: need a count or a list of "
+                                 "integral seeds")
+    seed_list = (sorted(set(int(s) for s in given)) if listed
+                 else list(range(1, int(seeds) + 1)))
     if not seed_list or seed_list[0] < 0:
         raise ConfigurationError(f"seeds {seeds!r}: need at least one, "
                                  "and seeds must be >= 0")

@@ -138,8 +138,7 @@ def assemble_lambda(cloud: PointCloud, *,
     # boundary point k is cloud point n0 - m0 + k
     w = np.concatenate([lam_p, lam_p[cloud.n0 - cloud.m0:]]) * blocks.measure
     S = AbsorptionOperator(blocks, w)
-    return replace(base, S=S, rhs=cloud.A * base.f_delta, mean_shift=0.0,
-                   variant="lambda")
+    return replace(base, S=S, rhs=cloud.A * base.f_delta, variant="lambda")
 
 
 def smooth_basis(points: np.ndarray) -> np.ndarray:
@@ -333,7 +332,7 @@ def nonlinear_solve(cloud: PointCloud, *,
         tol = min(FORCING_MAX, gnorm / rnorm) * gnorm
         bnorm = float(np.linalg.norm(b))
         rel = max(INNER_TOL, tol / bnorm) if bnorm > 0.0 else INNER_TOL
-        inner = solve_spd(replace(work.base, S=hessian, rhs=b, mean_shift=0.0),
+        inner = solve_spd(replace(work.base, S=hessian, rhs=b),
                           tol=rel, max_iter=20 * len(U), x0=U)
         inner_iterations += inner.iterations
         inner_misses += int(not inner.converged)

@@ -14,16 +14,15 @@ from scipy import sparse
 
 from nlpoisson.assembly import (
     AssemblyError,
+    _boundary_block,
     assemble,
     boundary_coupling,
-    boundary_laplacian,
     boundary_trace,
     export_matrix,
     interior_laplacian,
     pair_graph,
     smoothed_forcing,
     symmetric_product,
-    zeta_entry,
 )
 from nlpoisson.geometry import PointCloud, build_cloud, get_case, sample_case
 from nlpoisson.kernels import compute_CR, normalization, pair_eval
@@ -67,15 +66,23 @@ def reference_apply(cloud, U, CR):
 
 
 def test_zeta_entry_values(profile):
+    """The coupling zeta(p, q) = -(p - q) . n(q) Kbar(p, q) that
+    boundary_coupling builds, its normalization undone, on one boundary
+    point q and interior points at q, 3 delta away and at q - (delta/2) n."""
     q = np.array([np.sqrt(3) / 2, 0.0, 0.5])
     n_q = np.array([0.5, 0.0, -np.sqrt(3) / 2])
     delta = 0.3
-    assert zeta_entry(q, q, n_q, delta, profile, 2) == 0.0
     far = q + np.array([0.0, 3 * delta, 0.0])
-    assert zeta_entry(far, q, n_q, delta, profile, 2) == 0.0
     # one step inward along -n at distance delta/2: positive coupling
     p = q - 0.5 * delta * n_q
-    val = zeta_entry(p, q, n_q, delta, profile, 2)
+    cloud = PointCloud(case_name="hemisphere2", m=2, t=5, seed=0, delta=delta,
+                       points=np.array([q, far, p, q]), m0=1, A=np.ones(4),
+                       L=np.ones(1), normals=n_q[None, :])
+    coupling = boundary_coupling(cloud, pair_graph(cloud, profile=profile)[0])
+    zeta = coupling.zeta[:, 0].toarray()[:, 0] * coupling.omega_hat[0]
+    assert zeta[0] == 0.0
+    assert zeta[1] == 0.0
+    val = zeta[2]
     bar = normalization(delta, 2) * _cos("bar", np.array(1.0 / 16.0))
     assert val == pytest.approx(0.5 * delta * float(bar), rel=1e-13)
     assert val > 0
@@ -123,7 +130,8 @@ def test_boundary_laplacian_three_points(profile):
                        delta=delta, points=q, m0=3,
                        A=np.ones(3), L=np.array([0.1, 0.2, 0.3]),
                        normals=np.zeros((3, 3)))
-    RL = boundary_laplacian(cloud, profile=profile).toarray()
+    RL = _boundary_block(pair_graph(cloud, profile=profile)[0],
+                         cloud.L).toarray()
     Cd = normalization(delta, 2)
     expected = np.zeros((3, 3))
     for k in range(3):
@@ -142,7 +150,9 @@ def test_boundary_laplacian_three_points(profile):
 def test_source_vector_basics(medium_cloud, profile):
     def source(f=None):
         system = assemble(medium_cloud, profile=profile, f=f)
-        return system.f_delta - system.mean_shift, system.mean_shift
+        A = medium_cloud.A
+        shift = float(system.f_delta @ A / A.sum())
+        return system.f_delta - shift, shift
 
     zero, shift0 = source(lambda x: np.zeros(x.shape[0]))
     assert np.all(zero == 0.0) and shift0 == 0.0

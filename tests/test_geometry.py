@@ -7,9 +7,11 @@ import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
 from nlpoisson.geometry import (
+    T_MIN,
     _COINCIDENT_RTOL,
     _TIE_RTOL,
     _WINDOW_SIZE,
+    PointCloud,
     _cell_weight,
     _fan_areas,
     _hull_volumes,
@@ -17,8 +19,6 @@ from nlpoisson.geometry import (
     _tangent_frames,
     boundary_weights,
     build_cloud,
-    conormal,
-    exact_fields,
     get_case,
     load_cloud_csv,
     sample_case,
@@ -72,13 +72,11 @@ def test_points_on_manifold(name, t):
 
 def test_conormal_values():
     q = np.array([[SQ3 / 2.0, 0.0, 0.5]])
-    n = conormal("hemisphere2", q)
+    n = get_case("hemisphere2").conormal(q)
     assert np.allclose(n, [[0.5, 0.0, -SQ3 / 2.0]], atol=1e-14)
     q3 = np.array([[3**-0.5, 3**-0.5, 3**-0.5, 0.0]])
-    n3 = conormal("hemisphere3", q3)
+    n3 = get_case("hemisphere3").conormal(q3)
     assert np.allclose(n3, [[0.0, 0.0, 0.0, -1.0]], atol=1e-15)
-    with pytest.raises(ValueError):
-        conormal("hemisphere2", np.array([[0.0, 0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("name,t", [("hemisphere2", 10), ("hemisphere3", 4)])
@@ -96,14 +94,15 @@ def test_conormal_field(name, t):
 def _windows(points, m):
     """Each point's k-NN window for an m-dimensional patch as
     displacements from it, (n, k+1, d)."""
-    dists, idx = cKDTree(points).query(points, k=_WINDOW_SIZE[m] + 1)
-    return points[idx] - points[:, None, :], dists
+    k = min(_WINDOW_SIZE[m], len(points) - 1)    # as the builder caps it
+    idx = cKDTree(points).query(points, k=k + 1)[1]
+    return points[idx] - points[:, None, :]
 
 
 def _frame_tilt(points, m, normals):
     """Worst |frame . nu| of the estimated frames over the exact normals
     nu (rows of each array in normals), after checking orthonormality."""
-    frames = _tangent_frames(_windows(points, m)[0], m)
+    frames = _tangent_frames(_windows(points, m), m)
     gram = frames @ frames.transpose(0, 2, 1)
     assert np.abs(gram - np.eye(m)).max() < 1e-12
     return max(np.abs(frames @ nu[:, :, None]).max() for nu in normals)
@@ -158,18 +157,18 @@ def test_conormal_smoothness():
 
 
 def test_exact_fields_values():
-    u, f = exact_fields("hemisphere2", np.array([[0.0, 0.0, 1.0]]))
+    case, case3 = get_case("hemisphere2"), get_case("hemisphere3")
+    pole = np.array([[0.0, 0.0, 1.0]])
+    u, f = case.exact_u(pole), case.forcing(pole)
     assert u[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert f[0] == pytest.approx(2.0, abs=1e-15)
     q = np.array([[SQ3 / 2.0, 0.0, 0.5]])
-    u, _ = exact_fields("hemisphere2", q)
+    u = case.exact_u(q)
     assert u[0] == pytest.approx(-1.0 / 12.0, abs=1e-15)
     x3 = np.array([[3**-0.5, 3**-0.5, 3**-0.5, 0.0]])
-    u3, f3 = exact_fields("hemisphere3", x3)
+    u3, f3 = case3.exact_u(x3), case3.forcing(x3)
     assert u3[0] == pytest.approx(3.0**-1.5, rel=1e-14)
     assert f3[0] == pytest.approx(15.0 * 3.0**-1.5, rel=1e-14)
-    with pytest.raises(ValueError):
-        exact_fields("hemisphere2", np.array([[2.0, 0.0, 0.0]]))
 
 
 def test_exact_u_weighted_mean_small():
@@ -194,7 +193,7 @@ def test_flat_patch_cell_weights():
         rows.append(np.column_stack(
             [xs, np.full(22, j * h * SQ3 / 2.0), np.zeros(22)]))
     pts = np.concatenate(rows)
-    w = _simplex_cell_weights(pts, m=2, seed=0)
+    w = _simplex_cell_weights(pts, m=2)
     cell = h * h * SQ3 / 2.0
     lo, hi = 3 * h, 18 * h
     interior = ((pts[:, 0] > lo) & (pts[:, 0] < hi)
@@ -207,24 +206,21 @@ def test_degenerate_collinear_perturbation():
     local = np.zeros((21, 2))
     local[:, 0] = np.linspace(0.0, 1.0, 21)
     local[0] = [0.5, 0.0]
-    w = _cell_weight(local, spacing=0.05, seed=7)
+    w = _cell_weight(local)
     assert np.isfinite(w) and w >= 0.0
 
 
 def _projected_windows(points, m):
-    """Per-point windows projected on their principal directions, and
-    the k-NN distances."""
-    rel, dists = _windows(points, m)
+    """Per-point windows projected on their principal directions."""
+    rel = _windows(points, m)
     frames = _tangent_frames(rel, m)
-    return np.stack([rel[i] @ frames[i].T for i in range(len(points))]), dists
+    return np.stack([rel[i] @ frames[i].T for i in range(len(points))])
 
 
-def _qhull_windows(points, m, seed):
+def _qhull_windows(points, m):
     """Per-point projected windows and their Qhull cell weights."""
-    local, dists = _projected_windows(points, m)
-    ref = np.array([_cell_weight(local[i], float(dists[i, 1]), seed + i)
-                    for i in range(len(points))])
-    return local, ref
+    local = _projected_windows(points, m)
+    return local, np.array([_cell_weight(window) for window in local])
 
 
 def _on_window_hull(local):
@@ -254,12 +250,12 @@ def test_fan_walk_matches_qhull_stars(name, t, seed):
     """
     cloud = sample_case(name, t, seed)
     points = cloud.points if name == "hemisphere2" else cloud.boundary
-    local, ref = _qhull_windows(points, 2, seed)
+    local, ref = _qhull_windows(points, 2)
     area, degenerate = _fan_areas(local)
     assert not degenerate.any()
     assert _on_window_hull(local).any() == (name == "hemisphere2")
     assert np.all(np.abs(area / 3.0 - ref) <= 1e-13 * ref)
-    w = _simplex_cell_weights(points, 2, seed)
+    w = _simplex_cell_weights(points, 2)
     assert np.all(np.abs(w - ref) <= 1e-13 * ref)
 
 
@@ -273,11 +269,11 @@ def test_inverted_hull_matches_qhull_stars(t):
     on_hull = False
     for seed in (1, 2, 3):
         points = sample_case(case, t, seed).points
-        local, ref = _qhull_windows(points, 3, seed)
+        local, ref = _qhull_windows(points, 3)
         volume, degenerate = _hull_volumes(local)
         assert not degenerate.any()
         assert np.all(np.abs(volume / 4.0 - ref) <= 1e-13 * ref)
-        w = _simplex_cell_weights(points, 3, seed)
+        w = _simplex_cell_weights(points, 3)
         assert np.all(np.abs(w - ref) <= 1e-13 * ref)
         on_hull = on_hull or any(0 in ConvexHull(x).vertices for x in local)
     assert on_hull
@@ -297,6 +293,11 @@ def _collinear():
     return np.column_stack([np.linspace(0.0, 1.0, 30), np.zeros(30)])
 
 
+def _twelve_points():
+    # fewer points than a 2-D window holds, so k is capped at n - 1
+    return np.random.default_rng(1).random((12, 2))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("make", [_square_lattice, _duplicated_neighbour,
                                   _collinear])
@@ -311,7 +312,7 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
     has in the cloud without the copy.
     """
     points = _planar(make())
-    local, ref = _qhull_windows(points, 2, 5)
+    local, ref = _qhull_windows(points, 2)
     _, degenerate = _fan_areas(local)
     if make is _duplicated_neighbour:
         dists = cKDTree(points).query(points, k=2)[0][:, 1]
@@ -320,10 +321,10 @@ def test_fan_walk_degenerate_windows_take_qhull(make):
     else:
         must = np.ones(len(points), dtype=bool)
     assert np.all(degenerate[must])
-    w = _simplex_cell_weights(points, 2, 5)
+    w = _simplex_cell_weights(points, 2)
     if make is _duplicated_neighbour:
         kept = np.delete(np.arange(len(points)), 60)   # row 60 copies row 17
-        local, ref_kept = _qhull_windows(points[kept], 2, 5)
+        local, ref_kept = _qhull_windows(points[kept], 2)
         ref[kept] = ref_kept
         ref[[17, 60]] = ref_kept[17] / 2
         degenerate[kept] = _fan_areas(local)[1]
@@ -363,21 +364,24 @@ def _fan_walk_one(window):
     return 0.5 * twice_area, degenerate or steps == 0
 
 
-@pytest.mark.parametrize("points,cap", [
+@pytest.mark.parametrize("points,settled", [
     pytest.param(lambda t=t: sample_case("hemisphere2", t, 1).points, True,
                  id=f"hemisphere2-{t}") for t in (10, 40)] + [
-    pytest.param(lambda make=make: _planar(make()), False, id=make.__name__)
-    for make in (_square_lattice, _duplicated_neighbour, _collinear)])
-def test_fan_walk_matches_one_window_walk(points, cap):
+    pytest.param(lambda make=make: _planar(make()), make is _twelve_points,
+                 id=make.__name__)
+    for make in (_square_lattice, _duplicated_neighbour, _collinear,
+                 _twelve_points)])
+def test_fan_walk_matches_one_window_walk(points, settled):
     """The batched fan walk gives every window's area and degenerate flag
     bit for bit as a walk of that window alone: closed fans inside the
-    cap, open ones at its rim, and the windows it hands to Qhull."""
-    local = _projected_windows(points(), 2)[0]
+    cap, open ones at its rim and on the hull of twelve points (windows of
+    all the cloud), and the windows it hands to Qhull."""
+    local = _projected_windows(points(), 2)
     area, degenerate = _fan_areas(local)
     ref = [_fan_walk_one(window) for window in local]
     assert np.array_equal(area, [a for a, _ in ref])
     assert np.array_equal(degenerate, [d for _, d in ref])
-    if cap:
+    if settled:
         assert not degenerate.any() and _on_window_hull(local).any()
     else:
         assert degenerate.any()
@@ -403,13 +407,34 @@ def test_duplicated_points_share_one_star(name, t, copies):
     else:
         cloud = sample_case(name, t, 1)
         points, m, i = cloud.points, cloud.m, 37
-    plain = _simplex_cell_weights(points, m, 1)
+    plain = _simplex_cell_weights(points, m)
     w = _simplex_cell_weights(
-        np.insert(points, [i + 1] * copies, points[i], axis=0), m, 1)
+        np.insert(points, [i + 1] * copies, points[i], axis=0), m)
     shared = slice(i, i + 1 + copies)
     assert np.array_equal(np.delete(w, shared), np.delete(plain, i))
     assert np.all(w[shared] == plain[i] / (copies + 1))
     assert abs(w.sum() - plain.sum()) <= 1e-12 * plain.sum()
+
+
+@pytest.mark.parametrize("make", [_square_lattice, _duplicated_neighbour,
+                                  _collinear, None],
+                         ids=lambda make: make.__name__ if make else "hemisphere2")
+def test_weights_read_no_seed(make):
+    """A cloud's seed does not reach its weights, not even through Qhull's
+    retry of a window it cannot triangulate (the collinear one).  A planar
+    fixture is weighted as the volume of a 2-patch and as the boundary of
+    a 3-patch, both 2-D windows; the cap cloud is hemisphere2's at t=10."""
+    if make is None:
+        flat = rim = sample_case("hemisphere2", 10, 5)
+    else:
+        points = _planar(make())
+        flat = PointCloud(case_name="plane", m=2, t=T_MIN, seed=5, delta=1.0,
+                          points=points, m0=3)
+        rim = replace(flat, m=3, m0=len(points))
+    (w5, L5), (w6, L6) = [(volume_weights(replace(flat, seed=seed)),
+                           boundary_weights(replace(rim, seed=seed)))
+                          for seed in (5, 6)]
+    assert np.array_equal(w5, w6) and np.array_equal(L5, L6)
 
 
 @pytest.mark.parametrize("name,t", [("hemisphere2", 10), ("hemisphere3", 4)])
@@ -427,12 +452,12 @@ def test_cell_weights_refuse_small_or_unknown_dimension():
     with the value named; m + 2 points are enough."""
     points = _uneven_circle(5)
     with pytest.raises(ValueError, match="m = 4"):
-        _simplex_cell_weights(points, 4, 0)
+        _simplex_cell_weights(points, 4)
     with pytest.raises(ValueError, match="at least 4 points .* got 3"):
-        _simplex_cell_weights(points[:3], 2, 0)
+        _simplex_cell_weights(points[:3], 2)
     with pytest.raises(ValueError, match="at least 3 points .* got 2"):
-        _simplex_cell_weights(np.vstack([points[:2], points[:1]]), 1, 0)
-    assert np.all(_simplex_cell_weights(points[:3], 1, 0) > 0.0)
+        _simplex_cell_weights(np.vstack([points[:2], points[:1]]), 1)
+    assert np.all(_simplex_cell_weights(points[:3], 1) > 0.0)
 
 
 def test_volume_weights_cap_area():
@@ -455,7 +480,7 @@ def test_boundary_weights_equispaced_circle():
     phi = 2.0 * np.pi * np.arange(m0) / m0
     rho = SQ3 / 2.0
     q = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), np.full(m0, 0.5)])
-    L = _simplex_cell_weights(q, 1, 0)
+    L = _simplex_cell_weights(q, 1)
     # equal chords; chord vs arc differs by O(1/m0^2)
     arc = 2.0 * np.pi * rho / m0
     assert np.abs(L - arc).max() < 2e-3 * arc
@@ -509,7 +534,7 @@ def _ray():
     _ray(),
 ], ids=["cap8", "cap40", "cluster", "ray"])
 def test_segment_weights_match_loop(q):
-    assert np.array_equal(_simplex_cell_weights(q, 1, 0),
+    assert np.array_equal(_simplex_cell_weights(q, 1),
                           _segment_weights_loop(q))
 
 

@@ -104,11 +104,21 @@ def test_convergence_study_validation():
 
 def test_convergence_study_seed_list():
     """A repeated seed counts once; a negative one is refused."""
-    report = convergence_study("hemisphere2", [5, 6, 8, 10], seeds=[2, 1, 1])
-    assert [(r.t, r.seed) for r in report.rows] == [
-        (t, seed) for t in (5, 6, 8, 10) for seed in (1, 2)]
+    for seeds, runs in (([2, 1, 1], (1, 2)), ([3, 1, 3], (1, 3))):
+        report = convergence_study("hemisphere2", [5, 6, 8, 10], seeds=seeds)
+        assert [(r.t, r.seed) for r in report.rows] == [
+            (t, seed) for t in (5, 6, 8, 10) for seed in runs]
     with pytest.raises(ConfigurationError, match="seeds must be >= 0"):
         convergence_study("hemisphere2", [5, 6, 8, 10], seeds=[1, -1])
+
+
+@pytest.mark.parametrize("seeds", [2.0, True, [1.5, 2], "3"], ids=repr)
+def test_convergence_study_refuses_non_integral_seeds(seeds):
+    """A bool is not a count, a string is not a list, and every listed
+    seed must be integral: each is refused, the value named, before any
+    solve."""
+    with pytest.raises(ConfigurationError, match=re.escape(repr(seeds))):
+        convergence_study("hemisphere2", [5, 6, 8, 10], seeds=seeds)
 
 
 def test_convergence_study_numpy_seed_count():
@@ -119,6 +129,8 @@ def test_convergence_study_numpy_seed_count():
     assert len(rows) == 8
     assert ([(r.t, r.seed, r.e2, r.iters) for r in np_rows]
             == [(r.t, r.seed, r.e2, r.iters) for r in rows])
+    rows = convergence_study("hemisphere2", t, seeds=np.int64(3)).rows
+    assert [r.seed for r in rows] == [1, 2, 3] * len(t)
 
 
 def test_convergence_study_small_sweep(tmp_path):

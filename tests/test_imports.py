@@ -1,6 +1,6 @@
 """Every import in the package, the tests and the demos is used, every
-private name of the package is read, and the package exports what it
-imports.
+private name of the package is read, every public one is read outside the
+tests, and the package exports what it imports.
 
 The repository runs no linter, so this walks each module's syntax tree.
 Package ``__init__`` modules (whose imports are re-exports) and names
@@ -10,7 +10,11 @@ check.  Such a kept-alive import must be one of the names that
 exemptions cannot grow beyond them.  A module-level private function,
 class or constant (``_name``), a private method and any method of a
 private class (dunders aside) must be read somewhere in the package
-outside its own definition.
+outside its own definition.  A public function or class, and a public
+method of a public class, must be read outside its own definition in the
+package, the demos or perfbench (its tests aside): a name only tests call
+is a test oracle, which belongs in the tests.  The PROBED names, which
+perfbench reads only as strings, and ``load_profile_table`` are exempt.
 """
 
 import ast
@@ -24,6 +28,10 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # the tests and demos are held to the import check too
 SCRIPTS = sorted(p for folder in ("tests", "demos")
                  for p in (PACKAGE.parents[1] / folder).glob("*.py"))
+# what a run calls: the demos and perfbench, its tests aside
+CALLERS = sorted(p for folder in ("demos", "perfbench")
+                 for p in (PACKAGE.parents[1] / folder).glob("*.py")
+                 if not p.name.startswith("test_"))
 # the names perfbench's traced runs wrap; they go when it reads a trace
 PROBED = frozenset({"assemble", "bar_matrix", "interior_laplacian", "cg",
                     "solve_mean_zero"})
@@ -174,6 +182,57 @@ def test_checker_flags_dead_methods():
 def test_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+def _public_definitions(tree: ast.Module):
+    """(label, name, defining node) for each module-level public function
+    or class and each public method of a public class, dunders aside."""
+    for stmt in tree.body:
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)) and not stmt.name.startswith("_")):
+            yield stmt.name, stmt.name, stmt
+            for fn in stmt.body if isinstance(stmt, ast.ClassDef) else []:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not fn.name.startswith("_")):
+                    yield f"{stmt.name}.{fn.name}", fn.name, fn
+
+
+def dead_public_names(sources: dict[str, str], callers: list[str],
+                      exempt: frozenset = frozenset()) -> list[str]:
+    """Public names of ``sources`` (module name -> source) that nothing in
+    them or in ``callers`` (more sources) reads outside the defining
+    statement, the ``exempt`` names aside."""
+    trees = {module: ast.parse(source)
+             for module, source in sorted(sources.items())}
+    reads = sum((_read_names(tree) for tree in
+                 [*trees.values(), *map(ast.parse, callers)]), Counter())
+    return [f"{module}.{label} (line {node.lineno})"
+            for module, tree in trees.items()
+            for label, name, node in _public_definitions(tree)
+            if name not in exempt and reads[name] == _read_names(node)[name]]
+
+
+def test_checker_flags_dead_public_names():
+    """A public function or method read only by itself, or named only in a
+    string, is dead; a name read by a caller, or exempt, is not."""
+    sources = {"a": ("def used():\n    return Public().run()\n"
+                     "def dead(n):\n    return dead(n - 1)\n"
+                     "class Public:\n"
+                     "    def __init__(self):\n        self.n = 0\n"
+                     "    def run(self):\n        return 1\n"
+                     "    def unread(self):\n        return self._scale()\n"
+                     "    def _scale(self):\n        return 2.0\n"
+                     "def probed():\n    return 0\n")}
+    callers = ["from a import used\nprint(used())\n", "NAMES = ['dead']\n"]
+    assert dead_public_names(sources, callers, frozenset({"probed"})) == [
+        "a.dead (line 3)", "a.Public.unread (line 10)"]
+
+
+def test_no_dead_public_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    callers = [p.read_text() for p in CALLERS]
+    exempt = PROBED | {"load_profile_table"}     # until a profile option reads it
+    assert dead_public_names(sources, callers, exempt) == []
 
 
 def test_all_matches_the_package_imports():
