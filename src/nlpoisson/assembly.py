@@ -16,9 +16,13 @@ positive-semidefinite system
 whose null space is the constants; F carries the kernel-smoothed forcing
 with its A-weighted mean removed so the right side stays orthogonal to
 the null space.  The reduced model keeps only the diffusion block.
-symmetric_product forms the boundary block with B = A Z as C = B (Rb B^T)
-and returns (C + C^T) / 2, so S is exactly symmetric, bit for bit; the
-absorption models use it only to materialize their operator.
+Assembly does not multiply the blocks out: NeumannOperator holds
+R_A / delta^2, AZ = A Z and Rb, and applies S as R_A x / delta^2 +
+2 AZ (Rb (AZ^T x)), where the boundary term lives only on the 2 delta
+boundary layer.  S itself is built only when something asks for the
+matrix (NonlocalSystem.S): symmetric_product forms the boundary block
+with B = A Z as C = B (Rb B^T) and returns (C + C^T) / 2, so S is
+exactly symmetric, bit for bit.
 
 Every block and the smoothed forcing are sums over pairs inside the
 2 delta interaction horizon, so all of them are built on one pattern.
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -75,12 +80,55 @@ class BoundaryCoupling:
     L: np.ndarray
 
 
+@dataclass(eq=False)
+class NeumannOperator:
+    """S = RA + 2 AZ RbarL AZ^T, applied from its blocks: RA = R_A / delta^2
+    on the pair pattern, AZ = diag(A) zeta and the boundary Laplacian RbarL.
+    In reduced mode AZ and RbarL are None and S is RA.  AZT is a view of
+    AZ's arrays, made once."""
+
+    RA: sparse.csr_matrix
+    AZ: sparse.csr_matrix | None = None
+    RbarL: sparse.csr_matrix | None = None
+
+    def __post_init__(self):
+        self.AZT = None if self.AZ is None else self.AZ.T
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """S x for a vector or an (n, k) block; the boundary term touches
+        only the rows of the boundary layer."""
+        y = self.RA @ x
+        if self.AZ is not None:
+            v = self.RbarL @ (self.AZT @ x)
+            v *= 2.0
+            y += self.AZ @ v
+        return y
+
+    def diagonal(self) -> np.ndarray:
+        """diag(RA) + 2 rowsum((AZ RbarL) * AZ), with no n0 x n0 product."""
+        d = self.RA.diagonal()
+        if self.AZ is not None:
+            cross = (self.AZ @ self.RbarL).multiply(self.AZ)
+            d += 2.0 * (cross @ np.ones(cross.shape[1]))
+        return d
+
+    def materialize(self) -> sparse.csr_matrix:
+        """S multiplied out by symmetric_product; RA itself in reduced mode."""
+        if self.AZ is None:
+            return self.RA
+        return (self.RA + 2.0 * symmetric_product(self.AZ, self.RbarL)).tocsr()
+
+
 @dataclass
 class NonlocalSystem:
     """S U = rhs on one cloud: rhs = A (f_delta - f_delta @ A / sum(A)),
-    orthogonal to the constants, except the absorption models' A f_delta."""
+    orthogonal to the constants, except the absorption models' A f_delta.
 
-    S: sparse.csr_matrix         # or an operator with @, diagonal(), materialize()
+    operator is what the solvers apply: a NeumannOperator, or an absorption
+    model's operator.  S is that operator multiplied out, built on first
+    access and kept; a solve never builds it."""
+
+    operator: NeumannOperator    # or an operator with @, diagonal(), materialize()
     rhs: np.ndarray
     coupling: BoundaryCoupling
     mode: str
@@ -91,6 +139,11 @@ class NonlocalSystem:
 
     A = property(lambda self: self.cloud.A)
     delta = property(lambda self: self.cloud.delta)
+
+    @cached_property
+    def S(self) -> sparse.csr_matrix:
+        """The operator as a CSR matrix, for export, eigensolvers and tests."""
+        return self.operator.materialize()
 
 
 def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
@@ -272,15 +325,16 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
                          "set cloud.normals = case.conormal(cloud.boundary)")
 
     pairs, base = pair_graph(cloud, profile=profile)
-    S = _laplacian(pairs, base, cloud.A)
+    RA = _laplacian(pairs, base, cloud.A)
     del base
-    S.data *= 1.0 / (cloud.delta * cloud.delta)
+    RA.data *= 1.0 / (cloud.delta * cloud.delta)
     n0, m0 = cloud.n0, cloud.m0
     if mode == "full":
         coupling = boundary_coupling(cloud, pairs)
-        AZ = sparse.diags(cloud.A) @ coupling.zeta
-        S = (S + 2.0 * symmetric_product(AZ, coupling.RbarL)).tocsr()
+        operator = NeumannOperator(RA, sparse.diags(cloud.A) @ coupling.zeta,
+                                   coupling.RbarL)
     else:
+        operator = NeumannOperator(RA)
         coupling = BoundaryCoupling(zeta=sparse.csr_matrix((n0, m0)),
                                     omega_hat=np.zeros(m0),
                                     RbarL=sparse.csr_matrix((m0, m0)),
@@ -289,8 +343,8 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
     fd = smoothed_forcing(cloud, pairs, coupling, f, g)
     shift = float(fd @ cloud.A / cloud.A.sum())
     rhs = cloud.A * (fd - shift)
-    return NonlocalSystem(S=S, rhs=rhs, coupling=coupling, mode=mode,
-                          cloud=cloud, f_delta=fd, pairs=pairs,
+    return NonlocalSystem(operator=operator, rhs=rhs, coupling=coupling,
+                          mode=mode, cloud=cloud, f_delta=fd, pairs=pairs,
                           variant="none" if g is None else "nonhomogeneous")
 
 
@@ -301,9 +355,8 @@ def boundary_trace(coupling: BoundaryCoupling, A: np.ndarray,
 
 
 def export_matrix(system: NonlocalSystem, path) -> None:
-    """Write S, materialized if an operator, as coordinate text and .meta."""
-    S = system.S if sparse.issparse(system.S) else system.S.materialize()
-    coo = S.tocoo()
+    """Write S as coordinate text and .meta."""
+    coo = system.S.tocoo()
     order = np.lexsort((coo.col, coo.row))
     with open(path, "w") as fh:
         for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):

@@ -1,9 +1,12 @@
 """Conjugate-gradient solvers for the assembled systems.
 
-The base model's matrix is symmetric positive-semidefinite with the
+The base model's operator is symmetric positive-semidefinite with the
 constants as null space, and its right side is orthogonal to that null
-space by construction.  Every solve runs one preconditioned CG loop.  Its
-preconditioner is the inverse of the system's exact diagonal (Jacobi).
+space by construction.  Every solve runs one preconditioned CG loop on
+the system's operator, applied from its blocks; the loop needs only
+S @ x and S.diagonal(), so the matrix S is never multiplied out for a
+solve.  Its preconditioner is the inverse of the operator's exact
+diagonal (Jacobi).
 An operator that offers a coarse space (Z, E), as the absorption
 operators of nlpoisson.variants do, adds the Galerkin correction:
 M^-1 = D^-1 + Z E^-1 Z^T, with E = Z^T S Z formed exactly (Nicolaides,
@@ -70,6 +73,7 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
        x0: np.ndarray | None = None):
     """PCG on S x = b; returns (x, rel_residual, iters, ok, reason).
 
+    S is a matrix or an operator: anything with S @ x and S.diagonal().
     The preconditioner is 1 / S.diagonal(), with 1 for non-positive
     entries, plus W W^T = Z E^+ Z^T when S offers S.coarse_space().
     reason says why the loop stopped: "converged", "max_iter" or
@@ -132,7 +136,8 @@ def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
     if bsum > 1e-10 * max(np.abs(b).sum(), 1e-300):
         raise ValueError(
             f"right side is not orthogonal to the constants (sum {bsum:.3e})")
-    U, rel, it, ok, reason = cg(system.S, b, tol=tol, max_iter=max_iter, x0=x0)
+    U, rel, it, ok, reason = cg(system.operator, b, tol=tol,
+                                max_iter=max_iter, x0=x0)
     U = U - float(U @ system.A / system.A.sum())
     V = boundary_trace(system.coupling, system.A, U)
     return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,
@@ -143,7 +148,7 @@ def solve_spd(system: NonlocalSystem, tol: float = DEFAULT_TOL,
               max_iter: int | None = None,
               x0: np.ndarray | None = None) -> SolveResult:
     """Solve a strictly positive-definite variant system by CG."""
-    U, rel, it, ok, reason = cg(system.S, system.rhs, tol=tol,
+    U, rel, it, ok, reason = cg(system.operator, system.rhs, tol=tol,
                                 max_iter=max_iter, x0=x0)
     V = boundary_trace(system.coupling, system.A, U)
     return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,

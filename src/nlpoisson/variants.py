@@ -23,13 +23,13 @@ changes the right side and is built by assembly.assemble(..., g=g)):
   S U and one a = B^T U give J, and one B (w a) from them gives g, H and
   the right side.  H and the absorption system, H at p = 1, are one
   AbsorptionOperator: B built once, applied matrix-free with the model's
-  weights, and solved by two-level PCG.  Each Newton system is solved
-  only as far as its step needs (inexact Newton): to the forcing term
-  eta_k = min(FORCING_MAX, |g_k| / |A f_delta|) of the gradient g_k of J
-  at U, which keeps the convergence quadratic (Dembo, Eisenstat &
-  Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J.
-  Sci. Comput. 17, 1996), and the start, the base model's solution, only
-  to START_TOL.
+  weights over the base system's factored operator S, and solved by
+  two-level PCG.  Each Newton system is solved only as far as its step
+  needs (inexact Newton): to the forcing term eta_k = min(FORCING_MAX,
+  |g_k| / |A f_delta|) of the gradient g_k of J at U, which keeps the
+  convergence quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+  Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996),
+  and the start, the base model's solution, only to START_TOL.
 
 The two-level preconditioner adds to Jacobi the Galerkin correction
 Z E^-1 Z^T on a fixed smooth coarse basis Z: the ambient polynomials of
@@ -137,8 +137,8 @@ def assemble_lambda(cloud: PointCloud, *,
     blocks = AbsorptionBlocks(base)
     # boundary point k is cloud point n0 - m0 + k
     w = np.concatenate([lam_p, lam_p[cloud.n0 - cloud.m0:]]) * blocks.measure
-    S = AbsorptionOperator(blocks, w)
-    return replace(base, S=S, rhs=cloud.A * base.f_delta, variant="lambda")
+    return replace(base, operator=AbsorptionOperator(blocks, w),
+                   rhs=cloud.A * base.f_delta, variant="lambda")
 
 
 def smooth_basis(points: np.ndarray) -> np.ndarray:
@@ -162,11 +162,13 @@ class AbsorptionBlocks:
     """Fixed blocks of every absorption operator on a full-mode base system:
     B = [Pbar^T | AZ], n0 x (n0 + m0), with the row-stochastic smoother
     Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j, omega2_j = sum_i Kbar(p_j, p_i)
-    A_i, on the Kbar pattern base.pairs, and AZ = diag(A) zeta; measure =
-    [omega2 A; omega_hat L] weighs the averages a = B^T U.  BT is a view
-    of B's arrays; S is read from base, and its diagonal S_diagonal kept
-    once for the Jacobi part of every solve.  Z is the smooth coarse basis
-    of the two-level PCG, with its products Z^T S Z and B^T Z."""
+    A_i, on the Kbar pattern base.pairs, and AZ = diag(A) zeta, the base
+    operator's own block; measure = [omega2 A; omega_hat L] weighs the
+    averages a = B^T U.  BT is a view of B's arrays, and Bsq holds B's
+    squared entries on B's index arrays, for the diagonal of every
+    operator.  S is applied as base.operator, and its diagonal S_diagonal
+    kept once for the Jacobi part of every solve.  Z is the smooth coarse
+    basis of the two-level PCG, with its products Z^T S Z and B^T Z."""
 
     def __init__(self, base: NonlocalSystem):
         self.base = base
@@ -180,17 +182,19 @@ class AbsorptionBlocks:
             (np.repeat(base.A, np.diff(Kbar.indptr)) * Kbar.data
              * (1.0 / self.omega2)[Kbar.indices], Kbar.indices, Kbar.indptr),
             shape=Kbar.shape)
-        self.B = sparse.hstack([PbarT, sparse.diags(base.A) @ base.coupling.zeta],
-                               format="csr")
+        S = base.operator
+        self.B = sparse.hstack([PbarT, S.AZ], format="csr")
         # sorted once: AZ's columns come out of the product unsorted, and a
         # later in-place sort would change the view BT under a running solve
         self.B.sort_indices()
         self.BT = self.B.T
+        self.Bsq = sparse.csr_matrix(
+            (self.B.data ** 2, self.B.indices, self.B.indptr), shape=self.B.shape)
         self.measure = np.concatenate([self.omega2 * base.A,
                                        base.coupling.omega_hat * base.coupling.L])
-        self.S_diagonal = base.S.diagonal()
+        self.S_diagonal = S.diagonal()
         self.Z = smooth_basis(base.cloud.points)
-        self.ZtSZ = self.Z.T @ (base.S @ self.Z)
+        self.ZtSZ = self.Z.T @ (S @ self.Z)
         self.BtZ = self.BT @ self.Z
 
 
@@ -207,11 +211,11 @@ class AbsorptionOperator:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         b = self.blocks
-        return b.base.S @ x + b.B @ (self.w * (b.BT @ x))
+        return b.base.operator @ x + b.B @ (self.w * (b.BT @ x))
 
     def diagonal(self) -> np.ndarray:
         b = self.blocks
-        return b.S_diagonal + b.B.power(2) @ self.w
+        return b.S_diagonal + b.Bsq @ self.w
 
     def coarse_space(self) -> tuple[np.ndarray, np.ndarray]:
         """The blocks' coarse basis Z and E = Z^T (S + B diag(w) B^T) Z,
@@ -221,7 +225,8 @@ class AbsorptionOperator:
         return b.Z, 0.5 * (E + E.T)
 
     def materialize(self) -> sparse.csr_matrix:
-        """The operator multiplied out by symmetric_product."""
+        """The operator multiplied out by symmetric_product, on the base
+        system's matrix S."""
         b = self.blocks
         return (b.base.S + symmetric_product(b.B, sparse.diags(self.w))).tocsr()
 
@@ -250,7 +255,7 @@ class _NonlinearWork(AbsorptionBlocks):
         minus the source pairing.
         """
         lam, p = float(self.config.lam), self.config.p
-        SU = self.base.S @ U
+        SU = self.base.operator @ U
         a = self.BT @ U
         # the diffusion (1/4 delta^2) sum_ij (u_i - u_j)^2 K A A plus
         # V^T RbarL V is U^T S U / 2: S = RA / delta^2 + 2 AZ RbarL AZ^T
@@ -317,7 +322,10 @@ def nonlinear_solve(cloud: PointCloud, *,
                            inner_iterations=0, inner_misses=0)
 
     # start from the base model's mean-zero solution (solve_mean_zero's
-    # CG and shift, without the boundary trace it would add)
+    # CG and shift, without the boundary trace it would add).  This solve
+    # alone applies the multiplied-out matrix S, not the operator:
+    # perfbench's traced runs wrap this module's cg and size its operand
+    # as a CSR matrix
     U, _, inner_iterations, ok, _ = cg(work.base.S, work.base.rhs,
                                        tol=START_TOL)
     U = U - float(U @ cloud.A / cloud.A.sum())
@@ -332,7 +340,7 @@ def nonlinear_solve(cloud: PointCloud, *,
         tol = min(FORCING_MAX, gnorm / rnorm) * gnorm
         bnorm = float(np.linalg.norm(b))
         rel = max(INNER_TOL, tol / bnorm) if bnorm > 0.0 else INNER_TOL
-        inner = solve_spd(replace(work.base, S=hessian, rhs=b),
+        inner = solve_spd(replace(work.base, operator=hessian, rhs=b),
                           tol=rel, max_iter=20 * len(U), x0=U)
         inner_iterations += inner.iterations
         inner_misses += int(not inner.converged)

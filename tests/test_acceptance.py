@@ -164,7 +164,7 @@ def test_criterion_7_second_order_surrogate(h2_full):
 def test_criterion_8_lambda_variant(lambda_study):
     cloud = build_cloud("hemisphere2", 5, 1)
     system = assemble_lambda(cloud, lam=1.0)
-    vals = np.linalg.eigvalsh(system.S.materialize().toarray())
+    vals = np.linalg.eigvalsh(system.S.toarray())
     converged = all(r.converged for r in lambda_study.rows)
     meds = [median for _, _, median in lambda_study.medians()]
     decreasing = all(a > b for a, b in zip(meds, meds[1:]))

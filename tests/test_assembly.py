@@ -26,6 +26,8 @@ from nlpoisson.assembly import (
 )
 from nlpoisson.geometry import PointCloud, build_cloud, get_case, sample_case
 from nlpoisson.kernels import compute_CR, normalization, pair_eval
+from nlpoisson.solver import solve_mean_zero, solve_spd
+from nlpoisson.variants import assemble_lambda
 
 
 def _cos(level, r):
@@ -365,6 +367,58 @@ def test_symmetric_product_is_exact_and_symmetric():
     Bd = B.toarray()
     want = Bd @ M.toarray() @ Bd.T
     assert np.abs(P.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.fixture(scope="module", params=[("hemisphere2", 10), ("hemisphere3", 4)],
+                ids=["hemisphere2-10", "hemisphere3-4"])
+def operator_cloud(request):
+    return build_cloud(*request.param, 1)
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_operator_matches_its_matrix(operator_cloud, mode):
+    """The factored operator's apply, to a vector and to an (n, 9) block,
+    and its diagonal equal those of the multiplied-out S."""
+    system = assemble(operator_cloud, mode=mode)
+    op, S = system.operator, system.S
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal(operator_cloud.n0)
+    X = rng.standard_normal((operator_cloud.n0, 9))
+    for got, want in ((op @ x, S @ x), (op @ X, S @ X)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    d = S.diagonal()
+    assert np.abs(op.diagonal() - d).max() <= 1e-13 * np.abs(d).max()
+
+
+@pytest.mark.parametrize("mode", ["full", "reduced"])
+def test_matrix_is_the_blocks_multiplied_out(operator_cloud, mode):
+    """system.S is bit for bit RA + 2 AZ RbarL AZ^T by symmetric_product,
+    with RA = R_A / delta^2 and AZ = diag(A) zeta built afresh; in reduced
+    mode it is RA."""
+    cloud = operator_cloud
+    system = assemble(cloud, mode=mode)
+    RA = interior_laplacian(cloud)
+    RA.data *= 1.0 / (cloud.delta * cloud.delta)
+    want = RA
+    if mode == "full":
+        AZ = sparse.diags(cloud.A) @ system.coupling.zeta
+        want = (RA + 2.0 * symmetric_product(AZ, system.coupling.RbarL)).tocsr()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(system.S, name), getattr(want, name))
+
+
+def test_solves_leave_the_matrix_unbuilt(medium_cloud):
+    """The base and absorption solves apply the operator: neither system,
+    nor the absorption model's base, multiplies S out.  S is built on first
+    access and kept."""
+    base = assemble(medium_cloud)
+    assert solve_mean_zero(base).converged
+    lam = assemble_lambda(medium_cloud, lam=1.0)
+    assert solve_spd(lam).converged
+    for system in (base, lam, lam.operator.blocks.base):
+        assert "S" not in system.__dict__
+    assert base.S is base.S and lam.S is lam.S
 
 
 def _search_clouds():

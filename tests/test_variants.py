@@ -55,7 +55,7 @@ _, _, _nh_f, _nh_g = G_CASES["hemisphere2_zsq"]
 def test_lambda_zero_is_identity(small_cloud):
     base = assemble(small_cloud, mode="full")
     lam0 = assemble_lambda(small_cloud, lam=0.0)
-    assert abs(lam0.S.materialize() - base.S).max() == 0.0
+    assert abs(lam0.S - base.S).max() == 0.0
 
 
 def test_lambda_rejects_negative(small_cloud):
@@ -78,7 +78,7 @@ def test_lambda_rejects_non_finite_field(small_cloud, bad):
 def test_lambda_constant_energy(small_cloud):
     lam = 1.7
     system = assemble_lambda(small_cloud, lam=lam)
-    omega2 = system.S.blocks.omega2
+    omega2 = system.operator.blocks.omega2
     omega_hat = system.coupling.omega_hat
     ones = np.ones(small_cloud.n0)
     got = float(ones @ (system.S @ ones))
@@ -89,7 +89,7 @@ def test_lambda_constant_energy(small_cloud):
 
 
 def test_lambda_strictly_positive_definite(small_cloud):
-    S = assemble_lambda(small_cloud, lam=1.0).S.materialize()
+    S = assemble_lambda(small_cloud, lam=1.0).S
     vals = np.linalg.eigvalsh(S.toarray())
     assert vals[0] > 0.0
     assert (S - S.T).count_nonzero() == 0
@@ -215,8 +215,9 @@ def test_nonhomogeneous_smooths_the_forcing_once(small_cloud, monkeypatch):
 def test_one_pair_search_per_point_set(variant, mode, monkeypatch):
     """A solve makes one neighbour search, on one kd-tree over all n0
     cloud points; the boundary and point-boundary pairs are taken from it.
-    It multiplies out one block product, full-mode S's boundary block (none
-    in reduced mode): the absorption blocks are applied, not multiplied."""
+    It multiplies out no block product: S and the absorption operators are
+    applied from their blocks.  Only the nonlinear model's start solve
+    still multiplies out S's boundary block, once."""
     calls = {"_sym_pairs": [], "cKDTree": [], "symmetric_product": []}
 
     def counted(name):
@@ -235,7 +236,7 @@ def test_one_pair_search_per_point_set(variant, mode, monkeypatch):
         warnings.simplefilter("ignore", UserWarning)
         row, _ = run_single("hemisphere2", 5, 1,
                             HarnessOptions(variant=variant, mode=mode))
-    products = [] if mode == "reduced" else [row.n0]
+    products = [row.n0] if variant == "nonlinear" else []
     assert calls == {"_sym_pairs": [row.n0], "cKDTree": [row.n0],
                      "symmetric_product": products}
 
@@ -272,7 +273,7 @@ def test_absorption_operator_unchanged_by_its_diagonal(small_cloud, rng):
     """The first diagonal() call leaves B and its view as they were: the
     apply, the diagonal and materialize() agree bit for bit before and
     after it."""
-    op = assemble_lambda(small_cloud, lam=1.0).S
+    op = assemble_lambda(small_cloud, lam=1.0).operator
     x = rng.standard_normal(small_cloud.n0)
     before = (op @ x, op.diagonal(), op.materialize())
     after = (op @ x, op.diagonal(), op.materialize())
@@ -280,6 +281,21 @@ def test_absorption_operator_unchanged_by_its_diagonal(small_cloud, rng):
     assert np.array_equal(before[1], after[1])
     assert np.array_equal(before[2].indices, after[2].indices)
     assert np.array_equal(before[2].data, after[2].data)
+
+
+def test_absorption_diagonal_reads_cached_squares(medium_cloud):
+    """The operator's diagonal reads B's squared entries, stored once on
+    B's own index arrays, and equals S_diagonal + B.power(2) @ w bit for
+    bit, on the lambda model and on a Newton Hessian."""
+    lam = assemble_lambda(medium_cloud, lam=1.0).operator
+    work = _NonlinearWork(medium_cloud, cosine_profile(), VariantConfig())
+    U = solve_mean_zero(work.base, tol=1e-3).U
+    _, hessian, _ = work.newton(*work.energy(U)[1:])
+    for op in (lam, hessian):
+        b = op.blocks
+        assert np.shares_memory(b.Bsq.indices, b.B.indices)
+        assert np.shares_memory(b.Bsq.indptr, b.B.indptr)
+        assert np.array_equal(op.diagonal(), b.S_diagonal + b.B.power(2) @ op.w)
 
 
 def test_nonhomogeneous_compatibility_warning(small_cloud):
@@ -457,7 +473,7 @@ def test_frozen_operator_matches_materialized(cloud_name, weights, request,
     cloud = request.getfixturevalue(cloud_name)
     n0 = cloud.n0
     if weights == "lambda_field":
-        op = assemble_lambda(cloud, lam=lambda x: 1.0 + x[:, 2] ** 2).S
+        op = assemble_lambda(cloud, lam=lambda x: 1.0 + x[:, 2] ** 2).operator
     else:
         config = VariantConfig(kind="nonlinear", lam=1.0, p=1.5)
         work = _NonlinearWork(cloud, cosine_profile(), config)
