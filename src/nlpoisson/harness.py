@@ -4,11 +4,13 @@ The error metric is the volume-weighted relative L2 discrepancy between
 the solved vector and exact-solution samples.  A convergence study runs
 (resolution, seed) grids, takes per-resolution medians across seeds, and
 fits the log-log slope of error against horizon.  The kernel-order
-diagnostics evaluate two boundary-layer quantities on dense fixtures
-(not random clouds): the boundary tail-kernel sum, whose deviation from
-the kernel constant C_R should fall like delta^2, and the coupling
-normalization omega, whose deviation from delta * C_R should fall like
-delta^3.
+diagnostics evaluate two boundary-layer quantities once per horizon, at
+one rim point, on dense fixtures (not random clouds): the boundary
+tail-kernel sum, whose deviation from the kernel constant C_R should
+fall like delta^2, and the coupling normalization omega, whose deviation
+from delta * C_R should fall like delta^3.  The rim circle has 64 or more
+points per smallest delta; both fixtures are invariant under rotation
+about the cap's axis, so any other rim point gives the same values.
 
 Reports are written as CSV plus a dependency-free SVG log-log plot.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from .assembly import MODES, NonlocalSystem, assemble
 from .geometry import ManifoldCase, PointCloud, build_cloud, get_case
 from .kernels import KernelProfile, compute_CR, cosine_profile, pair_eval
-from .solver import SolveResult, solve_mean_zero, solve_spd
+from .solver import DEFAULT_TOL, SolveResult, solve_mean_zero, solve_spd
 from .variants import VariantConfig, assemble_lambda, nonlinear_solve
 
 
@@ -80,13 +82,13 @@ G_CASES = {
 class HarnessOptions:
     mode: str = "full"
     variant: str = "none"
-    lam: float = 1.0
-    p: float = 1.5
-    theta: float = 1.0
+    lam: float = VariantConfig.lam
+    p: float = VariantConfig.p
+    theta: float = VariantConfig.theta
     g_case: str = "hemisphere2_zsq"
-    tol: float = 1e-10
-    picard_tol: float = 1e-10
-    picard_max: int = 50
+    tol: float = DEFAULT_TOL
+    picard_tol: float = VariantConfig.picard_tol
+    picard_max: int = VariantConfig.picard_max
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -98,8 +100,10 @@ class HarnessOptions:
         if self.variant != "none" and self.mode != "full":
             raise ConfigurationError(
                 "variants are defined for the full model only")
-        if not (np.isfinite(self.tol) and self.tol > 0.0):
-            raise ConfigurationError("tol must be finite and > 0")
+        if isinstance(self.tol, (bool, np.bool_)) or not (
+                np.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigurationError(f"tol = {self.tol!r}: need a number, not "
+                                     f"a bool, finite and > 0")
         if self.g_case not in G_CASES:
             raise ConfigurationError(
                 f"unknown g-case {self.g_case!r}; "
@@ -326,13 +330,12 @@ def _circle_fixture(case: ManifoldCase, n: int) -> tuple[np.ndarray, float]:
     return pts, case.boundary_measure / n
 
 
-def _cap_patch_omega(case: ManifoldCase, delta: float, phi0: float,
+def _cap_patch_omega(case: ManifoldCase, delta: float,
                      profile: KernelProfile) -> float:
     """Midpoint quadrature of the displacement coupling over the cap patch
-    within kernel range of the boundary probe at angle phi0, 40 cells per
+    within kernel range of the rim point (rho, 0, height), 40 cells per
     delta."""
-    q = np.array([case.rho * np.cos(phi0), case.rho * np.sin(phi0),
-                  case.height])
+    q = np.array([case.rho, 0.0, case.height])
     nq = case.conormal(q)[0]
     th_max = np.arccos(case.height)
     geo = 2.0 * np.arcsin(min(delta, 1.0)) + 0.05 * delta
@@ -342,7 +345,7 @@ def _cap_patch_omega(case: ManifoldCase, delta: float, phi0: float,
     half_w = geo / np.sin(th_max) + 2.0 * h
     nph = int(np.ceil(2.0 * half_w / h))
     th = th_lo + (np.arange(nth) + 0.5) * (th_max - th_lo) / nth
-    ph = phi0 - half_w + (np.arange(nph) + 0.5) * 2.0 * half_w / nph
+    ph = -half_w + (np.arange(nph) + 0.5) * 2.0 * half_w / nph
     TH, PH = np.meshgrid(th, ph, indexing="ij")
     pts = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH),
                     np.cos(TH)], axis=-1)
@@ -354,20 +357,20 @@ def _cap_patch_omega(case: ManifoldCase, delta: float, phi0: float,
 
 
 def lemma_diagnostics(case_name: str, deltas: Sequence[float],
-                      n_boundary: int | None = None, probes: int = 4,
                       profile: KernelProfile | None = None) -> LemmaReport:
     """Boundary kernel-sum and coupling-normalization orders on fixtures.
 
-    Runs on the circle boundary of the spherical cap; the boundary sum
-    uses an equally spaced circle fixture, the coupling normalization a
-    dense local surface quadrature around each of the probes (an integer
-    >= 1) equally spaced boundary points.
+    Both quantities are evaluated at one rim point of the spherical cap,
+    (rho, 0, height).  The boundary sum runs over an equally spaced rim
+    circle of max(4096, ceil(64 |boundary| / min delta)) points, 64 or
+    more per delta; the coupling normalization is a dense local surface
+    quadrature around the point.  Both fixtures are invariant under
+    rotation about the cap's axis, so every rim point gives the same
+    values up to rounding, and one point stands for them all.
     """
     if case_name != "hemisphere2":
         raise ConfigurationError(
             "kernel-order diagnostics run on the hemisphere2 circle fixture")
-    if not (isinstance(probes, (int, np.integer)) and probes >= 1):
-        raise ConfigurationError(f"probes = {probes!r}: need an integer >= 1")
     profile = profile or cosine_profile()
     deltas = sorted({float(d) for d in deltas}, reverse=True)
     if not all(np.isfinite(d) and d > 0.0 for d in deltas):
@@ -377,29 +380,18 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
     if deltas[0] / deltas[-1] < 4.0:
         raise ConfigurationError("horizons must span at least a factor of 4")
     case = get_case(case_name)
-    circumference = case.boundary_measure
-    if n_boundary is None:
-        n_boundary = max(4096, int(np.ceil(64.0 * circumference / deltas[-1])))
-    if n_boundary * deltas[-1] / circumference < 10.0:
-        raise ConfigurationError(
-            f"boundary fixture too coarse: {n_boundary} points give fewer "
-            f"than 10 per delta = {deltas[-1]}")
+    n = max(4096, int(np.ceil(64.0 * case.boundary_measure / deltas[-1])))
     CR = compute_CR(profile, 2)
-    pts, seg = _circle_fixture(case, n_boundary)
-    probe_idx = np.linspace(0, n_boundary, probes, endpoint=False).astype(int)
+    pts, seg = _circle_fixture(case, n)
+    sq = ((pts - pts[0]) ** 2).sum(axis=1)
     rows = []
     for delta in deltas:
-        bsums, odevs = [], []
-        for k in probe_idx:
-            sq = ((pts - pts[k]) ** 2).sum(axis=1)
-            dbar = pair_eval(profile, "dbar", sq, delta, 2)
-            bsums.append(2.0 * delta * float(dbar.sum()) * seg)
-            omega = _cap_patch_omega(case, delta,
-                                     2.0 * np.pi * k / n_boundary, profile)
-            odevs.append(abs(omega - delta * CR))
-        rows.append(LemmaRow(delta=delta, boundary_sum=float(np.mean(bsums)),
-                             boundary_dev=float(max(abs(b - CR) for b in bsums)),
-                             omega_dev=max(odevs)))
+        dbar = pair_eval(profile, "dbar", sq, delta, 2)
+        bsum = 2.0 * delta * float(dbar.sum()) * seg
+        omega = _cap_patch_omega(case, delta, profile)
+        rows.append(LemmaRow(delta=delta, boundary_sum=bsum,
+                             boundary_dev=abs(bsum - CR),
+                             omega_dev=abs(omega - delta * CR)))
     return LemmaReport(case=case_name, CR=CR, rows=rows)
 
 
@@ -474,50 +466,51 @@ def _svg_loglog(path, xlabel: str, ylabel: str,
     Path(path).write_text("\n".join(parts))
 
 
-def emit_report(report: ConvergenceReport, out_dir) -> tuple[Path, Path]:
-    """Write converge.csv (one row per run, slope trailer) and converge.svg."""
-    if not report.rows:
+def _write_report(out_dir, stem: str, header: str, rows: list[tuple],
+                  trailers: Callable[[], dict[str, float]],
+                  plot: Callable[[], tuple]) -> tuple[Path, Path]:
+    """Write stem.csv (header, one line per row, a #key=value line per
+    trailer, each float as its repr) and stem.svg, _svg_loglog(*plot()).
+    trailers and plot are called once there are rows for their fits."""
+    if not rows:
         raise ValueError("report has no rows; nothing to write")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "converge.csv"
-    lines = ["case,mode,variant,t,delta,n0,m0,seed,e2,iters,wall_ms"]
-    rows = sorted(report.rows, key=lambda r: (-r.delta, r.seed))
-    for r in rows:
-        lines.append(f"{report.case},{report.mode},{report.variant},{r.t},"
-                     f"{r.delta!r},{r.n0},{r.m0},{r.seed},{r.e2!r},{r.iters},"
-                     f"{r.wall_ms:.1f}")
-    lines.append(f"#slope={report.slope!r}")
+    csv_path, svg_path = out / f"{stem}.csv", out / f"{stem}.svg"
+    lines = [header]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
+    lines += [f"#{key}={float(v)!r}" for key, v in trailers().items()]
     csv_path.write_text("\n".join(lines) + "\n")
-
-    svg_path = out / "converge.svg"
-    _svg_loglog(svg_path, "horizon delta", "relative L2 error e2",
-                sorted((d, m) for _, d, m in report.medians()), report.fit(),
-                f"{report.case} {report.mode}"
-                + (f" / {report.variant}" if report.variant != "none" else "")
-                + " convergence")
+    _svg_loglog(svg_path, *plot())
     return csv_path, svg_path
+
+
+def emit_report(report: ConvergenceReport, out_dir) -> tuple[Path, Path]:
+    """Write converge.csv (one row per run, slope trailer) and converge.svg."""
+    variant = f" / {report.variant}" if report.variant != "none" else ""
+    return _write_report(
+        out_dir, "converge",
+        "case,mode,variant,t,delta,n0,m0,seed,e2,iters,wall_ms",
+        [(report.case, report.mode, report.variant, r.t, r.delta, r.n0, r.m0,
+          r.seed, r.e2, r.iters, f"{r.wall_ms:.1f}")
+         for r in sorted(report.rows, key=lambda r: (-r.delta, r.seed))],
+        lambda: {"slope": report.slope},
+        lambda: ("horizon delta", "relative L2 error e2",
+                 sorted((d, m) for _, d, m in report.medians()), report.fit(),
+                 f"{report.case} {report.mode}{variant} convergence"))
 
 
 def emit_lemma_report(report: LemmaReport, out_dir) -> tuple[Path, Path]:
     """Write lemmas.csv and lemmas.svg (both deviation series)."""
-    if not report.rows:
-        raise ValueError("report has no rows; nothing to write")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "lemmas.csv"
-    lines = ["delta,boundary_sum,boundary_dev,omega_dev"]
-    for r in report.rows:
-        lines.append(f"{r.delta!r},{r.boundary_sum!r},{r.boundary_dev!r},"
-                     f"{r.omega_dev!r}")
-    lines.append(f"#CR={report.CR!r}")
-    lines.append(f"#order_boundary={report.boundary_order!r}")
-    lines.append(f"#order_omega={report.omega_order!r}")
-    csv_path.write_text("\n".join(lines) + "\n")
-    svg_path = out / "lemmas.svg"
-    pts = [(r.delta, r.boundary_dev) for r in report.rows]
-    _svg_loglog(svg_path, "horizon delta", "|boundary sum - C_R|", pts,
-                report.fit("boundary_dev"),
-                f"boundary kernel sum deviation (omega order "
-                f"{report.omega_order:.2f})")
-    return csv_path, svg_path
+    return _write_report(
+        out_dir, "lemmas", "delta,boundary_sum,boundary_dev,omega_dev",
+        [(r.delta, r.boundary_sum, r.boundary_dev, r.omega_dev)
+         for r in report.rows],
+        lambda: {"CR": report.CR, "order_boundary": report.boundary_order,
+                 "order_omega": report.omega_order},
+        lambda: ("horizon delta", "|boundary sum - C_R|",
+                 [(r.delta, r.boundary_dev) for r in report.rows],
+                 report.fit("boundary_dev"),
+                 f"boundary kernel sum deviation (omega order "
+                 f"{report.omega_order:.2f})"))

@@ -84,8 +84,8 @@ class VariantConfig:
     nonlinear_solve (the names date from the damped Picard iteration it
     replaced): at most picard_max steps, an integer >= 1, each line search
     starting at theta, stopping once a step moves no entry by more than
-    picard_tol, finite and > 0.  f is the forcing, the case's own by
-    default.
+    picard_tol, finite and > 0.  No number may be a bool.  f is the
+    forcing, the case's own by default.
     """
 
     kind: str = "nonlinear"
@@ -100,6 +100,10 @@ class VariantConfig:
         if self.kind != "nonlinear":
             raise ValueError(f"VariantConfig configures the nonlinear model, "
                              f"not {self.kind!r}")
+        for name in ("lam", "p", "theta", "picard_tol", "picard_max"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} = {getattr(self, name)!r}: a bool "
+                                 f"is not a number")
         if callable(self.lam) or not (np.isfinite(self.lam)
                                       and self.lam > 0.0):
             raise ValueError("nonlinear model requires a constant lambda, "

@@ -1,20 +1,31 @@
 """Every demo script, and every Python block of README.md, runs to
-completion against the package in src/."""
+completion against the package in src/, and every nlpoisson command of
+README.md's sh blocks parses."""
 
 import functools
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from nlpoisson import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
-                           (ROOT / "README.md").read_text(),
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README,
                            flags=re.MULTILINE | re.DOTALL)
+# each command line of the sh blocks, its backslash continuations joined
+README_COMMANDS = [
+    line.strip()
+    for block in re.findall(r"^```sh\n(.*?)^```$", README,
+                            flags=re.MULTILINE | re.DOTALL)
+    for line in block.replace("\\\n", " ").splitlines()
+    if line.strip().startswith("nlpoisson ")]
 
 
 def test_all_six_demos_found():
@@ -70,3 +81,15 @@ def test_readme_block_runs(code, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_cli_commands():
+    assert README_COMMANDS
+
+
+@pytest.mark.parametrize("command", README_COMMANDS,
+                         ids=[f"cmd{i}" for i in range(len(README_COMMANDS))])
+def test_readme_cli_command_parses(command):
+    """The flags README shows are the parser's; nothing is run."""
+    argv = shlex.split(command, comments=True)[1:]
+    cli._build_parser()[0].parse_args(argv)

@@ -26,6 +26,9 @@ from nlpoisson.harness import (
     lemma_diagnostics,
     run_single,
 )
+from nlpoisson.kernels import cosine_profile, pair_eval
+from nlpoisson.solver import DEFAULT_TOL
+from nlpoisson.variants import VariantConfig
 
 # frozen after the first verified run of hemisphere2 t=20 seed=1, full model
 GOLDEN_E2_T20_SEED1 = 0.06679031769723726
@@ -79,6 +82,29 @@ def test_run_single_golden_regression():
     row, result = run_single("hemisphere2", 20, 1)
     assert result.converged
     assert row.e2 == pytest.approx(GOLDEN_E2_T20_SEED1, rel=1e-9)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "np_bool"])
+@pytest.mark.parametrize("name", ["lam", "p", "theta", "picard_tol",
+                                  "picard_max", "tol"])
+def test_bool_is_not_a_number(name, flag):
+    """A bool is refused in every numeric run option, naming the field."""
+    if name != "tol":
+        with pytest.raises(ValueError, match=rf"{name} = .*bool"):
+            VariantConfig(**{name: flag})
+    with pytest.raises(ConfigurationError, match=rf"{name} = .*bool"):
+        HarnessOptions(**{name: flag})
+
+
+def test_integer_options_still_work():
+    assert VariantConfig(p=2, picard_max=np.int64(5)).picard_max == 5
+    assert HarnessOptions(variant="nonlinear", p=2, picard_max=np.int64(5),
+                          tol=1).p == 2
+
+
+def test_harness_defaults_are_the_models():
+    assert HarnessOptions().variant_config() == VariantConfig()
+    assert HarnessOptions().tol == DEFAULT_TOL
 
 
 def test_convergence_study_validation():
@@ -226,6 +252,26 @@ def test_lemma_diagnostics_orders():
     assert report.rows[0].delta > report.rows[-1].delta
 
 
+@pytest.mark.parametrize("delta", [0.4, 0.05])
+def test_circle_fixture_rim_points_agree(delta):
+    """The rim circle is invariant under rotation about the cap's axis, so
+    the boundary sum at any rim point is the one at point 0."""
+    case = get_case("hemisphere2")
+    n = max(4096, int(np.ceil(64.0 * case.boundary_measure / 0.05)))
+    pts, _ = harness._circle_fixture(case, n)
+    sums = [pair_eval(cosine_profile(), "dbar",
+                      ((pts - pts[k]) ** 2).sum(axis=1), delta, 2).sum()
+            for k in (0, n // 3)]
+    assert abs(sums[1] - sums[0]) <= 1e-13 * abs(sums[0])
+
+
+def test_lemma_rows_deviate_from_their_sum():
+    """Each row's deviation is its own sum's distance from C_R."""
+    report = lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05])
+    for r in report.rows:
+        assert r.boundary_dev == abs(r.boundary_sum - report.CR)
+
+
 def test_lemma_diagnostics_validation():
     with pytest.raises(ConfigurationError):
         lemma_diagnostics("hemisphere3", [0.4, 0.2, 0.1, 0.05])
@@ -236,17 +282,10 @@ def test_lemma_diagnostics_validation():
     # a repeated horizon counts once: two distinct horizons are too few
     with pytest.raises(ConfigurationError, match="distinct"):
         lemma_diagnostics("hemisphere2", [0.4, 0.4, 0.4, 0.1])
-    with pytest.raises(ConfigurationError):
-        lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05], n_boundary=50)
-    for probes in (0, -2, 2.5):
-        with pytest.raises(ConfigurationError, match="probes"):
-            lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05],
-                              probes=probes)
 
 
 def test_emit_lemma_report(tmp_path):
-    report = lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05],
-                               n_boundary=8192, probes=2)
+    report = lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05])
     csv_path, svg_path = emit_lemma_report(report, tmp_path)
     text = csv_path.read_text()
     assert "np." not in text  # plain floats, not np.float64(...) reprs
