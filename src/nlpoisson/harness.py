@@ -17,9 +17,10 @@ Reports are written as CSV plus a dependency-free SVG log-log plot.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -100,8 +101,9 @@ class HarnessOptions:
         if self.variant != "none" and self.mode != "full":
             raise ConfigurationError(
                 "variants are defined for the full model only")
-        if isinstance(self.tol, (bool, np.bool_)) or not (
-                np.isfinite(self.tol) and self.tol > 0.0):
+        if (isinstance(self.tol, (bool, np.bool_))
+                or not isinstance(self.tol, Real)
+                or not (math.isfinite(self.tol) and self.tol > 0.0)):
             raise ConfigurationError(f"tol = {self.tol!r}: need a number, not "
                                      f"a bool, finite and > 0")
         if self.g_case not in G_CASES:

@@ -78,7 +78,9 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     entries, plus W W^T = Z E^+ Z^T when S offers S.coarse_space().
     reason says why the loop stopped: "converged", "max_iter" or
     "breakdown" (p^T S p <= 0 or NaN); ok is whether the true relative
-    residual is at most tol.
+    residual is at most tol.  Started from x0 = None, the zero vector, it
+    applies S once per iteration and once for the final residual; a given
+    x0 costs one more S @ x0.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -97,8 +99,12 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             z += W @ (W.T @ r)
         return z
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - S @ x
+    if x0 is None:
+        # S 0 = 0, so the first residual is b itself, bit for bit
+        x, r = np.zeros(n), np.array(b, dtype=float)
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - S @ x
     z = precondition(r)
     p = z
     rz = float(r @ z)

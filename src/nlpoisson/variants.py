@@ -13,23 +13,30 @@ changes the right side and is built by assembly.assemble(..., g=g)):
   backtracking takes no step that raises J.  The averages a = B^T U,
   B = [Pbar^T | AZ], stack the smoothed values ubar = Pbar U and the
   boundary trace uhat = (AZ)^T U.  With the weights w = lambda |a|^(2p-2)
-  [omega2 A; omega_hat L] frozen at the iterate U, each step solves the
-  Newton system
+  [omega2 A; omega_hat L] frozen at the iterate U, the Newton system is
 
       H U* = A f_delta + (2p-2) B (w a),    H = S + B diag((2p-1) w) B^T,
 
   where H is the Hessian of J at U, and the gradient of J at U is
-  g = S U + B (w a) - A f_delta.  Each iterate is evaluated once: one
-  S U and one a = B^T U give J, and one B (w a) from them gives g, H and
-  the right side.  H and the absorption system, H at p = 1, are one
-  AbsorptionOperator: B built once, applied matrix-free with the model's
-  weights over the base system's factored operator S, and solved by
-  two-level PCG.  Each Newton system is solved only as far as its step
-  needs (inexact Newton): to the forcing term eta_k = min(FORCING_MAX,
+  g = S U + B (w a) - A f_delta = H U - (A f_delta + (2p-2) B (w a)).
+  Each step solves for its correction H D = -g from D = 0, whose
+  residual is the Newton system's at U* = U + D.  Each iterate is
+  evaluated once: one S U and one a = B^T U give J, and one B (w a) from
+  them gives g, H and the right side.  H and the absorption system, H at
+  p = 1, are one AbsorptionOperator, applied matrix-free with the
+  model's weights from the base system's blocks and solved by two-level
+  PCG.  B is never stored: the pair matrix Kbar is symmetric, so Pbar and
+  Pbar^T are two matvecs with it, and AZ is the base operator's own
+  block.  Each Newton system is solved only as far as its step needs
+  (inexact Newton): to the forcing term eta_k = min(FORCING_MAX,
   |g_k| / |A f_delta|) of the gradient g_k of J at U, which keeps the
-  convergence quadratic (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
-  Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996),
-  and the start, the base model's solution, only to START_TOL.
+  convergence quadratic from any start in the full-step region (Dembo,
+  Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982; Eisenstat &
+  Walker, SIAM J. Sci. Comput. 17, 1996).  So the start needs only to be
+  rough: the mean-zero solution of the diffusion block R_A / delta^2
+  alone, a CSR matrix that assembly holds, solved to START_TOL by CG,
+  which needs no projection on that singular block (Kaasschieter, J.
+  Comput. Appl. Math. 24, 1988).  No solve multiplies S or H out.
 
 The two-level preconditioner adds to Jacobi the Galerkin correction
 Z E^-1 Z^T on a fixed smooth coarse basis Z: the ambient polynomials of
@@ -42,8 +49,10 @@ E = Z^T H Z in O((n0 + m0) k^2) without another sparse product.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -84,8 +93,9 @@ class VariantConfig:
     nonlinear_solve (the names date from the damped Picard iteration it
     replaced): at most picard_max steps, an integer >= 1, each line search
     starting at theta, stopping once a step moves no entry by more than
-    picard_tol, finite and > 0.  No number may be a bool.  f is the
-    forcing, the case's own by default.
+    picard_tol, finite and > 0.  Each of these five is a real number, not
+    a bool, a string, None or a callable.  f is the forcing, the case's
+    own by default.
     """
 
     kind: str = "nonlinear"
@@ -101,21 +111,21 @@ class VariantConfig:
             raise ValueError(f"VariantConfig configures the nonlinear model, "
                              f"not {self.kind!r}")
         for name in ("lam", "p", "theta", "picard_tol", "picard_max"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} = {getattr(self, name)!r}: a bool "
-                                 f"is not a number")
-        if callable(self.lam) or not (np.isfinite(self.lam)
-                                      and self.lam > 0.0):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+                raise ValueError(f"{name} = {value!r}: need a number, not a "
+                                 f"{type(value).__name__}")
+        if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("nonlinear model requires a constant lambda, "
                              "finite and > 0")
-        if not (np.isfinite(self.p) and self.p >= 1.0):
+        if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ValueError("nonlinear exponent p must be finite and >= 1")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("damping theta must lie in (0, 1]")
         if not (isinstance(self.picard_max, (int, np.integer))
                 and self.picard_max >= 1):
             raise ValueError("picard_max must be an integer >= 1")
-        if not (np.isfinite(self.picard_tol) and self.picard_tol > 0.0):
+        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
             raise ValueError("picard_tol must be finite and > 0")
 
 
@@ -163,63 +173,94 @@ def smooth_basis(points: np.ndarray) -> np.ndarray:
 
 
 class AbsorptionBlocks:
-    """Fixed blocks of every absorption operator on a full-mode base system:
-    B = [Pbar^T | AZ], n0 x (n0 + m0), with the row-stochastic smoother
-    Pbar_ji = Kbar(p_j, p_i) A_i / omega2_j, omega2_j = sum_i Kbar(p_j, p_i)
-    A_i, on the Kbar pattern base.pairs, and AZ = diag(A) zeta, the base
-    operator's own block; measure = [omega2 A; omega_hat L] weighs the
-    averages a = B^T U.  BT is a view of B's arrays, and Bsq holds B's
-    squared entries on B's index arrays, for the diagonal of every
-    operator.  S is applied as base.operator, and its diagonal S_diagonal
-    kept once for the Jacobi part of every solve.  Z is the smooth coarse
-    basis of the two-level PCG, with its products Z^T S Z and B^T Z."""
+    """Fixed blocks of every absorption operator on a full-mode base system.
+
+    The averages a = B^T x, B = [Pbar^T | AZ], n0 x (n0 + m0), stack the
+    smoothed values Pbar x over the boundary trace AZ^T x: Pbar_ji =
+    Kbar(p_j, p_i) A_i / omega2_j, omega2_j = sum_i Kbar(p_j, p_i) A_i, is
+    the row-stochastic smoother on the Kbar pattern base.pairs, and AZ =
+    diag(A) zeta is the base operator's own block.  B is not stored: Kbar
+    is symmetric, so Pbar x = (Kbar (A x)) / omega2 and Pbar^T y =
+    A (Kbar (y / omega2)).  measure = [omega2 A; omega_hat L] weighs the
+    averages.  Kbar_sq holds Kbar's squared entries on Kbar's index arrays
+    and AZ_sq AZ's, for the diagonal of every operator, and S_diagonal is
+    the base operator's diagonal, kept once for the Jacobi part of every
+    solve.  Z is the smooth coarse basis of the two-level PCG, with its
+    products Z^T S Z and B^T Z."""
 
     def __init__(self, base: NonlocalSystem):
         self.base = base
-        Kbar = base.pairs
-        self.omega2 = Kbar @ base.A
+        S = base.operator
+        self.Kbar, self.AZ, self.AZT = base.pairs, S.AZ, S.AZT
+        self.omega2 = self.Kbar @ base.A
         if np.any(self.omega2 <= 0.0):
             j = int(np.argmin(self.omega2))
             raise ValueError(f"smoothing mass w2({j}) = {self.omega2[j]:.3e} <= 0")
-        # Pbar^T_ij = A_i Kbar_ij / omega2_j, on the pattern
-        PbarT = sparse.csr_matrix(
-            (np.repeat(base.A, np.diff(Kbar.indptr)) * Kbar.data
-             * (1.0 / self.omega2)[Kbar.indices], Kbar.indices, Kbar.indptr),
-            shape=Kbar.shape)
-        S = base.operator
-        self.B = sparse.hstack([PbarT, S.AZ], format="csr")
-        # sorted once: AZ's columns come out of the product unsorted, and a
-        # later in-place sort would change the view BT under a running solve
-        self.B.sort_indices()
-        self.BT = self.B.T
-        self.Bsq = sparse.csr_matrix(
-            (self.B.data ** 2, self.B.indices, self.B.indptr), shape=self.B.shape)
+        self.Kbar_sq = sparse.csr_matrix(
+            (self.Kbar.data ** 2, self.Kbar.indices, self.Kbar.indptr),
+            shape=self.Kbar.shape)
+        # its own index arrays: AZ's columns come out of assembly unsorted,
+        # and an in-place sort of AZ would not reorder a shared copy's data
+        self.AZ_sq = self.AZ.multiply(self.AZ).tocsr()
         self.measure = np.concatenate([self.omega2 * base.A,
                                        base.coupling.omega_hat * base.coupling.L])
         self.S_diagonal = S.diagonal()
         self.Z = smooth_basis(base.cloud.points)
         self.ZtSZ = self.Z.T @ (S @ self.Z)
-        self.BtZ = self.BT @ self.Z
+        self.BtZ = np.vstack([
+            (self.Kbar @ (base.A[:, None] * self.Z)) / self.omega2[:, None],
+            self.AZT @ self.Z])
+
+    def averages(self, x: np.ndarray) -> np.ndarray:
+        """a = B^T x: the smoothed values Pbar x over the trace AZ^T x."""
+        return np.concatenate([(self.Kbar @ (self.base.A * x)) / self.omega2,
+                               self.AZT @ x])
+
+    def spread(self, y: np.ndarray) -> np.ndarray:
+        """B y = Pbar^T y_int + AZ y_bnd, the adjoint of averages()."""
+        n0 = len(self.omega2)
+        return (self.base.A * (self.Kbar @ (y[:n0] / self.omega2))
+                + self.AZ @ y[n0:])
 
 
 @dataclass(eq=False)
 class AbsorptionOperator:
     """S + B diag(w) B^T, applied matrix-free from fixed AbsorptionBlocks:
     the lambda model and each Newton step differ only in the weights w,
-    one per average.  coarse_space() gives the two-level PCG its
-    Galerkin matrix; materialize() multiplies the operator out, for export
-    and tests."""
+    one per average.  With v = AZ^T x computed once, it applies
+
+        R_A x / delta^2 + AZ (2 RbarL v + w_bnd v)
+                        + A Kbar ((w_int / omega2^2) Kbar (A x)),
+
+    the base operator's blocks and the boundary absorption sharing AZ.
+    coarse_space() gives the two-level PCG its Galerkin matrix;
+    materialize() multiplies the operator out, for export and tests."""
 
     blocks: AbsorptionBlocks
     w: np.ndarray
 
+    def __post_init__(self):
+        n0 = len(self.blocks.omega2)
+        self._w_int = self.w[:n0] / self.blocks.omega2 ** 2
+        self._w_bnd = self.w[n0:]
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         b = self.blocks
-        return b.base.operator @ x + b.B @ (self.w * (b.BT @ x))
+        S, A = b.base.operator, b.base.A
+        v = b.AZT @ x
+        u = S.RbarL @ v
+        u *= 2.0
+        u += self._w_bnd * v
+        y = S.RA @ x
+        y += b.AZ @ u
+        y += A * (b.Kbar @ (self._w_int * (b.Kbar @ (A * x))))
+        return y
 
     def diagonal(self) -> np.ndarray:
+        """diag(S) + A^2 (Kbar_sq (w_int / omega2^2)) + AZ_sq w_bnd."""
         b = self.blocks
-        return b.S_diagonal + b.Bsq @ self.w
+        return (b.S_diagonal + b.base.A ** 2 * (b.Kbar_sq @ self._w_int)
+                + b.AZ_sq @ self._w_bnd)
 
     def coarse_space(self) -> tuple[np.ndarray, np.ndarray]:
         """The blocks' coarse basis Z and E = Z^T (S + B diag(w) B^T) Z,
@@ -230,9 +271,16 @@ class AbsorptionOperator:
 
     def materialize(self) -> sparse.csr_matrix:
         """The operator multiplied out by symmetric_product, on the base
-        system's matrix S."""
+        system's matrix S and a B built for this call alone."""
         b = self.blocks
-        return (b.base.S + symmetric_product(b.B, sparse.diags(self.w))).tocsr()
+        Kbar, A = b.Kbar, b.base.A
+        # Pbar^T_ij = A_i Kbar_ij / omega2_j, on the pattern
+        PbarT = sparse.csr_matrix(
+            (np.repeat(A, np.diff(Kbar.indptr)) * Kbar.data
+             * (1.0 / b.omega2)[Kbar.indices], Kbar.indices, Kbar.indptr),
+            shape=Kbar.shape)
+        B = sparse.hstack([PbarT, b.AZ], format="csr")
+        return (b.base.S + symmetric_product(B, sparse.diags(self.w))).tocsr()
 
 
 class _NonlinearWork(AbsorptionBlocks):
@@ -260,7 +308,7 @@ class _NonlinearWork(AbsorptionBlocks):
         """
         lam, p = float(self.config.lam), self.config.p
         SU = self.base.operator @ U
-        a = self.BT @ U
+        a = self.averages(U)
         # the diffusion (1/4 delta^2) sum_ij (u_i - u_j)^2 K A A plus
         # V^T RbarL V is U^T S U / 2: S = RA / delta^2 + 2 AZ RbarL AZ^T
         # and V = AZ^T U
@@ -283,7 +331,7 @@ class _NonlinearWork(AbsorptionBlocks):
         """
         lam, p = float(self.config.lam), self.config.p
         w = lam * np.abs(a) ** (2.0 * p - 2.0) * self.measure
-        Bwa = self.B @ (w * a)
+        Bwa = self.spread(w * a)
         hessian = AbsorptionOperator(self, (2.0 * p - 1.0) * w)
         # scaling B (w a), not B, keeps the product a matvec
         return SU + Bwa - self.rhs, hessian, self.rhs + (2.0 * p - 2.0) * Bwa
@@ -294,15 +342,17 @@ def nonlinear_solve(cloud: PointCloud, *,
                     config: VariantConfig | None = None) -> SolveResult:
     """Damped Newton iteration on the discrete energy J.
 
-    The start is the base model's mean-zero solution, solved to a relative
-    residual of START_TOL.  Each step solves the Newton system H U* = ...
-    of the module docstring by two-level PCG started from U, without
-    forming H, to a residual of at most max(INNER_TOL |b|, eta |g|), with
-    g the gradient of J at U and eta = min(FORCING_MAX, |g| / |A f_delta|);
-    a CG iterate started at U lowers the Newton model, so the step
-    descends.  It moves to U + theta (U* - U), theta starting at
-    config.theta and halved until J does not rise; should J still rise
-    once theta max|U* - U| <= config.picard_tol, or the step be
+    The start is the mean-zero solution of the diffusion block R_A /
+    delta^2 alone, work.base.operator.RA, solved by CG to a relative
+    residual of START_TOL and then shifted to A-weighted mean zero; S is
+    never multiplied out.  Each step solves for the correction D of the
+    module docstring, H D = -g with g the gradient of J at U, by two-level
+    PCG started from D = 0, without forming H, to a residual of at most
+    max(INNER_TOL |b|, eta |g|), with b the Newton system's right side and
+    eta = min(FORCING_MAX, |g| / |A f_delta|); a CG iterate started at 0
+    lowers the Newton model, so D descends.  It moves to U + theta D,
+    theta starting at config.theta and halved until J does not rise;
+    should J still rise once theta max|D| <= config.picard_tol, or D be
     non-finite, U stays and the iteration stops, so energy_history never
     rises.  At most config.picard_max steps are taken.  Each iterate is
     evaluated once: J, S U and B^T U at every trial, and the gradient, H
@@ -325,12 +375,11 @@ def nonlinear_solve(cloud: PointCloud, *,
                            energy_history=[work.energy(U)[0]],
                            inner_iterations=0, inner_misses=0)
 
-    # start from the base model's mean-zero solution (solve_mean_zero's
-    # CG and shift, without the boundary trace it would add).  This solve
-    # alone applies the multiplied-out matrix S, not the operator:
-    # perfbench's traced runs wrap this module's cg and size its operand
-    # as a CSR matrix
-    U, _, inner_iterations, ok, _ = cg(work.base.S, work.base.rhs,
+    # start from the diffusion block's mean-zero solution: CG on the CSR
+    # block R_A / delta^2, which assemble holds (perfbench's traced runs
+    # wrap this module's cg and size its operand as a CSR matrix), and
+    # the mean shift
+    U, _, inner_iterations, ok, _ = cg(work.base.operator.RA, work.base.rhs,
                                        tol=START_TOL)
     U = U - float(U @ cloud.A / cloud.A.sum())
     inner_misses = int(not ok)
@@ -340,18 +389,20 @@ def nonlinear_solve(cloud: PointCloud, *,
     for steps in range(1, config.picard_max + 1):
         g, hessian, b = work.newton(SU, a)
         gnorm = float(np.linalg.norm(g))
-        # stop once |b - H U*| <= max(INNER_TOL |b|, eta |g|)
-        tol = min(FORCING_MAX, gnorm / rnorm) * gnorm
-        bnorm = float(np.linalg.norm(b))
-        rel = max(INNER_TOL, tol / bnorm) if bnorm > 0.0 else INNER_TOL
-        inner = solve_spd(replace(work.base, operator=hessian, rhs=b),
-                          tol=rel, max_iter=20 * len(U), x0=U)
+        # H D = -g from D = 0, whose residual b - H (U + D) is the Newton
+        # system's: stop once it is at most max(INNER_TOL |b|, eta |g|)
+        tol = max(INNER_TOL * float(np.linalg.norm(b)),
+                  min(FORCING_MAX, gnorm / rnorm) * gnorm)
+        inner = solve_spd(replace(work.base, operator=hessian, rhs=-g),
+                          tol=tol / gnorm if gnorm > 0.0 else INNER_TOL,
+                          max_iter=20 * len(U))
         inner_iterations += inner.iterations
         inner_misses += int(not inner.converged)
-        full_step = float(np.max(np.abs(inner.U - U)))
+        step = inner.U
+        full_step = float(np.max(np.abs(step)))
         theta = config.theta
         while True:
-            trial = (1.0 - theta) * U + theta * inner.U
+            trial = U + theta * step
             with np.errstate(over="ignore"):  # an infinite J is rejected
                 evaluated = work.energy(trial)
             if evaluated[0] <= energies[-1] + slack * max(1.0, abs(energies[-1])):

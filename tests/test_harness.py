@@ -1,6 +1,7 @@
 """Error metric, sweeps, kernel-order diagnostics, reports, and the CLI."""
 
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ def test_bool_is_not_a_number(name, flag):
             VariantConfig(**{name: flag})
     with pytest.raises(ConfigurationError, match=rf"{name} = .*bool"):
         HarnessOptions(**{name: flag})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("lam", "1.0"), ("lam", None), ("p", "1.5"), ("theta", None),
+    ("picard_tol", None), ("picard_tol", "1e-10"), ("picard_max", "5"),
+    ("tol", "1e-8"), ("tol", None)])
+def test_non_number_names_its_field(name, value):
+    """A string or None in a numeric run option is refused with an error
+    naming the field, not NumPy's TypeError."""
+    if name != "tol":
+        with pytest.raises(ValueError, match=rf"{name} = {value!r}"):
+            VariantConfig(**{name: value})
+    with pytest.raises(ConfigurationError, match=rf"{name} = {value!r}"):
+        HarnessOptions(**{name: value})
+
+
+def test_any_real_number_is_a_number():
+    """A number of any real type passes the checks, a Fraction included."""
+    assert VariantConfig(lam=Fraction(1, 2), p=Fraction(3, 2)).lam == 0.5
+    assert HarnessOptions(tol=Fraction(1, 10 ** 8)).tol == Fraction(1, 10 ** 8)
 
 
 def test_integer_options_still_work():

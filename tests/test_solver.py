@@ -146,6 +146,36 @@ def test_max_iter_flags_nonconvergence(small_system):
     assert res.reason == "max_iter"
 
 
+class _Counted:
+    """An operator that counts how often it is applied."""
+
+    def __init__(self, op):
+        self.op, self.applied = op, 0
+
+    def __matmul__(self, x):
+        self.applied += 1
+        return self.op @ x
+
+    def diagonal(self):
+        return self.op.diagonal()
+
+
+def test_cg_from_zero_skips_the_first_apply(medium_system):
+    """From x0 = None, cg applies its operator once per iteration and once
+    for the final residual, iterations + 1 times in all; an explicit zero
+    x0 applies it once more, for S @ 0, and gives the same solve bit for
+    bit."""
+    runs = []
+    for x0 in (None, np.zeros(len(medium_system.rhs))):
+        op = _Counted(medium_system.operator)
+        runs.append((cg(op, medium_system.rhs, x0=x0), op.applied))
+    (x, rel, it, ok, reason), applied = runs[0]
+    assert ok and reason == "converged" and applied == it + 1
+    (x_z, rel_z, it_z, _, _), applied_z = runs[1]
+    assert applied_z == applied + 1 and it_z == it
+    assert np.array_equal(x, x_z) and rel == rel_z
+
+
 def test_reason_breakdown_on_indefinite_system():
     """p^T S p = 1 - 4 < 0 on the first direction: the loop stops there."""
     S = sparse.csr_matrix(np.diag([1.0, -1.0]))

@@ -216,8 +216,7 @@ def test_one_pair_search_per_point_set(variant, mode, monkeypatch):
     """A solve makes one neighbour search, on one kd-tree over all n0
     cloud points; the boundary and point-boundary pairs are taken from it.
     It multiplies out no block product: S and the absorption operators are
-    applied from their blocks.  Only the nonlinear model's start solve
-    still multiplies out S's boundary block, once."""
+    applied from their blocks, and the nonlinear model starts on R_A."""
     calls = {"_sym_pairs": [], "cKDTree": [], "symmetric_product": []}
 
     def counted(name):
@@ -236,22 +235,21 @@ def test_one_pair_search_per_point_set(variant, mode, monkeypatch):
         warnings.simplefilter("ignore", UserWarning)
         row, _ = run_single("hemisphere2", 5, 1,
                             HarnessOptions(variant=variant, mode=mode))
-    products = [row.n0] if variant == "nonlinear" else []
     assert calls == {"_sym_pairs": [row.n0], "cKDTree": [row.n0],
-                     "symmetric_product": products}
+                     "symmetric_product": []}
 
 
 @pytest.mark.parametrize("case,t", [("hemisphere2", 10), ("hemisphere3", 4)])
 def test_every_block_on_the_one_pattern(case, t):
     """Every block is built on the one Kbar pattern of the pair search: the
-    reduced-mode S (R_A) and Pbar^T = B[:, :n0] hold exactly its entries,
-    RbarL those of its trailing m0 x m0 block, and zeta only entries of
-    its last m0 columns."""
+    reduced-mode S (R_A) and the absorption blocks' squared smoother
+    entries Kbar_sq hold exactly its entries, RbarL those of its trailing
+    m0 x m0 block, and zeta only entries of its last m0 columns."""
     cloud = build_cloud(case, t, 1)
     full = assemble(cloud)
     pairs = full.pairs
     n0, nb = cloud.n0, cloud.n0 - cloud.m0
-    same = (assemble(cloud, mode="reduced").S, AbsorptionBlocks(full).B[:, :n0],
+    same = (assemble(cloud, mode="reduced").S, AbsorptionBlocks(full).Kbar_sq,
             full.coupling.RbarL)
     for block, pattern in zip(same, (pairs, pairs, pairs[nb:, nb:])):
         assert np.array_equal(block.indptr, pattern.indptr)
@@ -262,15 +260,28 @@ def test_every_block_on_the_one_pattern(case, t):
 
 
 @pytest.mark.parametrize("case,t", [("hemisphere2", 10), ("hemisphere3", 4)])
-def test_absorption_blocks_hold_B_once(case, t):
-    """B is stored once, in canonical order, and BT is a view of its arrays."""
-    blocks = AbsorptionBlocks(assemble(build_cloud(case, t, 1)))
-    assert blocks.B.has_canonical_format
-    assert np.shares_memory(blocks.BT.data, blocks.B.data)
+def test_absorption_blocks_hold_no_B(case, t):
+    """B is not stored: the blocks apply it from the base system's own
+    Kbar pattern and AZ block, and averages() and spread() apply B^T and
+    B, B = [Pbar^T | AZ] multiplied out densely from the pairs and the
+    coupling."""
+    base = assemble(build_cloud(case, t, 1))
+    blocks = AbsorptionBlocks(base)
+    assert not any(hasattr(blocks, name) for name in ("B", "BT", "Bsq"))
+    assert blocks.Kbar is base.pairs and blocks.AZ is base.operator.AZ
+    cloud = base.cloud
+    Kbar = base.pairs.toarray()
+    B = np.hstack([(Kbar * cloud.A[None, :] / (Kbar @ cloud.A)[:, None]).T,
+                   cloud.A[:, None] * base.coupling.zeta.toarray()])
+    local = np.random.default_rng(7)
+    x = local.standard_normal(cloud.n0)
+    y = local.standard_normal(cloud.n0 + cloud.m0)
+    for got, want in ((blocks.averages(x), B.T @ x), (blocks.spread(y), B @ y)):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_absorption_operator_unchanged_by_its_diagonal(small_cloud, rng):
-    """The first diagonal() call leaves B and its view as they were: the
+    """The first diagonal() call leaves the blocks as they were: the
     apply, the diagonal and materialize() agree bit for bit before and
     after it."""
     op = assemble_lambda(small_cloud, lam=1.0).operator
@@ -284,18 +295,25 @@ def test_absorption_operator_unchanged_by_its_diagonal(small_cloud, rng):
 
 
 def test_absorption_diagonal_reads_cached_squares(medium_cloud):
-    """The operator's diagonal reads B's squared entries, stored once on
-    B's own index arrays, and equals S_diagonal + B.power(2) @ w bit for
-    bit, on the lambda model and on a Newton Hessian."""
+    """The operator's diagonal reads Kbar's and AZ's squared entries,
+    cached once, Kbar_sq on Kbar's own index arrays, and equals
+    S_diagonal + B.power(2) @ w, B = [Pbar^T | AZ] built densely, to
+    1e-14, on the lambda model and on a Newton Hessian."""
     lam = assemble_lambda(medium_cloud, lam=1.0).operator
     work = _NonlinearWork(medium_cloud, cosine_profile(), VariantConfig())
     U = solve_mean_zero(work.base, tol=1e-3).U
     _, hessian, _ = work.newton(*work.energy(U)[1:])
     for op in (lam, hessian):
         b = op.blocks
-        assert np.shares_memory(b.Bsq.indices, b.B.indices)
-        assert np.shares_memory(b.Bsq.indptr, b.B.indptr)
-        assert np.array_equal(op.diagonal(), b.S_diagonal + b.B.power(2) @ op.w)
+        assert np.shares_memory(b.Kbar_sq.indices, b.Kbar.indices)
+        assert np.shares_memory(b.Kbar_sq.indptr, b.Kbar.indptr)
+        assert np.array_equal(b.Kbar_sq.data, b.Kbar.data ** 2)
+        assert np.array_equal(b.AZ_sq.toarray(), b.AZ.toarray() ** 2)
+        Kbar = b.Kbar.toarray()
+        B = np.hstack([(Kbar * medium_cloud.A[None, :] / b.omega2[:, None]).T,
+                       b.AZ.toarray()])
+        want = b.S_diagonal + (B ** 2) @ op.w
+        assert np.abs(op.diagonal() - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_nonhomogeneous_compatibility_warning(small_cloud):
@@ -426,8 +444,8 @@ def test_inexact_newton_matches_tight_inner_solves(t, seed, monkeypatch,
 
 
 def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
-    """A step of size zero is not convergence while the residual is large,
-    and a NaN step stops the line search, where theta used to halve
+    """A zero correction is not convergence while the residual is large,
+    and a NaN correction stops the line search, where theta used to halve
     without end: either way U stays at the start and the solve stalls."""
     energy, trials = variants._NonlinearWork.energy, []
 
@@ -438,15 +456,57 @@ def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
 
     monkeypatch.setattr(variants._NonlinearWork, "energy", bounded)
     config = manufactured_config()
-    for scale in (1.0, np.nan):
-        monkeypatch.setattr(variants, "solve_spd", lambda system, tol, max_iter, x0:
-                            SolveResult(U=scale * x0, V=None, residual=0.0,
-                                        iterations=0, converged=True))
+    for scale in (0.0, np.nan):
+        monkeypatch.setattr(variants, "solve_spd", lambda system, tol, max_iter:
+                            SolveResult(U=np.full(len(system.rhs), scale),
+                                        V=None, residual=0.0, iterations=0,
+                                        converged=True))
         trials.clear()
         res = nonlinear_solve(small_cloud, config=config)
         assert res.iterations == 1 and res.reason == "stalled"
         assert res.converged is False and res.residual > config.picard_tol
         assert np.array_equal(res.U, trials[0])
+
+
+def test_nonlinear_solve_multiplies_nothing_out(monkeypatch):
+    """A nonlinear run, start and Newton steps, applies every operator from
+    its blocks: neither S nor a Hessian is ever multiplied out."""
+    def refuse(self):
+        raise AssertionError("materialize() called")
+
+    monkeypatch.setattr(assembly.NeumannOperator, "materialize", refuse)
+    monkeypatch.setattr(AbsorptionOperator, "materialize", refuse)
+    _, res = run_single("hemisphere2", 20, 1,
+                        HarnessOptions(variant="nonlinear"))
+    assert res.converged and res.reason == "converged"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_start_on_RA_matches_start_on_the_operator(seed, monkeypatch):
+    """hemisphere2 t=40: the start solve on the CSR block R_A / delta^2
+    takes as many Newton steps as one on the base operator S, and ends at
+    the same U to 1e-10 relative."""
+    cloud = build_cloud("hemisphere2", 40, seed)
+    config = manufactured_config()
+    res = nonlinear_solve(cloud, config=config)
+    systems = []
+
+    def recorded(*args, **kwargs):
+        systems.append(assemble(*args, **kwargs))
+        return systems[-1]
+
+    def on_operator(S, b, **kwargs):
+        assert S is systems[-1].operator.RA
+        return cg(systems[-1].operator, b, **kwargs)
+
+    monkeypatch.setattr(variants, "assemble", recorded)
+    monkeypatch.setattr(variants, "cg", on_operator)
+    ref = nonlinear_solve(cloud, config=config)
+    assert len(systems) == 1
+    for r in (res, ref):
+        assert r.reason == "converged" and r.inner_misses == 0
+    assert res.iterations == ref.iterations
+    assert np.linalg.norm(res.U - ref.U) <= 1e-10 * np.linalg.norm(ref.U)
 
 
 def test_nonlinear_reason_max_iter():
@@ -499,7 +559,7 @@ def test_frozen_operator_matches_materialized(cloud_name, weights, request,
     E_want = Z.T @ dense @ Z
     assert np.abs(E - E_want).max() <= 1e-13 * np.abs(E_want).max()
     a_want = np.concatenate([Pbar @ x, boundary_trace(base.coupling, cloud.A, x)])
-    a = op.blocks.BT @ x
+    a = op.blocks.averages(x)
     assert np.linalg.norm(a - a_want) <= 1e-14 * np.linalg.norm(a_want)
 
 
