@@ -80,7 +80,8 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     "breakdown" (p^T S p <= 0 or NaN); ok is whether the true relative
     residual is at most tol.  Started from x0 = None, the zero vector, it
     applies S once per iteration and once for the final residual; a given
-    x0 costs one more S @ x0.
+    x0 costs one more S @ x0.  A zero start that already meets tol (tol >=
+    1) returns at once, without reading S at all.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -88,6 +89,9 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0, True, "converged"
+    if x0 is None and bnorm <= tol * bnorm:
+        # the zero start's residual is b itself, so it already meets tol
+        return np.zeros(n), 1.0, 0, True, "converged"
 
     d = S.diagonal()
     dinv = 1.0 / np.where(d > 0, d, 1.0)

@@ -38,6 +38,18 @@ changes the right side and is built by assembly.assemble(..., g=g)):
   which needs no projection on that singular block (Kaasschieter, J.
   Comput. Appl. Math. 24, 1988).  No solve multiplies S or H out.
 
+The model has no mean-zero constraint, and H controls the constant mode
+only weakly, so a Newton step alone would spend most of its length on
+that constant.  The start and each iterate after an accepted step are
+instead moved to U + c 1, c the minimizer of J along the constants,
+found exactly (a nonlinear coarse correction, after Cai & Keyes, SIAM J.
+Sci. Comput. 24, 2002).  It costs no sparse product: S 1 = 0 and
+e = B^T 1 = 1 up to rounding (Pbar is row-stochastic, zeta normalized by
+omega_hat), so J(U + c 1) is a strictly convex function of c that reads
+only a = B^T U, and the shifted products S U + c S 1 and a + c e come
+from S 1 and e, kept once.  The discrete solution, the unique minimizer
+of J, is the same.
+
 The two-level preconditioner adds to Jacobi the Galerkin correction
 Z E^-1 Z^T on a fixed smooth coarse basis Z: the ambient polynomials of
 degree <= COARSE_DEGREE on the cloud, orthonormalized (nlpoisson.solver
@@ -297,18 +309,25 @@ class _NonlinearWork(AbsorptionBlocks):
         super().__init__(assemble(cloud, profile=profile, mode="full",
                                   f=config.f))
         self.rhs = cloud.A * self.base.f_delta
+        # the products of the constant vector, 0 and 1 up to rounding,
+        # which shift S U and B^T U along the constants
+        ones = np.ones(cloud.n0)
+        self.S1, self.e = self.base.operator @ ones, self.averages(ones)
 
     def energy(self, U: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """The discrete energy J(U), whose critical points solve the
         discrete model, with the two products it reads, S U and the
-        averages a = B^T U, for newton().
+        averages a = B^T U, for newton()."""
+        SU, a = self.base.operator @ U, self.averages(U)
+        return self._energy(U, SU, a), SU, a
+
+    def _energy(self, U: np.ndarray, SU: np.ndarray, a: np.ndarray) -> float:
+        """J(U) from its products S U and a = B^T U.
 
         Three terms: U^T S U / 2, the absorption over the averages a,
         minus the source pairing.
         """
         lam, p = float(self.config.lam), self.config.p
-        SU = self.base.operator @ U
-        a = self.averages(U)
         # the diffusion (1/4 delta^2) sum_ij (u_i - u_j)^2 K A A plus
         # V^T RbarL V is U^T S U / 2: S = RA / delta^2 + 2 AZ RbarL AZ^T
         # and V = AZ^T U
@@ -316,7 +335,56 @@ class _NonlinearWork(AbsorptionBlocks):
         absorption = lam / (2.0 * p) * float(
             self.measure @ np.abs(a) ** (2.0 * p))
         source = -float((U * self.base.f_delta) @ self.base.A)
-        return quad + absorption + source, SU, a
+        return quad + absorption + source
+
+    def constant_shift(self, a: np.ndarray) -> float:
+        """The c minimizing J(U + c 1) at averages a = B^T U.
+
+        S 1 = 0 and e = B^T 1 = 1 up to rounding, so J(U + c 1) is J(U)
+        plus lam / 2p sum_k mu_k (|a_k + c e_k|^2p - |a_k|^2p) - c sum(A f),
+        mu = measure, strictly convex in c.  Its derivative vanishes where
+        lam sum_k mu_k e_k psi(a_k + c e_k) = sum(A f), psi(x) = x |x|^(2p-2).
+        As psi(e x) = psi(e) psi(x), that root lies within
+        psi^-1(sum(A f) / (lam sum_k mu_k e_k^2p)) - [max, min] of a / e.
+        Newton's method, safeguarded by bisection on that bracket, finds it
+        without evaluating a power outside it, so nothing overflows.
+        """
+        lam, p = float(self.config.lam), self.config.p
+        e, mu_e = self.e, self.measure * self.e
+        force = float(self.rhs.sum())
+        q = force / (lam * float(mu_e @ e ** (2.0 * p - 1.0)))
+        centre = math.copysign(abs(q) ** (1.0 / (2.0 * p - 1.0)), q)
+        r = a / e
+        lo, hi = centre - float(r.max()), centre - float(r.min())
+        # rounding on entries of U + c of this size
+        tiny = 4.0 * np.finfo(float).eps * (abs(centre) + float(np.abs(r).max()))
+        c = min(max(0.0, lo), hi)
+        for _ in range(100):
+            if not hi - lo > tiny:
+                break
+            x = a + c * e
+            power = np.abs(x) ** (2.0 * p - 2.0)
+            slope = lam * float(mu_e @ (power * x)) - force
+            if slope == 0.0:
+                break
+            lo, hi = (lo, c) if slope > 0.0 else (c, hi)
+            curvature = lam * (2.0 * p - 1.0) * float((mu_e * e) @ power)
+            previous = c
+            c = c - slope / curvature if curvature > 0.0 else math.nan
+            if not lo < c < hi:  # a Newton step out of the bracket bisects
+                c = 0.5 * (lo + hi)
+            elif abs(c - previous) <= tiny:
+                break
+        return c
+
+    def settle(self, U: np.ndarray, SU: np.ndarray, a: np.ndarray
+               ) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+        """U + c 1 with c = constant_shift(a), with its energy and products
+        S U + c S 1 and a + c e, as energy() gives them, without another
+        sparse product."""
+        c = self.constant_shift(a)
+        U, SU, a = U + c, SU + c * self.S1, a + c * self.e
+        return U, self._energy(U, SU, a), SU, a
 
     def newton(self, SU: np.ndarray, a: np.ndarray
                ) -> tuple[np.ndarray, AbsorptionOperator, np.ndarray]:
@@ -342,9 +410,9 @@ def nonlinear_solve(cloud: PointCloud, *,
                     config: VariantConfig | None = None) -> SolveResult:
     """Damped Newton iteration on the discrete energy J.
 
-    The start is the mean-zero solution of the diffusion block R_A /
-    delta^2 alone, work.base.operator.RA, solved by CG to a relative
-    residual of START_TOL and then shifted to A-weighted mean zero; S is
+    The start is the solution of the diffusion block R_A / delta^2 alone,
+    work.base.operator.RA, solved by CG to a relative residual of
+    START_TOL and then shifted by the constant that minimizes J; S is
     never multiplied out.  Each step solves for the correction D of the
     module docstring, H D = -g with g the gradient of J at U, by two-level
     PCG started from D = 0, without forming H, to a residual of at most
@@ -354,9 +422,13 @@ def nonlinear_solve(cloud: PointCloud, *,
     theta starting at config.theta and halved until J does not rise;
     should J still rise once theta max|D| <= config.picard_tol, or D be
     non-finite, U stays and the iteration stops, so energy_history never
-    rises.  At most config.picard_max steps are taken.  Each iterate is
+    rises.  An accepted step that another step follows is moved on along
+    the constants to the minimizer of J there, from the accepted trial's
+    products alone; the shift is kept unless J rises by more than
+    rounding.  At most config.picard_max steps are taken.  Each iterate is
     evaluated once: J, S U and B^T U at every trial, and the gradient, H
-    and the right side from the accepted trial's products.  The returned
+    and the right side from the accepted trial's products, shifted as
+    U is.  The returned
     residual is |g| / |A f_delta| at the final iterate; converged requires
     both the last step size and that residual to be at most config.picard_tol,
     and reason says which held: "converged", "stalled" (the step only, or a
@@ -375,13 +447,13 @@ def nonlinear_solve(cloud: PointCloud, *,
                            energy_history=[work.energy(U)[0]],
                            inner_iterations=0, inner_misses=0)
 
-    # start from the diffusion block's mean-zero solution: CG on the CSR
-    # block R_A / delta^2, which assemble holds (perfbench's traced runs
-    # wrap this module's cg and size its operand as a CSR matrix), and
-    # the mean shift
+    # start from the diffusion block's solution: CG on the CSR block
+    # R_A / delta^2, which assemble holds (perfbench's traced runs wrap
+    # this module's cg and size its operand as a CSR matrix), shifted to
+    # the constant that minimizes J
     U, _, inner_iterations, ok, _ = cg(work.base.operator.RA, work.base.rhs,
                                        tol=START_TOL)
-    U = U - float(U @ cloud.A / cloud.A.sum())
+    U = U + work.constant_shift(work.averages(U))
     inner_misses = int(not ok)
     J, SU, a = work.energy(U)
     energies = [J]
@@ -401,13 +473,20 @@ def nonlinear_solve(cloud: PointCloud, *,
         step = inner.U
         full_step = float(np.max(np.abs(step)))
         theta = config.theta
+        ceiling = J + slack * max(1.0, abs(J))
         while True:
             trial = U + theta * step
             with np.errstate(over="ignore"):  # an infinite J is rejected
                 evaluated = work.energy(trial)
-            if evaluated[0] <= energies[-1] + slack * max(1.0, abs(energies[-1])):
+            if evaluated[0] <= ceiling:
                 step_size = float(np.max(np.abs(trial - U)))
                 U, (J, SU, a) = trial, evaluated
+                if step_size > config.picard_tol:  # another step follows
+                    # the shift is kept unless J rises by more than
+                    # rounding, or above the line search's ceiling
+                    settled = work.settle(U, SU, a)
+                    if settled[1] <= min(ceiling, J + slack * max(1.0, abs(J))):
+                        U, J, SU, a = settled
                 energies.append(J)
                 break
             # J rises on a step below tolerance, or one not finite: U stays

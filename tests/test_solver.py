@@ -176,6 +176,32 @@ def test_cg_from_zero_skips_the_first_apply(medium_system):
     assert np.array_equal(x, x_z) and rel == rel_z
 
 
+class _Untouchable:
+    """An operator that refuses to be read."""
+
+    def __matmul__(self, x):
+        raise AssertionError("S @ x called")
+
+    def diagonal(self):
+        raise AssertionError("S.diagonal() called")
+
+    def coarse_space(self):
+        raise AssertionError("S.coarse_space() called")
+
+
+@pytest.mark.parametrize("tol", [1.0, 2.5])
+def test_cg_returns_a_zero_start_that_meets_tol(medium_system, tol):
+    """With tol >= 1 the zero start already meets tol: cg returns it
+    without reading its operator, bit for bit what the loop gives from an
+    explicit zero x0."""
+    b = medium_system.rhs
+    got = cg(_Untouchable(), b, tol=tol)
+    assert np.array_equal(got[0], np.zeros(len(b)))
+    assert got[1:] == (1.0, 0, True, "converged")
+    want = cg(medium_system.operator, b, tol=tol, x0=np.zeros(len(b)))
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
 def test_reason_breakdown_on_indefinite_system():
     """p^T S p = 1 - 4 < 0 on the first direction: the loop stops there."""
     S = sparse.csr_matrix(np.diag([1.0, -1.0]))
