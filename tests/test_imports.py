@@ -15,9 +15,15 @@ method of a public class, must be read outside its own definition in the
 package, the demos or perfbench (its tests aside): a name only tests call
 is a test oracle, which belongs in the tests.  The PROBED names, which
 perfbench reads only as strings, and ``load_profile_table`` are exempt.
+No module imports the scipy subpackages no run executes (LAZY) at module
+level, and a fresh interpreter that solves one configuration never loads
+them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -35,6 +41,8 @@ CALLERS = sorted(p for folder in ("demos", "perfbench")
 # the names perfbench's traced runs wrap; they go when it reads a trace
 PROBED = frozenset({"assemble", "bar_matrix", "interior_laplacian", "cg",
                     "solve_mean_zero"})
+# no run needs these; build_integrated imports PCHIP (and so .optimize) itself
+LAZY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
 
 
 def _unread_imports(source: str) -> list[tuple[str, int, bool]]:
@@ -246,3 +254,66 @@ def test_all_matches_the_package_imports():
                       for alias in node.names)
     assert sorted(nlpoisson.__all__) == imported
     assert [n for n in nlpoisson.__all__ if not hasattr(nlpoisson, n)] == []
+
+
+def lazy_at_module_level(source: str) -> list[str]:
+    """The LAZY modules a source imports outside a function body: each
+    ``import a.b`` as ``a.b``, each ``from a import b`` as ``a`` and
+    ``a.b``."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found += [node.module] + [f"{node.module}.{alias.name}"
+                                      for alias in node.names]
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(name for name in found
+                  if any(name == lazy or name.startswith(lazy + ".")
+                         for lazy in LAZY))
+
+
+def test_checker_flags_module_level_lazy_imports():
+    source = ("import scipy.optimize\nfrom scipy import integrate, sparse\n"
+              "try:\n    from scipy.interpolate import PchipInterpolator\n"
+              "except ImportError:\n    pass\n"
+              "from . import interpolate\n"
+              "def build():\n    from scipy.interpolate import CubicSpline\n"
+              "    return CubicSpline\n")
+    assert lazy_at_module_level(source) == [
+        "scipy.integrate", "scipy.interpolate",
+        "scipy.interpolate.PchipInterpolator", "scipy.optimize"]
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_lazy_import_at_module_level(path):
+    assert lazy_at_module_level(path.read_text()) == []
+
+
+RUN = f"""
+import sys
+import nlpoisson.cli
+from nlpoisson.harness import run_single
+from nlpoisson.kernels import build_integrated, compute_CR, cosine_profile
+profile = cosine_profile()
+compute_CR(profile, 2), compute_CR(profile, 3)
+run_single("hemisphere2", 5, 1)
+print(sorted(name for name in {LAZY!r} if name in sys.modules))
+import numpy as np
+r = np.linspace(0.0, 1.0, 11)
+print(build_integrated(r, 1.0 - r).kind)
+"""
+
+
+def test_a_run_loads_no_lazy_module():
+    """A fresh interpreter imports the CLI, builds the cosine profile and
+    its C_R in both dimensions, and solves one configuration without
+    loading any LAZY module; a tabulated profile still builds after."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", RUN], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines() == ["[]", "custom-tabulated"]
