@@ -1,8 +1,9 @@
 """Boundary-layer order estimates for the kernel machinery.
 
 Two quantities control the boundary coupling's accuracy, and both are
-measured here on dense fixtures (an equally spaced rim circle and a fine
-local surface quadrature), far from any point-cloud noise:
+measured here on dense fixtures of hemisphere2 (an equally spaced rim
+circle and a fine local surface quadrature), far from any point-cloud
+noise:
 
 * the scaled rim sum of the twice-integrated kernel approaches the
   constant C_R with an O(delta^2) deviation;
@@ -12,7 +13,7 @@ local surface quadrature), far from any point-cloud noise:
 
 from nlpoisson import emit_lemma_report, lemma_diagnostics
 
-report = lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05])
+report = lemma_diagnostics([0.4, 0.2, 0.1, 0.05])
 
 print(f"C_R = {report.CR:.12f}\n")
 print("delta     rim sum       |sum - C_R|   |omega - delta C_R|")

@@ -7,14 +7,15 @@ Subcommands::
              [--allow-partial] [--config PATH] --out DIR
     solve    --case ... --t N --seed N --mode ... [--variant ...]
              [--export-matrix PATH] --out DIR
-    lemmas   --case hemisphere2 --deltas 0.4,0.2,0.1,0.05 --out DIR
+    lemmas   --deltas 0.4,0.2,0.1,0.05 --out DIR
 
 Cases, modes and variants are those of geometry.CASES, assembly.MODES
-and harness.VARIANTS; run options default to HarnessOptions'.  Exit
-codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 I/O error.  An optional config file holds flat ``key = value`` lines
-mirroring the long flags of the subcommand; explicit flags override file
-values.
+and harness.VARIANTS, and lemmas runs on hemisphere2's fixtures; run
+options default to HarnessOptions', and the nonlinear model's Newton
+controls are VariantConfig's.  Exit codes: 0 success, 2 configuration
+error, 3 solver non-convergence, 4 I/O error.  An optional config file
+holds flat ``key = value`` lines mirroring the long flags of the
+subcommand; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--variant", choices=tuple(VARIANTS), default=None)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--p", type=float, default=None)
-        p.add_argument("--theta", type=float, default=None)
         p.add_argument("--g-case", dest="g_case", default=None)
         p.add_argument("--config", default=None,
                        help="flat key = value file mirroring the flags")
@@ -78,7 +78,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     solve.add_argument("--export-matrix", dest="export_matrix", default=None)
 
     lem = sub.add_parser("lemmas", help="kernel-order diagnostics")
-    lem.add_argument("--case", required=True, choices=sorted(CASES))
     lem.add_argument("--deltas", required=True,
                      help="comma-separated horizons, e.g. 0.4,0.2,0.1,0.05")
     lem.add_argument("--config", default=None)
@@ -194,7 +193,7 @@ def _cmd_solve(merged: dict) -> int:
 
 def _cmd_lemmas(merged: dict) -> int:
     deltas = _number_list(merged["deltas"], float)
-    report = lemma_diagnostics(merged["case"], deltas)
+    report = lemma_diagnostics(deltas)
     csv_path, svg_path = emit_lemma_report(report, merged["out"])
     print(f"C_R = {report.CR:.12g}")
     print(f"boundary-sum deviation order = {report.boundary_order:.3f}")

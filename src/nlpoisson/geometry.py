@@ -30,6 +30,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
@@ -193,10 +194,12 @@ def sample_case(case: ManifoldCase | str, t: int, seed: int) -> PointCloud:
     delta = sqrt(1/t); the interior/boundary counts and coordinates follow
     the case recipe exactly, driven by a single uniform matrix from a
     PCG64 generator so identical (case, t, seed) reproduce bit-identical
-    clouds.
+    clouds.  t is integral, a NumPy integer included but not a bool.
     """
     if isinstance(case, str):
         case = get_case(case)
+    if isinstance(t, bool) or not isinstance(t, Integral):
+        raise ValueError(f"t = {t!r}: need an integral resolution")
     if t < T_MIN:
         raise ValueError(f"resolution parameter t must be >= {T_MIN}")
     n0, m0 = case.counts(t)

@@ -5,12 +5,13 @@ the solved vector and exact-solution samples.  A convergence study runs
 (resolution, seed) grids, takes per-resolution medians across seeds, and
 fits the log-log slope of error against horizon.  The kernel-order
 diagnostics evaluate two boundary-layer quantities once per horizon, at
-one rim point, on dense fixtures (not random clouds): the boundary
-tail-kernel sum, whose deviation from the kernel constant C_R should
-fall like delta^2, and the coupling normalization omega, whose deviation
-from delta * C_R should fall like delta^3.  The rim circle has 64 or more
-points per smallest delta; both fixtures are invariant under rotation
-about the cap's axis, so any other rim point gives the same values.
+one rim point of hemisphere2, on dense fixtures (not random clouds): the
+boundary tail-kernel sum, whose deviation from the kernel constant C_R
+should fall like delta^2, and the coupling normalization omega, whose
+deviation from delta * C_R should fall like delta^3.  The rim circle has
+64 or more points per smallest delta; both fixtures are invariant under
+rotation about the cap's axis, so any other rim point gives the same
+values.
 
 Reports are written as CSV plus a dependency-free SVG log-log plot.
 """
@@ -85,11 +86,13 @@ class HarnessOptions:
     variant: str = "none"
     lam: float = VariantConfig.lam
     p: float = VariantConfig.p
-    theta: float = VariantConfig.theta
     g_case: str = "hemisphere2_zsq"
     tol: float = DEFAULT_TOL
-    picard_tol: float = VariantConfig.picard_tol
-    picard_max: int = VariantConfig.picard_max
+    # Not fields: runs take VariantConfig's Newton controls, which
+    # perfbench's run_config reads from here
+    theta = VariantConfig.theta
+    picard_tol = VariantConfig.picard_tol
+    picard_max = VariantConfig.picard_max
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -116,12 +119,9 @@ class HarnessOptions:
             raise ConfigurationError(str(exc)) from None
 
     def variant_config(self, f: Callable | None = None) -> VariantConfig:
-        """The nonlinear model's VariantConfig with forcing f.  It is built
-        for every variant, so VariantConfig checks the ranges of lam, p,
-        theta, picard_tol and picard_max whatever the variant."""
-        return VariantConfig(lam=self.lam, p=self.p, theta=self.theta, f=f,
-                             picard_tol=self.picard_tol,
-                             picard_max=self.picard_max)
+        """The nonlinear model's VariantConfig with forcing f; it is built
+        for every variant, so it checks lam and p whatever the variant."""
+        return VariantConfig(lam=self.lam, p=self.p, f=f)
 
 
 @dataclass
@@ -229,6 +229,13 @@ VARIANTS: dict[str, Variant] = {
 }
 
 
+def _resolution(t) -> int:
+    """t as an int; a bool or a t that is not integral is refused, named."""
+    if isinstance(t, bool) or not isinstance(t, Integral):
+        raise ConfigurationError(f"t = {t!r}: need an integral resolution")
+    return int(t)
+
+
 def solve_single(case_name: str, t: int, seed: int,
                  options: HarnessOptions | None = None,
                  profile: KernelProfile | None = None
@@ -236,6 +243,7 @@ def solve_single(case_name: str, t: int, seed: int,
                             NonlocalSystem | None]:
     """run_single, also returning the cloud and the system it solved
     (None for a variant that solves no single linear system)."""
+    t = _resolution(t)
     options = options or HarnessOptions()
     profile = profile or cosine_profile()
     case = get_case(case_name)
@@ -266,14 +274,14 @@ def convergence_study(case_name: str, t_list: Sequence[int],
                       options: HarnessOptions | None = None) -> ConvergenceReport:
     """Sweep resolutions and seeds; the report fits the median-error slope.
 
-    ``seeds`` is a count (seeds 1..n), any integral value such as a NumPy
-    integer but not a bool, or a list of integral seeds, a repeat counted
-    once; a float or a string is neither.
+    Resolutions and seeds are integral, a NumPy integer but not a bool, a
+    float or a string, and a repeat counts once.  ``seeds`` is a count
+    (seeds 1..n) or a list of seeds.
     Rows whose solve did not converge stay in the report flagged, are
     excluded from the fit, and mark the report as partial.
     """
     options = options or HarnessOptions()
-    t_list = sorted(set(int(t) for t in t_list))
+    t_list = sorted(set(_resolution(t) for t in t_list))
     if len(t_list) < 4:
         raise ConfigurationError("need at least 4 distinct resolutions to fit")
     listed = not isinstance(seeds, (Integral, str)) and isinstance(seeds, Iterable)
@@ -312,7 +320,6 @@ class LemmaRow:
 class LemmaReport:
     """The fixtures' rows, and the deviation orders they give."""
 
-    case: str
     CR: float
     rows: list[LemmaRow]
 
@@ -358,21 +365,18 @@ def _cap_patch_omega(case: ManifoldCase, delta: float,
     return float((zeta * dA).sum())
 
 
-def lemma_diagnostics(case_name: str, deltas: Sequence[float],
+def lemma_diagnostics(deltas: Sequence[float],
                       profile: KernelProfile | None = None) -> LemmaReport:
     """Boundary kernel-sum and coupling-normalization orders on fixtures.
 
-    Both quantities are evaluated at one rim point of the spherical cap,
-    (rho, 0, height).  The boundary sum runs over an equally spaced rim
-    circle of max(4096, ceil(64 |boundary| / min delta)) points, 64 or
-    more per delta; the coupling normalization is a dense local surface
-    quadrature around the point.  Both fixtures are invariant under
+    Both quantities are evaluated at one rim point of hemisphere2's
+    spherical cap, (rho, 0, height).  The boundary sum runs over an equally
+    spaced rim circle of max(4096, ceil(64 |boundary| / min delta)) points,
+    64 or more per delta; the coupling normalization is a dense local
+    surface quadrature around the point.  Both fixtures are invariant under
     rotation about the cap's axis, so every rim point gives the same
     values up to rounding, and one point stands for them all.
     """
-    if case_name != "hemisphere2":
-        raise ConfigurationError(
-            "kernel-order diagnostics run on the hemisphere2 circle fixture")
     profile = profile or cosine_profile()
     deltas = sorted({float(d) for d in deltas}, reverse=True)
     if not all(np.isfinite(d) and d > 0.0 for d in deltas):
@@ -381,7 +385,7 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
         raise ConfigurationError("need at least 4 distinct horizons")
     if deltas[0] / deltas[-1] < 4.0:
         raise ConfigurationError("horizons must span at least a factor of 4")
-    case = get_case(case_name)
+    case = get_case("hemisphere2")
     n = max(4096, int(np.ceil(64.0 * case.boundary_measure / deltas[-1])))
     CR = compute_CR(profile, 2)
     pts, seg = _circle_fixture(case, n)
@@ -394,7 +398,7 @@ def lemma_diagnostics(case_name: str, deltas: Sequence[float],
         rows.append(LemmaRow(delta=delta, boundary_sum=bsum,
                              boundary_dev=abs(bsum - CR),
                              omega_dev=abs(omega - delta * CR)))
-    return LemmaReport(case=case_name, CR=CR, rows=rows)
+    return LemmaReport(CR=CR, rows=rows)
 
 
 def _svg_loglog(path, xlabel: str, ylabel: str,

@@ -2,11 +2,11 @@
 
 The base model's operator is symmetric positive-semidefinite with the
 constants as null space, and its right side is orthogonal to that null
-space by construction.  Every solve runs one preconditioned CG loop on
-the system's operator, applied from its blocks; the loop needs only
-S @ x and S.diagonal(), so the matrix S is never multiplied out for a
-solve.  Its preconditioner is the inverse of the operator's exact
-diagonal (Jacobi).
+space by construction.  Every solve runs one preconditioned CG loop,
+from the zero vector, on the system's operator, applied from its blocks;
+the loop needs only S @ x and S.diagonal(), so the matrix S is never
+multiplied out for a solve.  Its preconditioner is the inverse of the
+operator's exact diagonal (Jacobi).
 An operator that offers a coarse space (Z, E), as the absorption
 operators of nlpoisson.variants do, adds the Galerkin correction:
 M^-1 = D^-1 + Z E^-1 Z^T, with E = Z^T S Z formed exactly (Nicolaides,
@@ -69,19 +69,19 @@ def _coarse_factor(S) -> np.ndarray | None:
     return Z @ (Q[:, keep] / np.sqrt(lam[keep]))
 
 
-def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
-       x0: np.ndarray | None = None):
-    """PCG on S x = b; returns (x, rel_residual, iters, ok, reason).
+def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL,
+       max_iter: int | None = None):
+    """PCG on S x = b from x = 0; returns (x, rel_residual, iters, ok, reason).
 
     S is a matrix or an operator: anything with S @ x and S.diagonal().
     The preconditioner is 1 / S.diagonal(), with 1 for non-positive
     entries, plus W W^T = Z E^+ Z^T when S offers S.coarse_space().
     reason says why the loop stopped: "converged", "max_iter" or
     "breakdown" (p^T S p <= 0 or NaN); ok is whether the true relative
-    residual is at most tol.  Started from x0 = None, the zero vector, it
-    applies S once per iteration and once for the final residual; a given
-    x0 costs one more S @ x0.  A zero start that already meets tol (tol >=
-    1) returns at once, without reading S at all.
+    residual is at most tol.  It applies S once per iteration and once for
+    the final residual.  A zero start that already meets tol (tol >= 1)
+    returns at once, without reading S at all.  To start from an estimate
+    x0, solve for the correction: S d = b - S x0, x = x0 + d.
     """
     n = b.shape[0]
     if max_iter is None:
@@ -89,7 +89,7 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0, True, "converged"
-    if x0 is None and bnorm <= tol * bnorm:
+    if bnorm <= tol * bnorm:
         # the zero start's residual is b itself, so it already meets tol
         return np.zeros(n), 1.0, 0, True, "converged"
 
@@ -103,12 +103,7 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
             z += W @ (W.T @ r)
         return z
 
-    if x0 is None:
-        # S 0 = 0, so the first residual is b itself, bit for bit
-        x, r = np.zeros(n), np.array(b, dtype=float)
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - S @ x
+    x, r = np.zeros(n), np.array(b, dtype=float)
     z = precondition(r)
     p = z
     rz = float(r @ z)
@@ -138,8 +133,7 @@ def cg(S, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int | None = None,
 
 
 def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
-                    max_iter: int | None = None,
-                    x0: np.ndarray | None = None) -> SolveResult:
+                    max_iter: int | None = None) -> SolveResult:
     """Solve the singular base system subject to sum_i U_i A_i = 0."""
     b = system.rhs
     bsum = abs(float(b.sum()))
@@ -147,7 +141,7 @@ def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
         raise ValueError(
             f"right side is not orthogonal to the constants (sum {bsum:.3e})")
     U, rel, it, ok, reason = cg(system.operator, b, tol=tol,
-                                max_iter=max_iter, x0=x0)
+                                max_iter=max_iter)
     U = U - float(U @ system.A / system.A.sum())
     V = boundary_trace(system.coupling, system.A, U)
     return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,
@@ -155,11 +149,10 @@ def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
 
 
 def solve_spd(system: NonlocalSystem, tol: float = DEFAULT_TOL,
-              max_iter: int | None = None,
-              x0: np.ndarray | None = None) -> SolveResult:
+              max_iter: int | None = None) -> SolveResult:
     """Solve a strictly positive-definite variant system by CG."""
     U, rel, it, ok, reason = cg(system.operator, system.rhs, tol=tol,
-                                max_iter=max_iter, x0=x0)
+                                max_iter=max_iter)
     V = boundary_trace(system.coupling, system.A, U)
     return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,
                        reason=reason)

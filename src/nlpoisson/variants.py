@@ -105,9 +105,9 @@ class VariantConfig:
     nonlinear_solve (the names date from the damped Picard iteration it
     replaced): at most picard_max steps, an integer >= 1, each line search
     starting at theta, stopping once a step moves no entry by more than
-    picard_tol, finite and > 0.  Each of these five is a real number, not
-    a bool, a string, None or a callable.  f is the forcing, the case's
-    own by default.
+    picard_tol, finite and > 0 (the harness and the CLI keep all three at
+    their defaults).  Each of these five is a real number, not a bool, a
+    string, None or a callable.  f is the forcing, the case's own by default.
     """
 
     kind: str = "nonlinear"

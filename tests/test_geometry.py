@@ -44,6 +44,20 @@ def test_unknown_case_and_small_t():
         sample_case("hemisphere2", 3, 1)
 
 
+@pytest.mark.parametrize("t", [5.5, 5.0, True, "5"], ids=repr)
+def test_non_integral_t_is_refused(t):
+    """A resolution is integral: a float, even a whole one, a bool or a
+    string is refused with a ValueError naming it, before any sampling."""
+    with pytest.raises(ValueError, match=rf"t = {t!r}"):
+        sample_case("hemisphere2", t, 1)
+
+
+def test_numpy_integer_t_samples_as_int():
+    a = sample_case("hemisphere2", np.int64(6), 1)
+    b = sample_case("hemisphere2", 6, 1)
+    assert np.array_equal(a.points, b.points) and a.delta == b.delta
+
+
 def test_determinism_bit_exact():
     a = build_cloud("hemisphere2", 8, 42)
     b = build_cloud("hemisphere2", 8, 42)

@@ -1,5 +1,7 @@
 """Error metric, sweeps, kernel-order diagnostics, reports, and the CLI."""
 
+import dataclasses
+import inspect
 import re
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from nlpoisson.harness import (
     run_single,
 )
 from nlpoisson.kernels import cosine_profile, pair_eval
-from nlpoisson.solver import DEFAULT_TOL
+from nlpoisson.solver import DEFAULT_TOL, cg, solve_mean_zero, solve_spd
 from nlpoisson.variants import VariantConfig
 
 # frozen after the first verified run of hemisphere2 t=20 seed=1, full model
@@ -85,6 +87,10 @@ def test_run_single_golden_regression():
     assert row.e2 == pytest.approx(GOLDEN_E2_T20_SEED1, rel=1e-9)
 
 
+# VariantConfig's Newton controls, which HarnessOptions does not take
+NEWTON_CONTROLS = ("theta", "picard_tol", "picard_max")
+
+
 @pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "np_bool"])
 @pytest.mark.parametrize("name", ["lam", "p", "theta", "picard_tol",
                                   "picard_max", "tol"])
@@ -93,8 +99,9 @@ def test_bool_is_not_a_number(name, flag):
     if name != "tol":
         with pytest.raises(ValueError, match=rf"{name} = .*bool"):
             VariantConfig(**{name: flag})
-    with pytest.raises(ConfigurationError, match=rf"{name} = .*bool"):
-        HarnessOptions(**{name: flag})
+    if name not in NEWTON_CONTROLS:
+        with pytest.raises(ConfigurationError, match=rf"{name} = .*bool"):
+            HarnessOptions(**{name: flag})
 
 
 @pytest.mark.parametrize("name,value", [
@@ -107,8 +114,9 @@ def test_non_number_names_its_field(name, value):
     if name != "tol":
         with pytest.raises(ValueError, match=rf"{name} = {value!r}"):
             VariantConfig(**{name: value})
-    with pytest.raises(ConfigurationError, match=rf"{name} = {value!r}"):
-        HarnessOptions(**{name: value})
+    if name not in NEWTON_CONTROLS:
+        with pytest.raises(ConfigurationError, match=rf"{name} = {value!r}"):
+            HarnessOptions(**{name: value})
 
 
 def test_any_real_number_is_a_number():
@@ -119,13 +127,15 @@ def test_any_real_number_is_a_number():
 
 def test_integer_options_still_work():
     assert VariantConfig(p=2, picard_max=np.int64(5)).picard_max == 5
-    assert HarnessOptions(variant="nonlinear", p=2, picard_max=np.int64(5),
-                          tol=1).p == 2
+    assert HarnessOptions(variant="nonlinear", p=2, tol=1).p == 2
 
 
 def test_harness_defaults_are_the_models():
     assert HarnessOptions().variant_config() == VariantConfig()
     assert HarnessOptions().tol == DEFAULT_TOL
+    # perfbench reads the Newton controls off HarnessOptions' class
+    for name in NEWTON_CONTROLS:
+        assert getattr(HarnessOptions, name) == getattr(VariantConfig, name)
 
 
 def test_convergence_study_validation():
@@ -168,6 +178,24 @@ def test_convergence_study_refuses_non_integral_seeds(seeds):
         convergence_study("hemisphere2", [5, 6, 8, 10], seeds=seeds)
 
 
+@pytest.mark.parametrize("t_list", [[5.5, 6.9, 8, 10], [5, 6, 8, 10.0],
+                                    [True, 6, 8, 10]], ids=repr)
+def test_convergence_study_refuses_non_integral_resolutions(t_list,
+                                                            monkeypatch):
+    """int() would truncate 5.5 and 6.9 to the sweep 5, 6, 8, 10: each
+    non-integral or bool resolution is refused, named, before any solve."""
+    monkeypatch.setattr(harness, "run_single", None)
+    bad = next(t for t in t_list if isinstance(t, (bool, float)))
+    with pytest.raises(ConfigurationError, match=rf"t = {bad!r}"):
+        convergence_study("hemisphere2", t_list, seeds=1)
+
+
+@pytest.mark.parametrize("t", [5.5, 5.0, True], ids=repr)
+def test_run_single_refuses_non_integral_resolution(t):
+    with pytest.raises(ConfigurationError, match=rf"t = {t!r}"):
+        run_single("hemisphere2", t, 1)
+
+
 def test_convergence_study_numpy_seed_count():
     """A NumPy integer counts seeds as an int does."""
     t = [5, 6, 8, 10]
@@ -197,8 +225,6 @@ def test_convergence_study_small_sweep(tmp_path):
 
 def test_convergence_study_partial_flag(monkeypatch):
     """A failed solve flags its row, drops it from the fit, marks partial."""
-    import dataclasses
-
     import nlpoisson.harness as hz
     real = hz.solve_mean_zero
 
@@ -265,7 +291,7 @@ def test_report_determinism(tmp_path):
 
 
 def test_lemma_diagnostics_orders():
-    report = lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05])
+    report = lemma_diagnostics([0.4, 0.2, 0.1, 0.05])
     assert report.boundary_order >= 1.8
     assert report.omega_order >= 2.5
     devs = [r.boundary_dev for r in report.rows]
@@ -288,25 +314,23 @@ def test_circle_fixture_rim_points_agree(delta):
 
 def test_lemma_rows_deviate_from_their_sum():
     """Each row's deviation is its own sum's distance from C_R."""
-    report = lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05])
+    report = lemma_diagnostics([0.4, 0.2, 0.1, 0.05])
     for r in report.rows:
         assert r.boundary_dev == abs(r.boundary_sum - report.CR)
 
 
 def test_lemma_diagnostics_validation():
     with pytest.raises(ConfigurationError):
-        lemma_diagnostics("hemisphere3", [0.4, 0.2, 0.1, 0.05])
+        lemma_diagnostics([0.4, 0.2])
     with pytest.raises(ConfigurationError):
-        lemma_diagnostics("hemisphere2", [0.4, 0.2])
-    with pytest.raises(ConfigurationError):
-        lemma_diagnostics("hemisphere2", [0.4, 0.3, 0.25, 0.2])
+        lemma_diagnostics([0.4, 0.3, 0.25, 0.2])
     # a repeated horizon counts once: two distinct horizons are too few
     with pytest.raises(ConfigurationError, match="distinct"):
-        lemma_diagnostics("hemisphere2", [0.4, 0.4, 0.4, 0.1])
+        lemma_diagnostics([0.4, 0.4, 0.4, 0.1])
 
 
 def test_emit_lemma_report(tmp_path):
-    report = lemma_diagnostics("hemisphere2", [0.4, 0.2, 0.1, 0.05])
+    report = lemma_diagnostics([0.4, 0.2, 0.1, 0.05])
     csv_path, svg_path = emit_lemma_report(report, tmp_path)
     text = csv_path.read_text()
     assert "np." not in text  # plain floats, not np.float64(...) reprs
@@ -317,15 +341,15 @@ def test_emit_lemma_report(tmp_path):
 
 
 def test_cli_lemmas_and_exit_codes(tmp_path, capsys):
-    code = main(["lemmas", "--case", "hemisphere2",
-                 "--deltas", "0.4,0.2,0.1,0.05", "--out", str(tmp_path)])
+    code = main(["lemmas", "--deltas", "0.4,0.2,0.1,0.05",
+                 "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "boundary-sum deviation order" in out
     assert (tmp_path / "lemmas.csv").exists()
     # too-narrow horizon span is a configuration error
-    code = main(["lemmas", "--case", "hemisphere2",
-                 "--deltas", "0.4,0.38,0.36,0.34", "--out", str(tmp_path)])
+    code = main(["lemmas", "--deltas", "0.4,0.38,0.36,0.34",
+                 "--out", str(tmp_path)])
     assert code == 2
 
 
@@ -393,7 +417,6 @@ def test_cli_bad_t_list(tmp_path):
     ["converge", "--t", "3,5,6,7"],
     ["lemmas", "--deltas", "0.4,abc"],
     ["solve", "--t", "5", "--variant", "nonlinear", "--p", "0.5"],
-    ["solve", "--t", "5", "--variant", "nonlinear", "--theta", "0"],
     ["solve", "--t", "5", "--variant", "lambda", "--lambda", "-1"],
     ["solve", "--t", "5", "--variant", "nonlinear", "--lambda", "0"],
     ["solve", "--t", "5", "--variant", "lambda", "--lambda", "0"],
@@ -407,14 +430,15 @@ def test_cli_bad_t_list(tmp_path):
     ["solve", "--t", "5", "--p", "0.5"],
     ["solve", "--t", "5", "--g-case", "bogus"],
 ], ids=["solve_t", "converge_t", "lemmas_deltas", "nonlinear_p",
-        "nonlinear_theta", "lambda_negative", "nonlinear_lambda_zero",
+        "lambda_negative", "nonlinear_lambda_zero",
         "lambda_zero", "lemmas_delta_zero", "solve_seed", "lemmas_delta_nan",
         "lemmas_delta_inf", "lambda_nan", "nonlinear_lambda_inf",
         "nonlinear_p_nan", "none_p", "none_g_case"])
 def test_cli_out_of_range_is_a_configuration_error(argv, tmp_path, capsys):
     """Values outside a parameter's range exit 2 before anything is written."""
     out = tmp_path / "out"
-    code = main([argv[0], "--case", "hemisphere2", *argv[1:], "--out", str(out)])
+    case = [] if argv[0] == "lemmas" else ["--case", "hemisphere2"]
+    code = main([argv[0], *case, *argv[1:], "--out", str(out)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
@@ -462,6 +486,57 @@ def test_cli_variant_flags(tmp_path):
     assert code == 0
     text = (tmp_path / "lam" / "converge.csv").read_text()
     assert ",lambda," in text
+
+
+def test_option_set_is_pinned():
+    """Each run option is declared once: the Newton controls on
+    VariantConfig alone, no warm start for the solvers, and the kernel-order
+    diagnostics on their one fixture.  An option added or brought back
+    fails here until it is listed."""
+    assert [f.name for f in dataclasses.fields(HarnessOptions)] == [
+        "mode", "variant", "lam", "p", "g_case", "tol"]
+    with pytest.raises(TypeError, match="theta"):
+        HarnessOptions(theta=0.5)
+    _, commands = cli._build_parser()
+    flags = {name: sorted(flag for action in sub._actions
+                          for flag in action.option_strings
+                          if flag.startswith("--"))
+             for name, sub in commands.items()}
+    common = ["--case", "--config", "--g-case", "--help", "--lambda", "--mode",
+              "--out", "--p", "--variant"]
+    assert flags == {
+        "converge": sorted(common + ["--t", "--seeds", "--allow-partial"]),
+        "solve": sorted(common + ["--t", "--seed", "--export-matrix"]),
+        "lemmas": ["--config", "--deltas", "--help", "--out"]}
+    for fn, params in ((cg, ["S", "b", "tol", "max_iter"]),
+                       (solve_mean_zero, ["system", "tol", "max_iter"]),
+                       (solve_spd, ["system", "tol", "max_iter"]),
+                       (lemma_diagnostics, ["deltas", "profile"])):
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--case", "hemisphere2", "--t", "5", "--variant", "nonlinear",
+     "--theta", "0.5"],
+    ["lemmas", "--case", "hemisphere2", "--deltas", "0.4,0.2,0.1,0.05"],
+], ids=["theta", "lemmas_case"])
+def test_cli_removed_flags_are_refused(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_config_refuses_theta(tmp_path, capsys):
+    """theta is not a config key: the Newton controls are VariantConfig's."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta = 0.5\n")
+    code = main(["solve", "--case", "hemisphere2", "--t", "5", "--variant",
+                 "nonlinear", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    assert "'theta'" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
 
 
 def test_variant_table_keys_are_the_variant_kinds():
