@@ -15,9 +15,10 @@ positive-semidefinite system
 
 whose null space is the constants; F carries the kernel-smoothed forcing
 with its A-weighted mean removed so the right side stays orthogonal to
-the null space.  The reduced model keeps only the diffusion block.
-Assembly does not multiply the blocks out: NeumannOperator holds
-R_A / delta^2, AZ = A Z and Rb, and applies S as R_A x / delta^2 +
+the null space.  The reduced model keeps only the diffusion block: its
+Z and Rb are zero blocks with no stored entry.  Assembly does not
+multiply the blocks out: NeumannOperator holds R_A / delta^2, AZ = A Z
+and Rb in both modes, and applies S as R_A x / delta^2 +
 2 AZ (Rb (AZ^T x)), where the boundary term lives only on the 2 delta
 boundary layer.  S itself is built only when something asks for the
 matrix (NonlocalSystem.S): symmetric_product forms the boundary block
@@ -84,38 +85,35 @@ class BoundaryCoupling:
 class NeumannOperator:
     """S = RA + 2 AZ RbarL AZ^T, applied from its blocks: RA = R_A / delta^2
     on the pair pattern, AZ = diag(A) zeta and the boundary Laplacian RbarL.
-    In reduced mode AZ and RbarL are None and S is RA.  AZT is a view of
-    AZ's arrays, made once."""
+    In reduced mode AZ and RbarL are the coupling's zero blocks, n0 x m0
+    and m0 x m0 with no stored entry, so S is RA.  AZT is a view of AZ's
+    arrays, made once."""
 
     RA: sparse.csr_matrix
-    AZ: sparse.csr_matrix | None = None
-    RbarL: sparse.csr_matrix | None = None
+    AZ: sparse.csr_matrix
+    RbarL: sparse.csr_matrix
 
     def __post_init__(self):
-        self.AZT = None if self.AZ is None else self.AZ.T
+        self.AZT = self.AZ.T
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """S x for a vector or an (n, k) block; the boundary term touches
         only the rows of the boundary layer."""
         y = self.RA @ x
-        if self.AZ is not None:
-            v = self.RbarL @ (self.AZT @ x)
-            v *= 2.0
-            y += self.AZ @ v
+        v = self.RbarL @ (self.AZT @ x)
+        v *= 2.0
+        y += self.AZ @ v
         return y
 
     def diagonal(self) -> np.ndarray:
         """diag(RA) + 2 rowsum((AZ RbarL) * AZ), with no n0 x n0 product."""
         d = self.RA.diagonal()
-        if self.AZ is not None:
-            cross = (self.AZ @ self.RbarL).multiply(self.AZ)
-            d += 2.0 * (cross @ np.ones(cross.shape[1]))
+        cross = (self.AZ @ self.RbarL).multiply(self.AZ)
+        d += 2.0 * (cross @ np.ones(cross.shape[1]))
         return d
 
     def materialize(self) -> sparse.csr_matrix:
-        """S multiplied out by symmetric_product; RA itself in reduced mode."""
-        if self.AZ is None:
-            return self.RA
+        """S multiplied out by symmetric_product."""
         return (self.RA + 2.0 * symmetric_product(self.AZ, self.RbarL)).tocsr()
 
 
@@ -305,7 +303,8 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
     """Build the symmetric PSD system S U = A F for one cloud, at its delta.
 
     mode "full" includes the boundary coupling; "reduced" keeps only the
-    diffusion block (all boundary weights treated as zero).  f is the
+    diffusion block (all boundary weights treated as zero), its coupling
+    and the operator's AZ and RbarL being zero blocks.  f is the
     forcing, the case's own by default.  A boundary flux g, full mode
     only, gives the non-homogeneous Neumann model: the same S, with g in
     the smoothed source (see smoothed_forcing) and variant
@@ -331,14 +330,13 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
     n0, m0 = cloud.n0, cloud.m0
     if mode == "full":
         coupling = boundary_coupling(cloud, pairs)
-        operator = NeumannOperator(RA, sparse.diags(cloud.A) @ coupling.zeta,
-                                   coupling.RbarL)
     else:
-        operator = NeumannOperator(RA)
         coupling = BoundaryCoupling(zeta=sparse.csr_matrix((n0, m0)),
                                     omega_hat=np.zeros(m0),
                                     RbarL=sparse.csr_matrix((m0, m0)),
                                     L=np.zeros(m0))
+    operator = NeumannOperator(RA, sparse.diags(cloud.A) @ coupling.zeta,
+                               coupling.RbarL)
 
     fd = smoothed_forcing(cloud, pairs, coupling, f, g)
     shift = float(fd @ cloud.A / cloud.A.sum())
@@ -350,7 +348,9 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
 
 def boundary_trace(coupling: BoundaryCoupling, A: np.ndarray,
                    U: np.ndarray) -> np.ndarray:
-    """Boundary values V_k = (1/omega_k) sum_i u_i zeta(p_i, q_k) A_i."""
+    """Boundary values V_k = (1/omega_k) sum_i u_i zeta(p_i, q_k) A_i.
+
+    No solve computes V; a caller that wants it passes the solved U."""
     return coupling.zeta.T @ (A * U)
 
 

@@ -161,7 +161,6 @@ class ConvergenceReport:
         return fit_loglog(deltas, medians)
 
     slope = property(lambda self: self.fit()[0])
-    intercept = property(lambda self: self.fit()[1])
     # some solve did not converge, and its row is not fitted
     partial = property(lambda self: not all(r.converged for r in self.rows))
 
@@ -185,30 +184,28 @@ def _absorbing_forcing(case: ManifoldCase, lam: float, p: float):
     return f_man
 
 
-# Variant solves: (cloud, profile, options, forcing, flux) -> (system,
-# result).  solve_mean_zero is looked up at call time so that tests can
-# replace it.
-def _solve_neumann(cloud, profile, options, f, g):
-    system = assemble(cloud, profile=profile, mode=options.mode, f=f, g=g)
+# Variant solves: (cloud, options, forcing, flux) -> (system, result).
+# solve_mean_zero is looked up at call time so that tests can replace it.
+def _solve_neumann(cloud, options, f, g):
+    system = assemble(cloud, mode=options.mode, f=f, g=g)
     return system, solve_mean_zero(system, tol=options.tol)
 
 
-def _solve_lambda(cloud, profile, options, f, g):
-    system = assemble_lambda(cloud, profile=profile, lam=options.lam, f=f)
+def _solve_lambda(cloud, options, f, g):
+    system = assemble_lambda(cloud, lam=options.lam, f=f)
     return system, solve_spd(system, tol=options.tol)
 
 
-def _solve_nonlinear(cloud, profile, options, f, g):
-    return None, nonlinear_solve(cloud, profile=profile,
-                                 config=options.variant_config(f))
+def _solve_nonlinear(cloud, options, f, g):
+    return None, nonlinear_solve(cloud, config=options.variant_config(f))
 
 
 class Variant(NamedTuple):
     """A model variant: its solve, and the manufactured data it is scored
     against.  data(case, options) gives (exact_u, forcing, flux), the
-    flux None for every model without one; solve(cloud, profile, options,
-    forcing, flux) gives (system, result).  ``linear`` is false for a
-    solve that returns no single linear system."""
+    flux None for every model without one; solve(cloud, options, forcing,
+    flux) gives (system, result), on the cosine profile.  ``linear`` is
+    false for a solve that returns no single linear system."""
 
     solve: Callable[..., tuple[NonlocalSystem | None, SolveResult]]
     data: Callable[[ManifoldCase, HarnessOptions],
@@ -237,21 +234,19 @@ def _resolution(t) -> int:
 
 
 def solve_single(case_name: str, t: int, seed: int,
-                 options: HarnessOptions | None = None,
-                 profile: KernelProfile | None = None
+                 options: HarnessOptions | None = None
                  ) -> tuple[ReportRow, SolveResult, PointCloud,
                             NonlocalSystem | None]:
     """run_single, also returning the cloud and the system it solved
     (None for a variant that solves no single linear system)."""
     t = _resolution(t)
     options = options or HarnessOptions()
-    profile = profile or cosine_profile()
     case = get_case(case_name)
     variant = VARIANTS[options.variant]
     exact, f, g = variant.data(case, options)
     start = time.perf_counter()
     cloud = build_cloud(case, t, seed)
-    system, result = variant.solve(cloud, profile, options, f, g)
+    system, result = variant.solve(cloud, options, f, g)
     wall_ms = (time.perf_counter() - start) * 1000.0
     row = ReportRow(t=t, delta=cloud.delta, n0=cloud.n0, m0=cloud.m0,
                     seed=seed, e2=e2_error(result.U, cloud, exact),
@@ -261,11 +256,11 @@ def solve_single(case_name: str, t: int, seed: int,
 
 
 def run_single(case_name: str, t: int, seed: int,
-               options: HarnessOptions | None = None,
-               profile: KernelProfile | None = None
+               options: HarnessOptions | None = None
                ) -> tuple[ReportRow, SolveResult]:
-    """Sample, weight, assemble, solve, and score one configuration."""
-    row, result, _, _ = solve_single(case_name, t, seed, options, profile)
+    """Sample, weight, assemble, solve, and score one configuration, on
+    the cosine kernel profile."""
+    row, result, _, _ = solve_single(case_name, t, seed, options)
     return row, result
 
 

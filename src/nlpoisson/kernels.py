@@ -41,13 +41,13 @@ _RHO_W = np.tile(_GL_W / 128, 64)
 class KernelProfile:
     """A radial profile and its derived levels, immutable after construction.
 
-    ``levels`` maps each name in :data:`LEVELS` to a vectorized callable
-    that already enforces the compact support (zero for r > 1).
+    ``kind`` is "cosine" or "custom-tabulated"; ``levels`` maps each name
+    in :data:`LEVELS` to a vectorized callable that already enforces the
+    compact support (zero for r > 1).
     """
 
     kind: str
     levels: Mapping[str, Callable[[np.ndarray], np.ndarray]]
-    nondegeneracy_floor: float = 0.0
 
 
 def _masked(fn: Callable[[np.ndarray], np.ndarray]):
@@ -79,7 +79,8 @@ def cosine_profile() -> KernelProfile:
         bar(r)  = ((1 - r) - sin(pi r)/pi) / 2
         dbar(r) = ((1 - r)^2 / 2 - (1 + cos(pi r)) / pi^2) / 2
 
-    and underline(r) = (pi/2) sin(pi r).
+    and underline(r) = (pi/2) sin(pi r).  base falls to 1/2 at r = 1/2, so
+    base >= 1/2 on [0, 1/2]: the paper's nondegeneracy condition.
     """
     levels = {
         "underline": _masked(lambda r: 0.5 * np.pi * np.sin(np.pi * r)),
@@ -90,8 +91,7 @@ def cosine_profile() -> KernelProfile:
             * (0.5 * (1.0 - r) ** 2 - (1.0 + np.cos(np.pi * r)) / np.pi**2)
         ),
     }
-    # base(1/2) = 1/2 is the minimum on [0, 1/2].
-    return KernelProfile(kind="cosine", levels=levels, nondegeneracy_floor=0.5)
+    return KernelProfile(kind="cosine", levels=levels)
 
 
 def build_integrated(r_nodes, base_values) -> KernelProfile:
@@ -107,6 +107,9 @@ def build_integrated(r_nodes, base_values) -> KernelProfile:
 
         bar(r)  = B(1) - B(r)
         dbar(r) = B(1) (1 - r) - (B2(1) - B2(r))
+
+    Nothing checks the table against the paper's nondegeneracy condition,
+    a positive lower bound on base over [0, 1/2].
     """
     r_nodes = np.asarray(r_nodes, dtype=float)
     base_values = np.asarray(base_values, dtype=float)
@@ -144,15 +147,13 @@ def build_integrated(r_nodes, base_values) -> KernelProfile:
     def dbar_fn(r):
         return np.maximum(B_1 * (1.0 - r) - (B2_1 - B2(r)), 0.0)
 
-    floor = float(np.min(base_fn(np.linspace(0.0, 0.5, 513))))
     levels = {
         "underline": _masked(underline_fn),
         "base": _masked(base_fn),
         "bar": _masked(bar_fn),
         "dbar": _masked(dbar_fn),
     }
-    return KernelProfile(kind="custom-tabulated", levels=levels,
-                         nondegeneracy_floor=floor)
+    return KernelProfile(kind="custom-tabulated", levels=levels)
 
 
 def load_profile_table(path) -> KernelProfile:

@@ -17,9 +17,10 @@ kills the constants, so every residual b - S x stays orthogonal to them,
 and the constant part of the iterate never feeds back into a residual, a
 step length or a search direction (Kaasschieter, J. Comput. Appl. Math.
 24, 1988).  solve_mean_zero fixes the additive constant once, at the end, so
-the volume-weighted mean of the solution vanishes.  The loop is our own:
-scipy.sparse.linalg.cg has no p^T S p <= 0 breakdown test and returns no
-iteration count.
+the volume-weighted mean of the solution vanishes.  A solve returns U
+alone; assembly.boundary_trace gives the boundary trace V from it.  The
+loop is our own: scipy.sparse.linalg.cg has no p^T S p <= 0 breakdown
+test and returns no iteration count.
 """
 
 from __future__ import annotations
@@ -28,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import NonlocalSystem, boundary_trace
+from .assembly import NonlocalSystem
 
 DEFAULT_TOL = 1e-10
 
 
 @dataclass
 class SolveResult:
+    # the solution at the cloud points, and no boundary trace
     U: np.ndarray
-    V: np.ndarray
     residual: float
     iterations: int
     converged: bool
@@ -143,8 +144,7 @@ def solve_mean_zero(system: NonlocalSystem, tol: float = DEFAULT_TOL,
     U, rel, it, ok, reason = cg(system.operator, b, tol=tol,
                                 max_iter=max_iter)
     U = U - float(U @ system.A / system.A.sum())
-    V = boundary_trace(system.coupling, system.A, U)
-    return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,
+    return SolveResult(U=U, residual=rel, iterations=it, converged=ok,
                        reason=reason)
 
 
@@ -153,6 +153,5 @@ def solve_spd(system: NonlocalSystem, tol: float = DEFAULT_TOL,
     """Solve a strictly positive-definite variant system by CG."""
     U, rel, it, ok, reason = cg(system.operator, system.rhs, tol=tol,
                                 max_iter=max_iter)
-    V = boundary_trace(system.coupling, system.A, U)
-    return SolveResult(U=U, V=V, residual=rel, iterations=it, converged=ok,
+    return SolveResult(U=U, residual=rel, iterations=it, converged=ok,
                        reason=reason)

@@ -74,7 +74,6 @@ from .assembly import (
     NonlocalSystem,
     assemble,
     bar_matrix,  # noqa: F401
-    boundary_trace,
     interior_laplacian,  # noqa: F401
     symmetric_product,
 )
@@ -128,17 +127,18 @@ class VariantConfig:
                 raise ValueError(f"{name} = {value!r}: need a number, not a "
                                  f"{type(value).__name__}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError("nonlinear model requires a constant lambda, "
-                             "finite and > 0")
+            raise ValueError(f"lam = {self.lam!r}: need a finite number > 0")
         if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise ValueError("nonlinear exponent p must be finite and >= 1")
+            raise ValueError(f"p = {self.p!r}: need a finite number >= 1")
         if not 0.0 < self.theta <= 1.0:
-            raise ValueError("damping theta must lie in (0, 1]")
+            raise ValueError(f"theta = {self.theta!r}: need a number in (0, 1]")
         if not (isinstance(self.picard_max, (int, np.integer))
                 and self.picard_max >= 1):
-            raise ValueError("picard_max must be an integer >= 1")
+            raise ValueError(f"picard_max = {self.picard_max!r}: "
+                             f"need an integer >= 1")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
-            raise ValueError("picard_tol must be finite and > 0")
+            raise ValueError(f"picard_tol = {self.picard_tol!r}: "
+                             f"need a finite number > 0")
 
 
 def _lambda_values(lam, points: np.ndarray) -> np.ndarray:
@@ -442,8 +442,8 @@ def nonlinear_solve(cloud: PointCloud, *,
 
     if rnorm == 0.0:
         U = np.zeros(cloud.n0)
-        return SolveResult(U=U, V=np.zeros(cloud.m0), residual=0.0,
-                           iterations=0, converged=True, reason="converged",
+        return SolveResult(U=U, residual=0.0, iterations=0, converged=True,
+                           reason="converged",
                            energy_history=[work.energy(U)[0]],
                            inner_iterations=0, inner_misses=0)
 
@@ -501,8 +501,7 @@ def nonlinear_solve(cloud: PointCloud, *,
     stopped = not step_size > config.picard_tol
     converged = stopped and residual <= config.picard_tol
     reason = "converged" if converged else "stalled" if stopped else "max_iter"
-    V = boundary_trace(work.base.coupling, cloud.A, U)
-    return SolveResult(U=U, V=V, residual=residual, iterations=steps,
+    return SolveResult(U=U, residual=residual, iterations=steps,
                        converged=converged, reason=reason,
                        energy_history=energies,
                        inner_iterations=inner_iterations,

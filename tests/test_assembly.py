@@ -391,6 +391,20 @@ def test_operator_matches_its_matrix(operator_cloud, mode):
     assert np.abs(op.diagonal() - d).max() <= 1e-13 * np.abs(d).max()
 
 
+def test_reduced_operator_is_its_diffusion_block(operator_cloud):
+    """In reduced mode the operator holds the coupling's zero blocks, and
+    its apply, diagonal and matrix are those of RA, bit for bit."""
+    system = assemble(operator_cloud, mode="reduced")
+    op, n0, m0 = system.operator, operator_cloud.n0, operator_cloud.m0
+    assert (op.AZ.shape, op.AZ.nnz) == ((n0, m0), 0)
+    assert (op.RbarL.shape, op.RbarL.nnz) == ((m0, m0), 0)
+    rng = np.random.default_rng(27)
+    for x in (rng.standard_normal(n0), rng.standard_normal((n0, 3))):
+        assert np.array_equal(op @ x, op.RA @ x)
+    assert np.array_equal(op.diagonal(), op.RA.diagonal())
+    assert system.S.nnz == op.RA.nnz
+
+
 @pytest.mark.parametrize("mode", ["full", "reduced"])
 def test_matrix_is_the_blocks_multiplied_out(operator_cloud, mode):
     """system.S is bit for bit RA + 2 AZ RbarL AZ^T by symmetric_product,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 import re
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from nlpoisson.harness import (
     fit_loglog,
     lemma_diagnostics,
     run_single,
+    solve_single,
 )
 from nlpoisson.kernels import cosine_profile, pair_eval
 from nlpoisson.solver import DEFAULT_TOL, cg, solve_mean_zero, solve_spd
@@ -117,6 +119,18 @@ def test_non_number_names_its_field(name, value):
     if name not in NEWTON_CONTROLS:
         with pytest.raises(ConfigurationError, match=rf"{name} = {value!r}"):
             HarnessOptions(**{name: value})
+
+
+@pytest.mark.parametrize("name,value", [
+    ("lam", 0.0), ("lam", -1.0), ("lam", math.inf), ("lam", math.nan),
+    ("p", 0.5), ("p", math.inf), ("theta", 0.0), ("theta", 1.5),
+    ("picard_tol", 0.0), ("picard_tol", math.inf), ("picard_max", 0),
+    ("picard_max", 2.5)])
+def test_out_of_range_names_its_field(name, value):
+    """A number outside its field's range is refused with an error that
+    names the field and the value, as a non-number is."""
+    with pytest.raises(ValueError, match=rf"^{name} = {value!r}: need "):
+        VariantConfig(**{name: value})
 
 
 def test_any_real_number_is_a_number():
@@ -268,7 +282,7 @@ def test_report_fits_its_rows():
     assert [(t, m) for t, _, m in report.medians()] == [
         (4, 0.75), (9, 3.0 / 9), (16, 3.0 / 16), (25, 3.0 / 25)]
     slope, intercept = report.fit()
-    assert (report.slope, report.intercept) == (slope, intercept)
+    assert report.slope == slope
     assert slope == pytest.approx(2.0, rel=1e-12)
     assert intercept == pytest.approx(np.log(3.0), rel=1e-12)
     assert not report.partial
@@ -490,9 +504,10 @@ def test_cli_variant_flags(tmp_path):
 
 def test_option_set_is_pinned():
     """Each run option is declared once: the Newton controls on
-    VariantConfig alone, no warm start for the solvers, and the kernel-order
-    diagnostics on their one fixture.  An option added or brought back
-    fails here until it is listed."""
+    VariantConfig alone, no warm start for the solvers, no kernel profile
+    for a single run, and the kernel-order diagnostics on their one
+    fixture.  An option added or brought back fails here until it is
+    listed."""
     assert [f.name for f in dataclasses.fields(HarnessOptions)] == [
         "mode", "variant", "lam", "p", "g_case", "tol"]
     with pytest.raises(TypeError, match="theta"):
@@ -511,7 +526,9 @@ def test_option_set_is_pinned():
     for fn, params in ((cg, ["S", "b", "tol", "max_iter"]),
                        (solve_mean_zero, ["system", "tol", "max_iter"]),
                        (solve_spd, ["system", "tol", "max_iter"]),
-                       (lemma_diagnostics, ["deltas", "profile"])):
+                       (lemma_diagnostics, ["deltas", "profile"]),
+                       (solve_single, ["case_name", "t", "seed", "options"]),
+                       (run_single, ["case_name", "t", "seed", "options"])):
         assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
 

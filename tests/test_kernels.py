@@ -86,8 +86,10 @@ def test_support_fast_path_matches_masked(any_profile, rng):
 
 
 def test_nondegeneracy_floor(profile):
+    """The cosine base is at least 1/2 on [0, 1/2], the paper's
+    nondegeneracy condition."""
     r = np.linspace(0.0, 0.5, 257)
-    assert np.all(profile.levels["base"](r) >= profile.nondegeneracy_floor - 1e-12)
+    assert np.all(profile.levels["base"](r) >= 0.5)
 
 
 @pytest.mark.parametrize("pair", [("bar", "base"), ("dbar", "bar")])

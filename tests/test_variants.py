@@ -524,7 +524,7 @@ def test_nonlinear_converged_needs_small_residual(small_cloud, monkeypatch):
     for scale in (0.0, np.nan):
         monkeypatch.setattr(variants, "solve_spd", lambda system, tol, max_iter:
                             SolveResult(U=np.full(len(system.rhs), scale),
-                                        V=None, residual=0.0, iterations=0,
+                                        residual=0.0, iterations=0,
                                         converged=True))
         trials.clear()
         res = nonlinear_solve(small_cloud, config=config)
