@@ -30,8 +30,11 @@ Every block and the smoothed forcing are sums over pairs inside the
 pair_graph makes the one neighbour search per (cloud, delta) and returns
 it as the symmetric Kbar matrix NonlocalSystem.pairs: every searched
 pair in both orders and each point with itself, Kbar at distance zero on
-the diagonal, with the base kernel K in the same entry order.  R_A is a
-Laplacian filled in place on the whole pattern.  Boundary point k is
+the diagonal, together with the half-pair list: the p pairs i < j, the
+base kernel K on them, and the map from the pattern's entries to their
+pair.  R_A is a Laplacian on the whole pattern whose weights
+K(p_i, p_j) A_i A_j are formed once per pair and placed by that map, its
+diagonal the row sums.  Boundary point k is
 cloud point n0 - m0 + k (geometry's tail invariant), so zeta and its
 normalization come from the pattern's last m0 columns, Rb is a Laplacian
 on its trailing m0 x m0 block, and the smoothed forcing is a matvec with
@@ -86,8 +89,9 @@ class NeumannOperator:
     """S = RA + 2 AZ RbarL AZ^T, applied from its blocks: RA = R_A / delta^2
     on the pair pattern, AZ = diag(A) zeta and the boundary Laplacian RbarL.
     In reduced mode AZ and RbarL are the coupling's zero blocks, n0 x m0
-    and m0 x m0 with no stored entry, so S is RA.  AZT is a view of AZ's
-    arrays, made once."""
+    and m0 x m0 with no stored entry, so S is RA, and the apply and the
+    diagonal skip the boundary term whenever AZ stores nothing.  AZT is a
+    view of AZ's arrays, made once."""
 
     RA: sparse.csr_matrix
     AZ: sparse.csr_matrix
@@ -100,16 +104,18 @@ class NeumannOperator:
         """S x for a vector or an (n, k) block; the boundary term touches
         only the rows of the boundary layer."""
         y = self.RA @ x
-        v = self.RbarL @ (self.AZT @ x)
-        v *= 2.0
-        y += self.AZ @ v
+        if self.AZ.nnz:
+            v = self.RbarL @ (self.AZT @ x)
+            v *= 2.0
+            y += self.AZ @ v
         return y
 
     def diagonal(self) -> np.ndarray:
         """diag(RA) + 2 rowsum((AZ RbarL) * AZ), with no n0 x n0 product."""
         d = self.RA.diagonal()
-        cross = (self.AZ @ self.RbarL).multiply(self.AZ)
-        d += 2.0 * (cross @ np.ones(cross.shape[1]))
+        if self.AZ.nnz:
+            cross = (self.AZ @ self.RbarL).multiply(self.AZ)
+            d += 2.0 * (cross @ np.ones(cross.shape[1]))
         return d
 
     def materialize(self) -> sparse.csr_matrix:
@@ -154,24 +160,32 @@ def _sym_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarra
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     key = pairs[:, 0].astype(np.int64) * n
     key += pairs[:, 1]
+    del pairs
     key.sort()
     i = key // n
-    return i.astype(np.int32), (key - i * n).astype(np.int32)
+    key -= i * n
+    return i.astype(np.int32), key.astype(np.int32)
 
 
 def pair_graph(cloud: PointCloud, *, profile: KernelProfile | None = None
-               ) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """The cloud's pair pattern within 2 delta, as the symmetric Kbar matrix.
+               ) -> tuple[sparse.csr_matrix, tuple[np.ndarray, ...]]:
+    """The cloud's pair pattern within 2 delta, as the symmetric Kbar matrix,
+    and its half-pair list.
 
-    One neighbour search over all cloud points gives the pairs i < j; the
+    One neighbour search over all cloud points gives the p pairs i < j; the
     pattern holds each in both orders, Kbar(p_i, p_j), and each point with
-    itself, Kbar at distance zero.  Also returns the base kernel
-    K(p_i, p_j) in the pattern's entry order, which only R_A reads (its
-    Laplacian ignores the diagonal).
+    itself, Kbar at distance zero.  The half-pair list (i, j, K, entry) is
+    what only R_A reads: the pairs as int32 arrays in lexicographic order,
+    the base kernel K(p_i, p_j) on them (p + 1 values, the last at distance
+    zero), and entry, the pattern's entries in its own order mapped to
+    their pair, p for a point with itself, so that K[entry] is the base
+    kernel in entry order.
 
     The squared pair distances add up one coordinate at a time, each a
     1-D gather of that coordinate, in the order a row sum over the
-    coordinate axis takes, so they round as that sum does.
+    coordinate axis takes, so they round as that sum does.  Both kernel
+    levels are taken from them, once per pair, before the pattern is
+    built, and Kbar is placed on the pattern with one gather.
     """
     profile = profile or cosine_profile()
     points, m, n, delta = cloud.points, cloud.m, cloud.n0, cloud.delta
@@ -183,6 +197,10 @@ def pair_graph(cloud: PointCloud, *, profile: KernelProfile | None = None
         dx -= x.take(j)
         dx *= dx
         sq[:p] += dx
+    del dx
+    K = pair_eval(profile, "base", sq, delta, m)
+    bar = pair_eval(profile, "bar", sq, delta, m)
+    del sq
     ids, own = np.arange(p, dtype=np.int32), np.arange(n, dtype=np.int32)
     # entry p is a point with itself; fed as [lower triangle, diagonal,
     # upper triangle] with the pairs in order, the conversion's stable row
@@ -191,39 +209,59 @@ def pair_graph(cloud: PointCloud, *, profile: KernelProfile | None = None
         (np.concatenate([ids, np.full(n, p, np.int32), ids]),
          (np.concatenate([j, own, i]), np.concatenate([i, own, j]))),
         shape=(n, n)).tocsr()
-    Kbar = sparse.csr_matrix(
-        (pair_eval(profile, "bar", sq, delta, m)[entry.data], entry.indices,
-         entry.indptr), shape=(n, n))
-    return Kbar, pair_eval(profile, "base", sq, delta, m)[entry.data]
+    del ids
+    Kbar = sparse.csr_matrix((bar.take(entry.data), entry.indices,
+                              entry.indptr), shape=(n, n))
+    return Kbar, (i, j, K, entry.data)
 
 
-def _laplacian(pattern: sparse.csr_matrix, kernel: np.ndarray,
-               weights: np.ndarray) -> sparse.csr_matrix:
+def _laplacian(pattern: sparse.csr_matrix, data: np.ndarray,
+               diag: np.ndarray) -> sparse.csr_matrix:
     """Graph Laplacian on a square pattern that holds its whole diagonal,
-    with pair weights kernel_ij (w_i w_j), kernel in the pattern's entry
-    order: minus the weight off the diagonal, the off-diagonal row sum on it."""
+    from minus its pair weights in the pattern's entry order, filled in
+    place: those off the diagonal stay, and each diagonal entry, at the
+    entry positions diag, becomes its row's off-diagonal sum."""
     n = pattern.shape[0]
-    rows = np.repeat(np.arange(n, dtype=pattern.indices.dtype),
-                     np.diff(pattern.indptr))
-    data = -(kernel * (weights[rows] * weights[pattern.indices]))
-    diag = np.flatnonzero(pattern.indices == rows)
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
     data[diag] = 0.0
     data[diag] = -np.bincount(rows, weights=data, minlength=n)
     return sparse.csr_matrix((data, pattern.indices, pattern.indptr),
                              shape=(n, n))
 
 
+def _diffusion_block(cloud: PointCloud, profile: KernelProfile | None
+                     ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """pair_graph's pattern and R_A on it.  The pair weights K (A_i A_j)
+    are formed once per pair of the half-pair list, in K's own buffer, and
+    placed in entry order by one gather; each half-pair array is dropped
+    once read, so no more than one entry-order array is held at a time."""
+    pairs, (i, j, K, entry) = pair_graph(cloud, profile=profile)
+    w = cloud.A.take(i)
+    w *= cloud.A.take(j)
+    K[:len(i)] *= w
+    del w
+    np.negative(K, out=K)
+    # a row's entries past its diagonal are its pairs with that row as i
+    upper = np.diff(np.searchsorted(i, np.arange(cloud.n0 + 1)))
+    del i, j
+    data = K.take(entry)
+    del K, entry
+    return pairs, _laplacian(pairs, data, pairs.indptr[1:] - 1 - upper)
+
+
 def _boundary_block(pairs: sparse.csr_matrix, L: np.ndarray) -> sparse.csr_matrix:
     """Kbar L L graph Laplacian on the pattern's trailing m0 x m0 block."""
     nb = pairs.shape[0] - len(L)
     tail = pairs[nb:, nb:]
-    return _laplacian(tail, tail.data, L)
+    ends = tail.tocoo()
+    data = -(tail.data * (L[ends.row] * L[ends.col]))
+    return _laplacian(tail, data, np.flatnonzero(ends.row == ends.col))
 
 
 def interior_laplacian(cloud: PointCloud, *,
                        profile: KernelProfile | None = None) -> sparse.csr_matrix:
     """Diffusion graph Laplacian R_A over all cloud points."""
-    return _laplacian(*pair_graph(cloud, profile=profile), cloud.A)
+    return _diffusion_block(cloud, profile)[1]
 
 
 def boundary_coupling(cloud: PointCloud,
@@ -323,9 +361,7 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
         raise ValueError("cloud has no co-normals; "
                          "set cloud.normals = case.conormal(cloud.boundary)")
 
-    pairs, base = pair_graph(cloud, profile=profile)
-    RA = _laplacian(pairs, base, cloud.A)
-    del base
+    pairs, RA = _diffusion_block(cloud, profile)
     RA.data *= 1.0 / (cloud.delta * cloud.delta)
     n0, m0 = cloud.n0, cloud.m0
     if mode == "full":

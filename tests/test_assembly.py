@@ -14,6 +14,7 @@ from scipy import sparse
 
 from nlpoisson.assembly import (
     AssemblyError,
+    NeumannOperator,
     _boundary_block,
     assemble,
     boundary_coupling,
@@ -24,7 +25,14 @@ from nlpoisson.assembly import (
     smoothed_forcing,
     symmetric_product,
 )
-from nlpoisson.geometry import PointCloud, build_cloud, get_case, sample_case
+from nlpoisson.geometry import (
+    PointCloud,
+    boundary_weights,
+    build_cloud,
+    get_case,
+    sample_case,
+    volume_weights,
+)
 from nlpoisson.kernels import compute_CR, normalization, pair_eval
 from nlpoisson.solver import solve_mean_zero, solve_spd
 from nlpoisson.variants import assemble_lambda
@@ -405,6 +413,34 @@ def test_reduced_operator_is_its_diffusion_block(operator_cloud):
     assert system.S.nnz == op.RA.nnz
 
 
+class _ZeroBlock:
+    """A stand-in for a block that stores no entry and refuses any product."""
+
+    def __init__(self, shape):
+        self.shape, self.nnz = shape, 0
+
+    @property
+    def T(self):
+        return _ZeroBlock(self.shape[::-1])
+
+    def __matmul__(self, other):
+        raise AssertionError("multiplied by a zero block")
+
+    __rmatmul__ = multiply = __matmul__
+
+
+def test_reduced_operator_skips_its_zero_blocks(operator_cloud):
+    """An operator whose AZ stores nothing applies RA alone and takes RA's
+    diagonal, without a product with AZ, its transpose or RbarL."""
+    RA = assemble(operator_cloud, mode="reduced").operator.RA
+    n0, m0 = operator_cloud.n0, operator_cloud.m0
+    op = NeumannOperator(RA, _ZeroBlock((n0, m0)), _ZeroBlock((m0, m0)))
+    rng = np.random.default_rng(27)
+    for x in (rng.standard_normal(n0), rng.standard_normal((n0, 3))):
+        assert np.array_equal(op @ x, RA @ x)
+    assert np.array_equal(op.diagonal(), RA.diagonal())
+
+
 @pytest.mark.parametrize("mode", ["full", "reduced"])
 def test_matrix_is_the_blocks_multiplied_out(operator_cloud, mode):
     """system.S is bit for bit RA + 2 AZ RbarL AZ^T by symmetric_product,
@@ -502,6 +538,53 @@ def test_pair_search_matches_brute_force(cloud, zeros, search, profile):
         assert np.array_equal(got_zeta.row, rows[nz])
         assert np.array_equal(got_zeta.col, cols[nz])
         assert np.array_equal(got_zeta.data, zeta[nz] / omega[cols[nz]])
+
+
+def _entry_laplacian(pattern, kernel, weights):
+    """The graph Laplacian formed entry by entry over a square pattern:
+    -kernel (w_r w_c) on each entry (r, c), kernel in entry order; the
+    diagonal's own term dropped and the off-diagonal row sum, summed in
+    entry order, put in its place."""
+    n = pattern.shape[0]
+    rows = np.repeat(np.arange(n, dtype=pattern.indices.dtype),
+                     np.diff(pattern.indptr))
+    data = -(kernel * (weights[rows] * weights[pattern.indices]))
+    diag = np.flatnonzero(pattern.indices == rows)
+    data[diag] = 0.0
+    data[diag] = -np.bincount(rows, weights=data, minlength=n)
+    return sparse.csr_matrix((data, pattern.indices, pattern.indptr),
+                             shape=(n, n))
+
+
+@pytest.mark.parametrize("cloud", [c for c, _ in _search_clouds()] + [None],
+                         ids=["aliased_boundary", "duplicated_point",
+                              "hemisphere3-6"])
+def test_laplacians_match_an_entry_order_oracle(cloud, profile):
+    """R_A from interior_laplacian and from assemble (there over delta^2),
+    and assemble's RbarL, equal bit for bit the entry-order Laplacian on
+    pair_graph's pattern: R_A with the base kernel of each entry's own
+    coordinates and the weights A, RbarL on the trailing m0 x m0 block
+    with its Kbar and the weights L."""
+    if cloud is None:
+        cloud = build_cloud("hemisphere3", 6, 1)
+    else:
+        cloud = replace(cloud, A=volume_weights(cloud), L=boundary_weights(cloud))
+    pairs, _ = pair_graph(cloud, profile=profile)
+    entries = pairs.tocoo()
+    disp = cloud.points[entries.row] - cloud.points[entries.col]
+    base = pair_eval(profile, "base", (disp**2).sum(axis=1), cloud.delta, cloud.m)
+    RA = _entry_laplacian(pairs, base, cloud.A)
+    system = assemble(cloud, profile=profile)
+    scaled = RA.copy()
+    scaled.data *= 1.0 / (cloud.delta * cloud.delta)
+    nb = cloud.n0 - cloud.m0
+    tail = pairs[nb:, nb:]
+    RbarL = _entry_laplacian(tail, tail.data, cloud.L)
+    for got, want in ((interior_laplacian(cloud, profile=profile), RA),
+                      (system.operator.RA, scaled),
+                      (system.coupling.RbarL, RbarL)):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def consistency_residual(system, u, X):

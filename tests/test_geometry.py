@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, cKDTree
 
+from nlpoisson import geometry
 from nlpoisson.geometry import (
     T_MIN,
     _COINCIDENT_RTOL,
@@ -157,6 +158,22 @@ def test_weights_similarity_equivariant(name, t):
                            (boundary_weights, cloud.m - 1)):
         w, w_moved = weights(cloud), weights(moved)
         assert np.all(np.abs(w_moved - s**power * w) <= 1e-12 * s**power * w)
+
+
+@pytest.mark.parametrize("name,t", [("hemisphere2", 20), ("hemisphere3", 6)])
+def test_cell_weights_ignore_the_window_batch(name, t, monkeypatch):
+    """The windows are projected and walked in blocks of _WINDOW_BATCH, and
+    every block size gives the same weights bit for bit: hemisphere2's 2-D
+    volume windows, hemisphere3's 3-D volume and 2-D boundary windows."""
+    cloud = sample_case(name, t, 1)
+    windows = [(points, m) for points, m in ((cloud.points, cloud.m),
+                                             (cloud.boundary, cloud.m - 1))
+               if m > 1]
+    wants = [_simplex_cell_weights(points, m) for points, m in windows]
+    for (points, m), want in zip(windows, wants):
+        for batch in (1, 7, 256, 1024, len(points)):
+            monkeypatch.setattr(geometry, "_WINDOW_BATCH", batch)
+            assert np.array_equal(_simplex_cell_weights(points, m), want), batch
 
 
 def test_conormal_smoothness():
