@@ -269,7 +269,10 @@ def boundary_coupling(cloud: PointCloud,
     """The normalized coupling, from the pattern's last m0 columns, and the
     boundary Laplacian, from its trailing block."""
     n0, m0 = cloud.n0, cloud.m0
-    cross = pairs[:, n0 - m0:]  # Kbar(p_r, q_k)
+    # Kbar(p_r, q_k): the pattern is symmetric, so the last m0 columns are
+    # the transposed last m0 rows, which a row slice takes without scipy's
+    # column-slicing pass; the conversion leaves each row's columns sorted
+    cross = pairs[n0 - m0:].T.tocsr()
     rows = np.repeat(np.arange(n0), np.diff(cross.indptr))
     cols = cross.indices
     disp = cloud.points[rows] - cloud.boundary[cols]
@@ -371,8 +374,11 @@ def assemble(cloud: PointCloud, *, profile: KernelProfile | None = None,
                                     omega_hat=np.zeros(m0),
                                     RbarL=sparse.csr_matrix((m0, m0)),
                                     L=np.zeros(m0))
-    operator = NeumannOperator(RA, sparse.diags(cloud.A) @ coupling.zeta,
-                               coupling.RbarL)
+    zeta = coupling.zeta
+    AZ = sparse.csr_matrix(
+        (zeta.data * np.repeat(cloud.A, np.diff(zeta.indptr)), zeta.indices,
+         zeta.indptr), shape=zeta.shape)  # diag(A) zeta, row by row
+    operator = NeumannOperator(RA, AZ, coupling.RbarL)
 
     fd = smoothed_forcing(cloud, pairs, coupling, f, g)
     shift = float(fd @ cloud.A / cloud.A.sum())

@@ -509,8 +509,10 @@ def load_cloud_csv(path) -> PointCloud:
     """Read a cloud written by :func:`save_cloud_csv`.
 
     Raises ValueError on a missing metadata key, a d unlike the header's
-    count of coordinate columns, a boundary row count other than m0, or
-    boundary coordinates that differ from the tail of the point rows.
+    count of coordinate columns, a boundary row count other than m0, a
+    non-finite coordinate, weight or co-normal (naming its row kind, row
+    index and column), or boundary coordinates that differ from the tail
+    of the point rows.
     """
     meta: dict[str, str] = {}
     rows: dict[str, list[list[str]]] = {"interior": [], "boundary": []}
@@ -544,6 +546,14 @@ def load_cloud_csv(path) -> PointCloud:
     interior = np.array([[float(v) for v in r[:d + 1]] for r in rows["interior"]])
     boundary = np.array([[float(v) for v in r[:2 * d + 1]]
                          for r in rows["boundary"]]).reshape(m0, 2 * d + 1)
+    columns = ([f"x{i}" for i in range(d)] + ["weight"]
+               + [f"n{i}" for i in range(d)])
+    for kind, table in (("interior", interior), ("boundary", boundary)):
+        bad = np.argwhere(~np.isfinite(table))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"{path}: {kind} row {row}, column {columns[col]}: "
+                             f"non-finite value {table[row, col]!r}")
     points = interior[:, :d]
     if not np.array_equal(boundary[:, :d], points[len(points) - m0:]):
         raise ValueError(f"{path}: boundary coordinates differ from the "

@@ -208,12 +208,9 @@ class AbsorptionBlocks:
         if np.any(self.omega2 <= 0.0):
             j = int(np.argmin(self.omega2))
             raise ValueError(f"smoothing mass w2({j}) = {self.omega2[j]:.3e} <= 0")
-        self.Kbar_sq = sparse.csr_matrix(
-            (self.Kbar.data ** 2, self.Kbar.indices, self.Kbar.indptr),
-            shape=self.Kbar.shape)
-        # its own index arrays: AZ's columns come out of assembly unsorted,
-        # and an in-place sort of AZ would not reorder a shared copy's data
-        self.AZ_sq = self.AZ.multiply(self.AZ).tocsr()
+        self.Kbar_sq, self.AZ_sq = (
+            sparse.csr_matrix((M.data ** 2, M.indices, M.indptr), shape=M.shape)
+            for M in (self.Kbar, self.AZ))
         self.measure = np.concatenate([self.omega2 * base.A,
                                        base.coupling.omega_hat * base.coupling.L])
         self.S_diagonal = S.diagonal()

@@ -452,7 +452,7 @@ def test_matrix_is_the_blocks_multiplied_out(operator_cloud, mode):
     RA.data *= 1.0 / (cloud.delta * cloud.delta)
     want = RA
     if mode == "full":
-        AZ = sparse.diags(cloud.A) @ system.coupling.zeta
+        AZ = (sparse.diags(cloud.A) @ system.coupling.zeta).sorted_indices()
         want = (RA + 2.0 * symmetric_product(AZ, system.coupling.RbarL)).tocsr()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(system.S, name), getattr(want, name))

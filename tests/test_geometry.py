@@ -674,3 +674,24 @@ def test_cloud_csv_boundary_coordinates(small_cloud, tmp_path):
     path = _edited_csv(small_cloud, tmp_path, edit)
     with pytest.raises(ValueError, match="boundary coordinates"):
         load_cloud_csv(path)
+
+
+@pytest.mark.parametrize("kind, row, field, value, column", [
+    ("interior", 0, 1, "nan", "x1"),
+    ("interior", 3, 3, "inf", "weight"),
+    ("boundary", 2, 3, "inf", "weight"),
+    ("boundary", 0, 6, "-inf", "n2"),
+])
+def test_cloud_csv_refuses_non_finite(small_cloud, tmp_path, kind, row, field,
+                                      value, column):
+    """A nan or inf coordinate, weight or co-normal is refused, with its row
+    kind, row index within that kind and column named."""
+    def edit(lines):
+        at = [i for i, l in enumerate(lines) if l.startswith(kind + ",")][row]
+        fields = lines[at].rstrip("\n").split(",")
+        fields[field + 1] = value
+        return lines[:at] + [",".join(fields) + "\n"] + lines[at + 1:]
+    path = _edited_csv(small_cloud, tmp_path, edit)
+    with pytest.raises(ValueError,
+                       match=f"{kind} row {row}, column {column}: non-finite"):
+        load_cloud_csv(path)
